@@ -14,6 +14,7 @@ import numpy as np
 __all__ = [
     "align_down",
     "align_up",
+    "alignment_shift",
     "is_power_of_two",
     "line_index",
     "lines_spanned",
@@ -23,6 +24,13 @@ __all__ = [
 
 def is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
+
+
+def alignment_shift(addr: int) -> int:
+    """Trailing-zero count of ``addr``: the largest ``k`` with ``addr``
+    a multiple of ``2**k``.  Zero is aligned to everything; it returns
+    64, past any 48-bit address."""
+    return (addr & -addr).bit_length() - 1 if addr else 64
 
 
 def align_down(addr: int, granule: int) -> int:

@@ -18,7 +18,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.arch.address import is_power_of_two
+from repro.arch.address import alignment_shift, is_power_of_two
 
 __all__ = ["IotEntry", "MigrationEntry", "InterleaveOverrideTable"]
 
@@ -79,10 +79,19 @@ class MigrationEntry:
 class InterleaveOverrideTable:
     """Fixed-capacity override table queried on every L2 miss / L3 access."""
 
-    def __init__(self, num_banks: int, capacity: int = 16):
+    def __init__(self, num_banks: int, capacity: int = 16,
+                 base_shift: int = 47):
         if num_banks <= 0:
             raise ValueError("num_banks must be positive")
+        if base_shift < 0:
+            raise ValueError("base_shift must be non-negative")
         self.num_banks = num_banks
+        # log2 of the largest aligned block the caller's other mappings
+        # keep whole — the cache line, the page and the static-NUCA
+        # default interleave the caller passes to :meth:`banks`; caps
+        # :meth:`granule_shift`.
+        self.base_shift = base_shift
+        self._granule: Optional[int] = None
         # Power-of-two bank counts (every paper config) take the mod as a
         # bit mask; `&` equals `%` bit for bit on int64 for a positive
         # power-of-two modulus, and skips the integer-division microcode.
@@ -142,6 +151,7 @@ class InterleaveOverrideTable:
         raise KeyError(f"no IOT entry starting at {start:#x}")
 
     def _rebuild(self) -> None:
+        self._granule = None
         self._sorted_entries = sorted(self._entries, key=lambda e: e.start)
         self._starts = np.array([e.start for e in self._sorted_entries], dtype=np.int64)
         self._ends = np.array([e.end for e in self._sorted_entries], dtype=np.int64)
@@ -212,6 +222,7 @@ class InterleaveOverrideTable:
         for i, existing in enumerate(self._mig):
             if existing.start == entry.start:
                 self._mig[i] = entry
+                self._granule = None
                 return
             if entry.start < existing.end and existing.start < entry.end:
                 raise ValueError(
@@ -221,9 +232,34 @@ class InterleaveOverrideTable:
             raise RuntimeError(
                 f"migration table full ({self.migration_capacity} entries)")
         self._mig.append(entry)
+        self._granule = None
 
     def clear_migrations(self) -> None:
         self._mig.clear()
+        self._granule = None
+
+    def granule_shift(self) -> int:
+        """log2 of the bank-mapping granule: the largest power of two
+        ``G`` such that every ``G``-aligned physical block maps to one
+        bank (before and after any fault remap) and lies inside one
+        cache line and one page.
+
+        The smallest of ``base_shift``, every entry's interleave shift,
+        and the trailing-zero count of every entry's start and end — so
+        sub-line migration shifts and misaligned migration ranges shrink
+        the granule instead of splitting it.  Cached; every mutation of
+        the entry tables invalidates it.
+        """
+        if self._granule is None:
+            g = self.base_shift
+            for e in self._entries:
+                g = min(g, int(e.intrlv).bit_length() - 1,
+                        alignment_shift(e.start), alignment_shift(e.end))
+            for m in self._mig:
+                g = min(g, m.shift, alignment_shift(m.start),
+                        alignment_shift(m.end))
+            self._granule = g
+        return self._granule
 
     def swap_banks(self, a: int, b: int) -> None:
         """Swap every future lookup of banks ``a`` and ``b``.

@@ -25,7 +25,7 @@ from repro.arch.iot import InterleaveOverrideTable
 from repro.arch.llc import LlcModel
 from repro.arch.mesh import Mesh
 from repro.arch.noc import TrafficAccountant
-from repro.arch.address import align_up
+from repro.arch.address import align_up, alignment_shift
 from repro.config import DEFAULT_CONFIG, SystemConfig
 from repro.vm.layout import AddressSpace, LinearRegion, PagedRegion, VirtualLayout
 from repro.vm.pools import PoolManager
@@ -53,7 +53,11 @@ class Machine:
                  heap_mode: str = "linear", seed: int = 0):
         self.config = config
         self.mesh = Mesh(config.noc.width, config.noc.height)
-        self.iot = InterleaveOverrideTable(self.num_banks, config.cache.iot_entries)
+        self.iot = InterleaveOverrideTable(
+            self.num_banks, config.cache.iot_entries,
+            base_shift=min(alignment_shift(config.cache.line_bytes),
+                           alignment_shift(config.page_size),
+                           alignment_shift(config.cache.default_interleave)))
         self.llc = LlcModel(self.num_banks, config.cache, self.iot)
         self.dram = DramModel(self.mesh, config.dram)
         self.energy_model = EnergyModel(config.perf)

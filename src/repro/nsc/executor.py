@@ -105,6 +105,33 @@ def _consecutive_dedup(values: np.ndarray, groups: np.ndarray) -> np.ndarray:
     return _kernels.get_backend().consecutive_dedup(values, groups)
 
 
+def _weighted_counts(key: np.ndarray, first: np.ndarray,
+                     weights: np.ndarray) -> np.ndarray:
+    """Total integer ``weights`` per distinct key, in ``first``'s
+    ascending-key order — :func:`_first_unique_counts` over line runs.
+
+    Run lengths are integers far below 2**53, so the float64 sums are
+    exact."""
+    slot = np.searchsorted(key[first], key)
+    return np.bincount(slot, weights=weights,
+                       minlength=first.size).astype(np.intp)
+
+
+def _per_elem(idx: np.ndarray, lens: np.ndarray, w: float, n: int):
+    """``(idx, weights)`` for a recorder sink so that it adds ``w`` once
+    per element of every line run, bit for bit (``n`` elements in all).
+
+    Summing an integer-valued ``w`` element by element is exact while
+    every total stays below 2**52, so a run then contributes
+    ``len * w`` in one term.  Any other ``w`` (0.1, 1/3) rounds per
+    addition; those runs are expanded back to elements so the sink
+    repeats the exact per-element addition sequence."""
+    w = float(w)
+    if w.is_integer() and n * abs(w) < 2.0 ** 52:
+        return idx, lens * w
+    return np.repeat(idx, lens), w
+
+
 class StreamExecutor:
     """Execution primitives for one run."""
 
@@ -149,7 +176,10 @@ class StreamExecutor:
     # Small shared helpers
     # ------------------------------------------------------------------
     def _banks_and_lines(self, handle, idx: np.ndarray):
-        addrs = handle.addr_of(idx)
+        return self._banks_and_lines_of(handle.addr_of(idx))
+
+    def _banks_and_lines_of(self, addrs: np.ndarray):
+        """(bank, physical line) of each virtual address."""
         paddrs = self.machine.translate(addrs)
         st = self.machine.faults
         if st is not None and st.pending_touch and self.mode.offloads:
@@ -163,6 +193,33 @@ class StreamExecutor:
         else:
             lines = paddrs // self.line
         return banks, lines
+
+    def _line_runs(self, cores: np.ndarray, streams):
+        """Split an affine trace into line runs.
+
+        A line run is a maximal span of iterations with one owning core
+        in which every stream's virtual address stays inside one
+        bank-mapping granule (:meth:`InterleaveOverrideTable.granule_shift`).
+        The granule divides the line and the page, and translation maps
+        pages to page-aligned frames, so every element of a run shares
+        its head's physical line, bank and pre-fault bank.
+
+        Returns (run heads, run lengths, each stream's head addresses).
+        """
+        g = self.machine.iot.granule_shift()
+        n = cores.size
+        change = np.empty(n, dtype=bool)
+        change[0] = True
+        np.not_equal(cores[1:], cores[:-1], out=change[1:])
+        step = np.empty(n - 1, dtype=bool)
+        gran = np.empty(n, dtype=np.int64)
+        vaddrs = [h.addr_of(np.asarray(i)) for h, i in streams]
+        for v in vaddrs:
+            np.right_shift(v, g, out=gran)
+            np.not_equal(gran[1:], gran[:-1], out=step)
+            change[1:] |= step
+        heads = np.flatnonzero(change)
+        return heads, np.diff(heads, append=n), [v[heads] for v in vaddrs]
 
     def _fetch_lines_to_core(self, cores, banks, lines, store: bool = False,
                              repeat: float = 1.0) -> None:
@@ -224,11 +281,18 @@ class StreamExecutor:
                                 MessageClass.OFFLOAD, count=repeat)
 
     def _credits(self, cores: np.ndarray, banks: np.ndarray,
-                 repeat: float = 1.0) -> None:
+                 repeat: float = 1.0, lens: Optional[np.ndarray] = None) -> None:
         """Coarse-grained flow control: one credit round trip per
-        ``credit_iters`` iterations per core (paper §2.2)."""
+        ``credit_iters`` iterations per core (paper §2.2).
+
+        ``lens`` gives each entry's iteration count (line runs); None
+        means one iteration per entry."""
         k = self.perf.credit_iters
-        first, counts = _first_unique_counts(cores)
+        if lens is None:
+            first, counts = _first_unique_counts(cores)
+        else:
+            first = _first_unique(cores)
+            counts = _weighted_counts(cores, first, lens)
         if first.size == 0:
             return
         active = cores[first]
@@ -247,6 +311,11 @@ class StreamExecutor:
                       ops_per_elem: float = 1.0, repeat: float = 1.0) -> None:
         """Elementwise kernel ``out[i] = f(ins[0][i], ins[1][i], ...)``.
 
+        The trace is walked as line runs (:meth:`_line_runs`): only run
+        heads are translated and bank-mapped, and every event count
+        weighs a run by its length, so the recorded events are exactly
+        those of a per-element walk.
+
         Args:
             cores: core owning each iteration (array, iteration order).
             ins: input streams as (handle, element-index array) pairs.
@@ -259,8 +328,11 @@ class StreamExecutor:
         if n == 0:
             return
         st = self._faults()
-        in_bl = [self._banks_and_lines(h, np.asarray(i)) for h, i in ins]
-        out_bl = self._banks_and_lines(out[0], np.asarray(out[1])) if out else None
+        heads, lens, head_addrs = self._line_runs(
+            cores, list(ins) + ([out] if out else []))
+        elem_cores, cores = cores, cores[heads]
+        in_bl = [self._banks_and_lines_of(a) for a in head_addrs[:len(ins)]]
+        out_bl = self._banks_and_lines_of(head_addrs[-1]) if out else None
 
         off = self._offloads(st, *(bl[0] for bl in in_bl),
                              out_bl[0] if out_bl else None)
@@ -295,7 +367,7 @@ class StreamExecutor:
             if out_bl:
                 self._fetch_lines_to_core(cores, out_bl[0], out_bl[1],
                                           store=True, repeat=repeat)
-            self.rec.add_core_ops(cores, (ops_per_elem + 1.0) * repeat)
+            self.rec.add_core_ops(elem_cores, (ops_per_elem + 1.0) * repeat)
             self.rec.add_private_accesses(n * (len(ins) + (1 if out else 0)) * repeat)
             return
 
@@ -312,9 +384,11 @@ class StreamExecutor:
         for h, bls in groups.values():
             if len(bls) == 1:  # skip the no-op concatenate copies
                 banks, lines = bls[0]
+                glens = lens
             else:
                 banks = np.concatenate([b for b, _ in bls])
                 lines = np.concatenate([l for _, l in bls])
+                glens = np.tile(lens, len(bls))
             self._offload_config(*self._config_pairs(cores, bls[0][0]),
                                  repeat=repeat)
             # one bank read per distinct line of this array
@@ -326,47 +400,59 @@ class StreamExecutor:
                 cb = (consumer_banks if len(bls) == 1
                       else np.concatenate([consumer_banks] * len(bls)))
                 need = banks != cb
-                self.rec.add_stream_locality(banks.size * repeat,
-                                             float(need.sum()) * repeat)
-                self._observe(h, banks, cb, repeat)
+                self.rec.add_stream_locality(n * len(bls) * repeat,
+                                             float(glens[need].sum()) * repeat)
+                self._observe(h, banks, cb, repeat, lens=glens)
                 if need.any():
                     src_b, dst_b, counts = self._group_pairs(
-                        lines[need], banks[need], cb[need])
+                        lines[need], banks[need], cb[need], glens[need])
                     self.rec.traffic.record(
                         src_b, dst_b,
                         np.minimum(counts * h.elem_size, self.line),
                         MessageClass.DATA, count=repeat)
             else:
                 # pure read: the stream computes at its own banks
-                self.rec.add_stream_locality(banks.size * repeat, 0.0)
+                self.rec.add_stream_locality(n * len(bls) * repeat, 0.0)
             self._migrations(bls[0][0], bls[0][1], cores, repeat)
         if out_bl is not None:
             obanks, olines = out_bl
             new = _consecutive_dedup(olines, cores)
             self.rec.add_bank_accesses(obanks[new], repeat)
-            self.rec.add_stream_locality(obanks.size * repeat, 0.0)
+            self.rec.add_stream_locality(n * repeat, 0.0)
             self._migrations(obanks, olines, cores, repeat)
             self._offload_config(*self._config_pairs(cores, obanks), repeat=repeat)
-            self.rec.add_near_ops(obanks, ops_per_elem * repeat)
-        else:
-            self.rec.add_near_ops(in_bl[0][0], ops_per_elem * repeat)
-        self._credits(cores, consumer_banks, repeat)
+        self.rec.add_near_ops(*_per_elem(consumer_banks, lens,
+                                         ops_per_elem * repeat, n))
+        self._credits(cores, consumer_banks, repeat, lens)
 
     def _observe(self, handle, data_banks, desired_banks,
-                 count: float = 1.0) -> None:
+                 count: float = 1.0, lens: Optional[np.ndarray] = None) -> None:
         """Feed a drift observation to an attached relayout state.
 
         Gated on ``machine.relayout`` being None so static runs pay one
-        attribute load per offloaded stream and nothing else.
+        attribute load per offloaded stream and nothing else.  Line runs
+        (``lens``) are expanded back to the per-element bank arrays the
+        state observes.
         """
         state = self.machine.relayout
         if state is not None:
+            if lens is not None:
+                data_banks = np.repeat(data_banks, lens)
+                desired_banks = np.repeat(desired_banks, lens)
             state.observe_stream(handle, data_banks, desired_banks, count)
 
-    def _group_pairs(self, lines, src_banks, dst_banks):
-        """Aggregate (source line -> dest bank) forwarding messages."""
+    def _group_pairs(self, lines, src_banks, dst_banks,
+                     lens: Optional[np.ndarray] = None):
+        """Aggregate (source line -> dest bank) forwarding messages.
+
+        ``lens`` gives each entry's element count (line runs); None
+        means one element per entry."""
         key = lines * np.int64(self.machine.num_banks) + dst_banks
-        first, counts = _first_unique_counts(key)
+        if lens is None:
+            first, counts = _first_unique_counts(key)
+        else:
+            first = _first_unique(key)
+            counts = _weighted_counts(key, first, lens)
         return src_banks[first], dst_banks[first], counts
 
     # ------------------------------------------------------------------

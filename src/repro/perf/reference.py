@@ -1,13 +1,15 @@
 """Pre-vectorization reference implementations of the simulator hot paths.
 
-PR 3 replaced the per-pair/per-region/per-entry Python loops in NoC
-routing, address translation, IOT bank lookup, footprint registration,
-and batched affinity scoring with precomputed incidence structures and
-``searchsorted``/``bincount`` scatter-adds.  The originals live on here,
-verbatim, for two jobs:
+The per-pair/per-region/per-entry Python loops in NoC routing, address
+translation, IOT bank lookup, footprint registration, and batched
+affinity scoring were replaced with precomputed incidence structures and
+``searchsorted``/``bincount`` scatter-adds, and the affine stream kernel
+moved from per-element to per-line-run accounting.  The originals live
+on here, verbatim, for two jobs:
 
-* **equivalence oracles** — the hypothesis property suite
-  (``tests/test_vectorized_equivalence.py``) checks the vectorized paths
+* **equivalence oracles** — the hypothesis property suites
+  (``tests/test_vectorized_equivalence.py``,
+  ``tests/test_affine_equivalence.py``) check the vectorized paths
   against these on randomized inputs, and the vectorized paths must be
   *byte-identical* (same float bit patterns), not merely close;
 * **before/after benchmarking** — ``python -m repro bench`` times each
@@ -38,6 +40,7 @@ __all__ = [
     "chained_hybrid_reference",
     "first_unique_reference",
     "first_unique_counts_reference",
+    "affine_kernel_reference",
     "reference_impls",
 ]
 
@@ -233,6 +236,128 @@ def first_unique_counts_reference(key: np.ndarray):
 
 
 # ----------------------------------------------------------------------
+# Affine stream kernel (original: per-element translate/bank-map/dedup)
+# ----------------------------------------------------------------------
+def affine_kernel_reference(self, cores, ins, out=None,
+                            ops_per_elem: float = 1.0,
+                            repeat: float = 1.0) -> None:
+    """Original per-element body of
+    :meth:`repro.nsc.executor.StreamExecutor.affine_kernel`: every
+    element of every stream is translated, bank-mapped and deduped.  The
+    shipped kernel works on line runs and must match this bit for bit.
+
+    Elementwise kernel ``out[i] = f(ins[0][i], ins[1][i], ...)``.
+
+    Args:
+        cores: core owning each iteration (array, iteration order).
+        ins: input streams as (handle, element-index array) pairs.
+        out: optional output stream.
+        ops_per_elem: compute ops per iteration.
+        repeat: number of identical iterations this trace stands for.
+    """
+    from repro.arch.noc import MessageClass
+    from repro.nsc.executor import _consecutive_dedup, _first_unique, _pair_key
+
+    cores = np.asarray(cores, dtype=np.int64)
+    n = cores.size
+    if n == 0:
+        return
+    st = self._faults()
+    in_bl = [self._banks_and_lines(h, np.asarray(i)) for h, i in ins]
+    out_bl = self._banks_and_lines(out[0], np.asarray(out[1])) if out else None
+
+    off = self._offloads(st, *(bl[0] for bl in in_bl),
+                         out_bl[0] if out_bl else None)
+    tr = self.machine.tracer
+    if tr is not None:
+        tr.instant("affine_kernel", "stream",
+                   {"offloaded": off, "n": int(n), "inputs": len(ins),
+                    "store": out is not None, "repeat": float(repeat)})
+    if not off:
+        # Private caches keep lines shared between input streams of the
+        # same array hot (e.g. the three row-offset streams of a
+        # stencil): fetch each distinct (core, handle, line) once.
+        seen = {}
+        for (h, _i), (banks, lines) in zip(ins, in_bl):
+            seen.setdefault(id(h), []).append((banks, lines))
+        for group in seen.values():
+            if len(group) == 1:  # skip the no-op concatenate copies
+                banks, lines = group[0]
+                gcores = cores
+            else:
+                banks = np.concatenate([b for b, _ in group])
+                lines = np.concatenate([l for _, l in group])
+                gcores = np.concatenate([cores] * len(group))
+            key = _pair_key(gcores, lines)
+            first = _first_unique(key)
+            c, b = gcores[first], banks[first]
+            self.rec.traffic.record(c, b, 0, MessageClass.CONTROL,
+                                    count=repeat)
+            self.rec.traffic.record(b, c, self.line, MessageClass.DATA,
+                                    count=repeat)
+            self.rec.add_bank_accesses(b, repeat)
+        if out_bl:
+            self._fetch_lines_to_core(cores, out_bl[0], out_bl[1],
+                                      store=True, repeat=repeat)
+        self.rec.add_core_ops(cores, (ops_per_elem + 1.0) * repeat)
+        self.rec.add_private_accesses(n * (len(ins) + (1 if out else 0)) * repeat)
+        return
+
+    # Offloaded: compute happens at the consumer (out) bank, or at the
+    # first input's bank for a pure read.  Streams over the *same*
+    # array (a stencil's offset streams) are coalesced the way the NSC
+    # stream engine serves them: one bank read per line, one forwarded
+    # message per distinct (source line, consumer bank), one migrating
+    # walk per array.
+    consumer_banks = out_bl[0] if out_bl else in_bl[0][0]
+    groups = {}
+    for (h, _idx), bl in zip(ins, in_bl):
+        groups.setdefault(id(h), (h, []))[1].append(bl)
+    for h, bls in groups.values():
+        if len(bls) == 1:  # skip the no-op concatenate copies
+            banks, lines = bls[0]
+        else:
+            banks = np.concatenate([b for b, _ in bls])
+            lines = np.concatenate([l for _, l in bls])
+        self._offload_config(*self._config_pairs(cores, bls[0][0]),
+                             repeat=repeat)
+        # one bank read per distinct line of this array
+        first = _first_unique(lines)
+        self.rec.add_bank_accesses(banks[first], repeat)
+        # forward operands to the consumer where not colocated,
+        # aggregated per (source line, consumer bank)
+        if out_bl is not None:
+            cb = (consumer_banks if len(bls) == 1
+                  else np.concatenate([consumer_banks] * len(bls)))
+            need = banks != cb
+            self.rec.add_stream_locality(banks.size * repeat,
+                                         float(need.sum()) * repeat)
+            self._observe(h, banks, cb, repeat)
+            if need.any():
+                src_b, dst_b, counts = self._group_pairs(
+                    lines[need], banks[need], cb[need])
+                self.rec.traffic.record(
+                    src_b, dst_b,
+                    np.minimum(counts * h.elem_size, self.line),
+                    MessageClass.DATA, count=repeat)
+        else:
+            # pure read: the stream computes at its own banks
+            self.rec.add_stream_locality(banks.size * repeat, 0.0)
+        self._migrations(bls[0][0], bls[0][1], cores, repeat)
+    if out_bl is not None:
+        obanks, olines = out_bl
+        new = _consecutive_dedup(olines, cores)
+        self.rec.add_bank_accesses(obanks[new], repeat)
+        self.rec.add_stream_locality(obanks.size * repeat, 0.0)
+        self._migrations(obanks, olines, cores, repeat)
+        self._offload_config(*self._config_pairs(cores, obanks), repeat=repeat)
+        self.rec.add_near_ops(obanks, ops_per_elem * repeat)
+    else:
+        self.rec.add_near_ops(in_bl[0][0], ops_per_elem * repeat)
+    self._credits(cores, consumer_banks, repeat)
+
+
+# ----------------------------------------------------------------------
 # Before/after switchyard
 # ----------------------------------------------------------------------
 @contextmanager
@@ -315,6 +440,8 @@ def reference_impls():
         (executor_mod, "_first_unique", executor_mod._first_unique),
         (executor_mod, "_first_unique_counts",
          executor_mod._first_unique_counts),
+        (executor_mod.StreamExecutor, "affine_kernel",
+         executor_mod.StreamExecutor.affine_kernel),
     ]
     try:
         noc_mod.pair_channel_loads = pair_channel_loads_reference
@@ -331,6 +458,7 @@ def reference_impls():
         runtime_mod.AffinityAllocator._chained_hybrid = _chained_hybrid_compat
         executor_mod._first_unique = first_unique_reference
         executor_mod._first_unique_counts = first_unique_counts_reference
+        executor_mod.StreamExecutor.affine_kernel = affine_kernel_reference
         yield
     finally:
         for obj, name, orig in saved:

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.arch.address import alignment_shift
+from repro.arch.iot import MigrationEntry
 from repro.arch.noc import MessageClass
 from repro.core.api import AffineArray
 from repro.nsc.engine import EngineMode
+from repro.perf.reference import affine_kernel_reference
 from repro.workloads.base import make_context
+from tests.test_affine_equivalence import recorder_state, shipped
 
 DATA, CONTROL, OFFLOAD = (MessageClass.DATA, MessageClass.CONTROL,
                           MessageClass.OFFLOAD)
@@ -84,6 +88,82 @@ class TestAffineKernelOffload:
         ctx = aff_ctx()
         ctx.executor.affine_kernel(np.empty(0, dtype=np.int64), [])
         assert ctx.recorder.traffic.total_flits() == 0.0
+
+
+class TestLineRunGranule:
+    """The line-run kernel stays exact when the IOT's bank-mapping
+    granule changes between calls; each scenario runs once through the
+    shipped kernel and once through the per-element reference."""
+
+    N = 8192
+
+    def _scenario(self, kernel, mutate):
+        ctx = aff_ctx()
+        a = ctx.alloc(4, self.N, "a")
+        c = ctx.alloc(4, self.N, "c", align_to=a)
+        idx = np.arange(self.N)
+        cores = ctx.cores_for(self.N)
+        ins = [(a, idx), (a, np.clip(idx + 3, 0, self.N - 1))]
+
+        def step(label, out=c):
+            kernel(ctx.executor, cores, ins, out=(out, idx),
+                   ops_per_elem=1.0 / 3.0)
+            ctx.recorder.end_phase(label)
+
+        step("before")
+        grown = mutate(ctx, a)
+        step("after", out=grown if grown is not None else c)
+        return recorder_state(ctx), ctx.machine.iot.granule_shift()
+
+    def _assert_exact(self, mutate, granule):
+        got, g_got = self._scenario(shipped, mutate)
+        want, g_want = self._scenario(affine_kernel_reference, mutate)
+        assert g_got == g_want == granule
+        assert got == want
+
+    @staticmethod
+    def _migrate(ctx, handle, start_elem, shift):
+        start = int(ctx.machine.translate(handle.addr_of([start_elem]))[0])
+        ctx.machine.iot.install_migration(MigrationEntry(
+            start=start, end=start + 4 * 1000, shift=shift, offset=5))
+        return start
+
+    def test_misaligned_migration_start(self):
+        starts = []
+
+        def mutate(ctx, a):
+            starts.append(self._migrate(ctx, a, 101, shift=6))
+
+        self._assert_exact(mutate, granule=2)
+        assert alignment_shift(starts[0]) == 2
+
+    def test_migration_shift_below_line(self):
+        def mutate(ctx, a):
+            self._migrate(ctx, a, 128, shift=3)
+
+        self._assert_exact(mutate, granule=3)
+
+    def test_pool_growth_through_update_end(self):
+        ends = []
+
+        def mutate(ctx, a):
+            before = [e.end for e in ctx.machine.iot.entries]
+            grown = ctx.alloc(4, 1 << 21, "grown", align_to=a)
+            after = [e.end for e in ctx.machine.iot.entries]
+            ends.append((before, after))
+            return grown
+
+        self._assert_exact(mutate, granule=6)
+        before, after = ends[0]
+        assert len(after) == len(before) and after != before
+
+    def test_clear_migrations(self):
+        def mutate(ctx, a):
+            self._migrate(ctx, a, 101, shift=3)
+            assert ctx.machine.iot.granule_shift() == 2
+            ctx.machine.iot.clear_migrations()
+
+        self._assert_exact(mutate, granule=6)
 
 
 class TestAffineKernelInCore:

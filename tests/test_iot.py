@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.arch.iot import InterleaveOverrideTable, IotEntry
+from repro.arch.iot import InterleaveOverrideTable, IotEntry, MigrationEntry
 
 
 class TestIotEntry:
@@ -99,3 +99,91 @@ class TestTable:
         addr = start + (offset % (1 << 24))
         bank = int(iot.banks(np.array([addr]), default_shift=10)[0])
         assert bank == ((addr - start) // intrlv) % 64
+
+
+class TestGranuleShift:
+    """``granule_shift()``: every aligned block of that size maps to one
+    bank, and the cached value follows every table mutation."""
+
+    BASE = 1 << 30
+
+    def _pool(self, base_shift=6, intrlv=64):
+        iot = InterleaveOverrideTable(num_banks=64, base_shift=base_shift)
+        iot.install(IotEntry(self.BASE, self.BASE + (1 << 20), intrlv))
+        return iot
+
+    def test_base_shift_caps_an_empty_table(self):
+        assert InterleaveOverrideTable(64, base_shift=6).granule_shift() == 6
+
+    def test_entry_interleave_and_alignment(self):
+        iot = InterleaveOverrideTable(64, base_shift=12)
+        iot.install(IotEntry(0x1000, 0x3000, 256))
+        assert iot.granule_shift() == 8
+        iot.install(IotEntry(0x3400, 0x4000, 1024))  # start aligned to 2**10
+        assert iot.granule_shift() == 8
+
+    def test_misaligned_migration_start(self):
+        iot = self._pool()
+        assert iot.granule_shift() == 6
+        iot.install_migration(MigrationEntry(
+            start=self.BASE + 0x104, end=self.BASE + 0x2000, shift=6, offset=3))
+        assert iot.granule_shift() == 2
+
+    def test_migration_shift_below_line(self):
+        iot = self._pool()
+        iot.install_migration(MigrationEntry(
+            start=self.BASE, end=self.BASE + 0x2000, shift=4, offset=3))
+        assert iot.granule_shift() == 4
+
+    def test_replaced_migration_recomputes(self):
+        iot = self._pool()
+        iot.install_migration(MigrationEntry(self.BASE, self.BASE + 0x2000, 3, 1))
+        assert iot.granule_shift() == 3
+        iot.install_migration(MigrationEntry(self.BASE, self.BASE + 0x2000, 7, 1))
+        assert iot.granule_shift() == 6
+
+    def test_update_end_recomputes(self):
+        iot = InterleaveOverrideTable(64, base_shift=14)
+        iot.install(IotEntry(0x10000, 0x20000, 4096))
+        assert iot.granule_shift() == 12
+        iot.update_end(0x10000, 0x20200)
+        assert iot.granule_shift() == 9
+
+    def test_clear_migrations_restores(self):
+        iot = self._pool()
+        iot.install_migration(MigrationEntry(self.BASE + 8, self.BASE + 0x100, 2, 1))
+        assert iot.granule_shift() == 2
+        iot.clear_migrations()
+        assert iot.granule_shift() == 6
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_granule_blocks_map_to_one_bank(self, data):
+        """Random pool entries, migrations and fault remaps: every address
+        maps (raw and remapped) like its granule's first byte."""
+        iot = InterleaveOverrideTable(num_banks=16, base_shift=6)
+        cursor = 0
+        for _ in range(data.draw(st.integers(0, 3))):
+            start = cursor + data.draw(st.integers(1, 1 << 12))
+            end = start + data.draw(st.integers(1, 1 << 14))
+            iot.install(IotEntry(start, end, 1 << data.draw(st.integers(0, 9))))
+            cursor = end
+        for _ in range(data.draw(st.integers(0, 3))):
+            start = data.draw(st.integers(0, cursor + 1))
+            end = start + data.draw(st.integers(1, 1 << 13))
+            entry = MigrationEntry(start, end, data.draw(st.integers(0, 8)),
+                                   data.draw(st.integers(0, 15)))
+            try:
+                iot.install_migration(entry)
+            except ValueError:  # overlaps an earlier migration entry
+                pass
+        if data.draw(st.booleans()):
+            iot.retire_bank(data.draw(st.integers(1, 15)), 0)
+        g = iot.granule_shift()
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        addrs = rng.integers(0, cursor + (1 << 14), size=512)
+        heads = addrs & ~np.int64((1 << g) - 1)
+        for raw in (False, True):
+            got = iot.banks(addrs, default_shift=10, apply_remap=not raw)
+            want = iot.banks(heads, default_shift=10, apply_remap=not raw)
+            assert np.array_equal(got, want)
