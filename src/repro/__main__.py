@@ -35,6 +35,7 @@ files.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -102,9 +103,17 @@ def main(argv=None) -> int:
         print("workloads  :", " ".join(sorted(WORKLOADS)))
         return 0
 
+    from repro.perf.kernels import BACKEND_CHOICES
+    backend = os.environ.get("REPRO_KERNELS", "auto")
+    if (backend or "auto").lower() not in BACKEND_CHOICES:
+        parser.error(f"REPRO_KERNELS={backend!r}: choose from "
+                     f"{', '.join(BACKEND_CHOICES)}")
+
     if args.target == "run":
         if not args.workload:
             parser.error("'run' needs a workload name")
+        if args.workload not in WORKLOADS:
+            parser.error(f"unknown workload {args.workload!r}; try 'list'")
         mode = next(m for m in EngineMode if m.value == args.mode)
         t0 = time.perf_counter()
         r = run_workload(args.workload, mode, scale=args.scale,

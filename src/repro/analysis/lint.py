@@ -342,7 +342,7 @@ def cli(argv: Optional[List[str]] = None) -> int:
                              "from python -m repro autoplace --save-plan) "
                              "into RLY diagnostics; exits nonzero on "
                              "unsafe migrations (RLY001/RLY004)")
-    from repro.harness.cliutil import add_seed_argument
+    from repro.harness.cliutil import add_seed_argument, load_or_usage_error
     add_seed_argument(parser, help_suffix="accepted for CLI uniformity; "
                                           "layout linting is "
                                           "seed-independent")
@@ -363,22 +363,22 @@ def cli(argv: Optional[List[str]] = None) -> int:
         print("--verify-traffic requires --plans")
         return 2
 
+    replayed: Optional[DiagnosticReport] = None
     if args.fault_log is not None:
         from repro.faults.log import FaultEventLog
-        report = FaultEventLog.load(args.fault_log).to_diagnostics()
-        print(render_report(report, args.format))
-        if args.expect_findings:
-            return 0 if report.has_findings else 1
-        return 1 if report.has_errors else 0
-
-    if args.migration_plan is not None:
+        replayed = load_or_usage_error(parser, FaultEventLog.load,
+                                       args.fault_log,
+                                       "fault log").to_diagnostics()
+    elif args.migration_plan is not None:
         from repro.relayout.plan import MigrationPlan
-        plan = MigrationPlan.load(args.migration_plan)
-        report = plan.to_diagnostics(DEFAULT_CONFIG.num_banks)
-        print(render_report(report, args.format))
+        replayed = load_or_usage_error(
+            parser, MigrationPlan.load, args.migration_plan,
+            "migration plan").to_diagnostics(DEFAULT_CONFIG.num_banks)
+    if replayed is not None:
+        print(render_report(replayed, args.format))
         if args.expect_findings:
-            return 0 if report.has_findings else 1
-        return 1 if report.has_errors else 0
+            return 0 if replayed.has_findings else 1
+        return 1 if replayed.has_errors else 0
 
     any_findings = False
     any_errors = False

@@ -51,12 +51,14 @@ from repro.analysis.diagnostics import (
     Severity,
     Site,
 )
+from repro.scenario import SESSION_KINDS
 
 __all__ = ["selfcheck_source", "selfcheck_paths", "FEATURE_ATTRS",
            "CACHE_PARAM_ALLOWLIST"]
 
-#: Machine attributes that are None on the clean path (see machine.py).
-FEATURE_ATTRS = frozenset({"faults", "relayout", "tracer", "interference"})
+#: Machine attributes that are None on the clean path: the slots of the
+#: scenario session kinds (see repro.scenario).
+FEATURE_ATTRS = frozenset(kind.slot for kind in SESSION_KINDS)
 
 #: Parameters that deliberately never enter a cache key: cache plumbing
 #: itself, UI callbacks, and worker-crash injection (which only kills

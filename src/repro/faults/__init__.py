@@ -20,8 +20,7 @@ byte-identical to a tree without this package.
 
 from repro.faults.log import FaultEventLog, FaultRecord
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
-from repro.faults.injector import (FaultSession, FaultState,
-                                   active_fault_session, fault_session)
+from repro.faults.injector import FaultSession, FaultState, fault_session
 
 __all__ = [
     "FaultKind",
@@ -32,5 +31,4 @@ __all__ = [
     "FaultSession",
     "FaultState",
     "fault_session",
-    "active_fault_session",
 ]

@@ -9,9 +9,8 @@ stream locality, and the retry/fallback counts from the fault event log.
 Determinism contract (pinned by ``tests/test_chaos_golden.py``):
 
 * the same ``(plan, workloads, mode, scale, seed)`` produces an
-  identical event log and degradation report, for ``--jobs 1`` and
-  ``--jobs N`` alike — per-task logs are collected in the workers and
-  merged in task order, never completion order;
+  identical event log and degradation report at any ``--jobs``
+  (:func:`~repro.harness.cliutil.fan_out` merges in task order);
 * WORKER_CRASH events crash the worker *before* it computes; the parent
   restarts it (capped), so crashes change the report only by their
   ``crash``/``restart`` records.
@@ -20,8 +19,8 @@ Determinism contract (pinned by ``tests/test_chaos_golden.py``):
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
@@ -29,9 +28,11 @@ from typing import Callable, Dict, List, Optional, Sequence
 from typing import TYPE_CHECKING
 
 from repro.analysis.diagnostics import WorkerCrashError
-from repro.faults.injector import fault_session
+from repro.harness.cliutil import (EXIT_FAILURE, EXIT_OK, fan_out,
+                                   load_or_usage_error)
 from repro.faults.log import FaultEventLog, FaultRecord
 from repro.faults.plan import FaultKind, FaultPlan
+from repro.scenario import Scenario
 
 if TYPE_CHECKING:
     from repro.interfere.plan import HostTrafficPlan
@@ -42,62 +43,44 @@ __all__ = ["ChaosReport", "run_chaos", "cli"]
 #: (vecadd, Fig 4) and one graph kernel (pr_push, Fig 12).
 DEFAULT_WORKLOADS = ("vecadd", "pr_push")
 
-_MAX_TASK_RESTARTS = 3
-
 
 # ----------------------------------------------------------------------
 # Worker
 # ----------------------------------------------------------------------
 def _chaos_task(name: str, mode_name: str, scale: float, seed: int,
-                plan_json: str, crash: bool,
-                interfere_json: Optional[str] = None) -> Dict:
+                scenario: Scenario, crash: bool = False) -> Dict:
     """One workload's clean + faulted pair (runs in this or a worker
     process).  Returns plain data only, so results pickle and merge
     identically whatever the process layout.
 
-    ``interfere_json`` (a serialized
-    :class:`~repro.interfere.plan.HostTrafficPlan`) composes host
-    contention into the *faulted* arm only — the question chaos answers
-    is "how gracefully does the system degrade", and the clean arm is
-    the yardstick.  The row gains an ``injected_messages`` entry only
-    when interference is active, so plain chaos reports (and their
-    goldens) stay byte-identical."""
+    The scenario's host-traffic part, if any, composes contention into
+    the *faulted* arm only — the question chaos answers is "how
+    gracefully does the system degrade", and the clean arm is the
+    yardstick.  The row gains an ``injected_messages`` entry only when
+    interference is active, so plain chaos reports (and their goldens)
+    stay byte-identical."""
     if crash:
         raise WorkerCrashError(name)
-    from contextlib import ExitStack
-
+    from repro.harness.report import run_metrics
     from repro.nsc.engine import EngineMode
     from repro.workloads.base import run_workload
 
     mode = EngineMode[mode_name]
-    plan = FaultPlan.from_json(plan_json)
-
-    from repro.harness.report import run_metrics
-
     clean = run_workload(name, mode, scale=scale, seed=seed)
-    log = FaultEventLog()
-    with ExitStack() as stack:
-        interference = None
-        if interfere_json is not None:
-            from repro.interfere.engine import interfere_session
-            from repro.interfere.plan import HostTrafficPlan
-            interference = stack.enter_context(interfere_session(
-                HostTrafficPlan.from_json(interfere_json), task=name))
-        session = stack.enter_context(fault_session(plan, log, task=name))
+    with scenario.sessions(task=name) as sessions:
         faulted = run_workload(name, mode, scale=scale, seed=seed)
-        session.finalize()
-        retries = sum(s.retries for s in session.states)
-        host_fb = sum(s.host_fallbacks for s in session.states)
+    faults = sessions["faults"]
+    faults.finalize()
 
     row = {"workload": name,
            "clean": run_metrics(clean),
            "faulted": run_metrics(faulted),
-           "retries": retries,
-           "host_fallbacks": host_fb,
-           "records": [r.to_dict() for r in log.records]}
-    if interference is not None:
+           "retries": sum(s.retries for s in faults.states),
+           "host_fallbacks": sum(s.host_fallbacks for s in faults.states),
+           "records": [r.to_dict() for r in faults.log.records]}
+    if "interfere" in sessions:
         row["injected_messages"] = sum(
-            s.injected_messages for s in interference.states)
+            s.injected_messages for s in sessions["interfere"].states)
     return row
 
 
@@ -178,80 +161,25 @@ def run_chaos(workloads: Sequence[str], plan: FaultPlan,
     """Run clean-vs-faulted pairs for every workload under one plan.
 
     WORKER_CRASH events are consumed here (budget mapped over the
-    workload list by ordinal); all other events ride into the workers
-    via the serialized plan and apply inside each task's fault session.
+    workload list by ordinal); all other events apply inside each task's
+    fault session.
     ``interfere`` additionally composes a host-traffic plan into every
     faulted arm (see :func:`_chaos_task`); ``None`` — or an *empty*
     plan, which attaches nothing — leaves the report byte-identical to
     a plain chaos run.
     """
-    notify = progress or (lambda line: None)
-    plan_json = plan.to_json()
-    interfere_json: Optional[str] = None
-    if interfere is not None and not interfere.is_empty:
-        interfere_json = interfere.to_json()
-    crashes = plan.crash_budget(list(workloads))
-    jobs = max(1, int(jobs))
+    if interfere is not None and interfere.is_empty:
+        interfere = None  # attaches nothing: keep the plain report bytes
+    scenario = Scenario(faults=plan, interfere=interfere)
+    results, restarts = fan_out(
+        functools.partial(_chaos_task, mode_name=mode, scale=scale,
+                          seed=seed, scenario=scenario),
+        workloads, jobs,
+        crash_budget=plan.crash_budget(list(workloads)), notify=progress)
 
-    results: Dict[str, Dict] = {}
-    restarts: Dict[str, int] = {}
-
-    def _attempt_loop(run_once: Callable[[bool], Dict], name: str) -> Dict:
-        remaining = crashes.get(name, 0)
-        attempt = 0
-        while True:
-            try:
-                return run_once(remaining > 0)
-            except WorkerCrashError:
-                remaining -= 1
-                attempt += 1
-                restarts[name] = restarts.get(name, 0) + 1
-                if attempt > _MAX_TASK_RESTARTS:
-                    raise
-                notify(f"[restart] {name} worker crashed (injected); "
-                       f"restart {attempt}/{_MAX_TASK_RESTARTS}")
-
-    if jobs == 1 or len(workloads) <= 1:
-        for name in workloads:
-            results[name] = _attempt_loop(
-                lambda c, n=name: _chaos_task(n, mode, scale, seed,
-                                              plan_json, c, interfere_json),
-                name)
-            notify(f"[done] {name}")
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(workloads))) as pool:
-            remaining = dict(crashes)
-            attempts: Dict[str, int] = {}
-            futs = {pool.submit(_chaos_task, name, mode, scale, seed,
-                                plan_json, remaining.get(name, 0) > 0,
-                                interfere_json): name
-                    for name in workloads}
-            while futs:
-                fut = next(as_completed(futs))
-                name = futs.pop(fut)
-                try:
-                    results[name] = fut.result()
-                except WorkerCrashError:
-                    remaining[name] = remaining.get(name, 0) - 1
-                    attempts[name] = attempts.get(name, 0) + 1
-                    restarts[name] = restarts.get(name, 0) + 1
-                    if attempts[name] > _MAX_TASK_RESTARTS:
-                        raise
-                    notify(f"[restart] {name} worker crashed (injected); "
-                           f"restart {attempts[name]}/{_MAX_TASK_RESTARTS}")
-                    futs[pool.submit(_chaos_task, name, mode, scale, seed,
-                                     plan_json,
-                                     remaining.get(name, 0) > 0,
-                                     interfere_json)] = name
-                    continue
-                notify(f"[done] {name}")
-
-    # Merge in task order (never completion order) so jobs=1 and jobs=N
-    # produce identical logs and reports.
     log = FaultEventLog()
     rows: List[Dict] = []
-    for name in workloads:
-        r = results[name]
+    for name, r in zip(workloads, results):
         for _ in range(restarts.get(name, 0)):
             log.add(FaultRecord(task=name, kind=FaultKind.WORKER_CRASH.value,
                                 target=name, action="crash",
@@ -268,7 +196,7 @@ def run_chaos(workloads: Sequence[str], plan: FaultPlan,
         rows.append(row)
     return ChaosReport(plan=plan, mode=mode, scale=scale, seed=seed,
                        rows=rows, log=log, restarts=restarts,
-                       interfere=interfere if interfere_json else None)
+                       interfere=interfere)
 
 
 # ----------------------------------------------------------------------
@@ -312,23 +240,16 @@ def cli(argv: Optional[List[str]] = None) -> int:
     if bad:
         parser.error(f"unknown workload(s): {', '.join(bad)}; "
                      f"try 'python -m repro list'")
-    # Unreadable/invalid plan files are *usage* errors (exit 2, argparse
-    # convention), not check failures — parser.error both halves.
     if args.plan is not None:
-        try:
-            plan = FaultPlan.load(args.plan)
-        except (OSError, ValueError, KeyError) as exc:
-            parser.error(f"cannot load fault plan {args.plan}: {exc}")
+        plan = load_or_usage_error(parser, FaultPlan.load, args.plan,
+                                   "fault plan")
     else:
         plan = FaultPlan.generate(args.seed, args.rate, tasks=len(workloads))
     interfere = None
     if args.interfere is not None:
         from repro.interfere.plan import HostTrafficPlan
-        try:
-            interfere = HostTrafficPlan.load(args.interfere)
-        except (OSError, ValueError, KeyError) as exc:
-            parser.error(f"cannot load host-traffic plan "
-                         f"{args.interfere}: {exc}")
+        interfere = load_or_usage_error(parser, HostTrafficPlan.load,
+                                        args.interfere, "host-traffic plan")
 
     report = run_chaos(workloads, plan, mode=args.mode, scale=args.scale,
                        seed=args.seed, jobs=args.jobs, progress=print,
@@ -340,7 +261,6 @@ def cli(argv: Optional[List[str]] = None) -> int:
     if args.save_report is not None:
         args.save_report.write_text(report.to_json(), encoding="utf-8")
         print(f"degradation report -> {args.save_report}")
-    from repro.harness.cliutil import EXIT_FAILURE, EXIT_OK
     if report.unhandled_count:
         print(f"ERROR: {report.unhandled_count} unhandled fault event(s)")
         return EXIT_FAILURE

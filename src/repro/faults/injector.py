@@ -2,18 +2,16 @@
 
 Lifecycle:
 
-1. A caller opens ``with fault_session(plan, log, task=...)``.  The
-   session becomes process-globally *active*.
-2. ``make_context`` (workloads/base.py) builds the :class:`Machine` and,
-   if a session is active, calls :meth:`FaultSession.attach` — creating a
-   :class:`FaultState` bound to that machine (``machine.faults``).
-3. Boot-phase events apply immediately at attach (pool caps, armed alloc
+1. Inside ``with fault_session(plan, log, task=...)`` (the shared
+   session protocol, :mod:`repro.session`), ``make_context`` attaches a
+   :class:`FaultState` to every new machine (``machine.faults``).
+2. Boot-phase events apply immediately at attach (pool caps, armed alloc
    ordinals, ``phase="boot"`` bank/link failures).  Run-phase bank/link
    failures are deferred until the executor issues its first primitive
    (:meth:`FaultState.activate_run_phase`), so the allocator has already
    placed data on the soon-to-fail resources and the re-home / reroute /
    retry machinery is genuinely exercised.
-4. Every layer consults ``machine.faults`` through cheap ``is None``
+3. Every layer consults ``machine.faults`` through cheap ``is None``
    guards; with no session the simulator executes the exact original
    instruction stream (clean runs stay byte-identical).
 
@@ -24,10 +22,9 @@ runs produce identical logs (a property the chaos suite pins).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import (
     TYPE_CHECKING,
-    Iterator,
+    ContextManager,
     List,
     Optional,
     Sequence,
@@ -40,13 +37,13 @@ import numpy as np
 from repro.analysis.diagnostics import TopologyError
 from repro.faults.log import FaultEventLog, FaultRecord
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
+from repro.session import Session, scoped
 
 if TYPE_CHECKING:
     from repro.machine import Machine
     from repro.perf.stats import RunRecorder
 
-__all__ = ["FaultState", "FaultSession", "fault_session",
-           "active_fault_session"]
+__all__ = ["FaultState", "FaultSession", "fault_session"]
 
 
 class FaultState:
@@ -280,48 +277,32 @@ class FaultState:
                           f"never reached the cap of {ev.param}")
 
 
-class FaultSession:
+class FaultSession(Session):
     """One plan + log, attachable to any number of machines (a chaos task
-    may build several contexts; they share the log)."""
+    may build several contexts; they share the log).  Always active: an
+    empty plan still attaches a (healthy) :class:`FaultState`."""
+
+    slot = "faults"
+    state_cls = FaultState
 
     def __init__(self, plan: FaultPlan, log: Optional[FaultEventLog] = None,
                  task: str = "") -> None:
-        self.plan = plan
+        super().__init__(plan, task)
         self.log = log if log is not None else FaultEventLog()
-        self.task = task
-        self.states: List[FaultState] = []
 
-    def attach(self, machine: Machine) -> FaultState:
-        state = FaultState(self.plan, self.log, machine, self.task)
-        machine.faults = state
-        self.states.append(state)
-        return state
+    @classmethod
+    def is_active(cls, spec: object) -> bool:
+        return True
+
+    def new_state(self, machine: Machine) -> FaultState:
+        return FaultState(self.spec, self.log, machine, self.task)
 
     def finalize(self) -> None:
         for state in self.states:
             state.finalize()
 
 
-_ACTIVE: Optional[FaultSession] = None
-
-
-def active_fault_session() -> Optional[FaultSession]:
-    return _ACTIVE
-
-
-@contextmanager
 def fault_session(plan: FaultPlan, log: Optional[FaultEventLog] = None,
-                  task: str = "") -> Iterator[FaultSession]:
-    """Make a fault session active for the dynamic extent of the block.
-
-    Machines built inside the block (via ``make_context``) get the plan
-    attached.  Sessions nest; the previous one is restored on exit.
-    """
-    global _ACTIVE
-    prev = _ACTIVE
-    session = FaultSession(plan, log, task)
-    _ACTIVE = session
-    try:
-        yield session
-    finally:
-        _ACTIVE = prev
+                  task: str = "") -> ContextManager[FaultSession]:
+    """Scope a fault session over the block (:mod:`repro.session`)."""
+    return scoped(FaultSession(plan, log, task))

@@ -125,7 +125,12 @@ class FaultEventLog:
 
     @classmethod
     def from_json(cls, text: str) -> "FaultEventLog":
-        return cls([FaultRecord.from_dict(d) for d in json.loads(text)])
+        records = json.loads(text)
+        if not isinstance(records, list) \
+                or not all(isinstance(d, dict) for d in records):
+            raise ValueError("not a fault event log: expected a JSON list "
+                             "of record objects")
+        return cls([FaultRecord.from_dict(d) for d in records])
 
     def save(self, path: Union[str, os.PathLike]) -> None:
         Path(path).write_text(self.to_json() + "\n")

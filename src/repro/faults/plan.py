@@ -29,6 +29,7 @@ bank must fall back to host execution instead.
 from __future__ import annotations
 
 import enum
+import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -141,6 +142,9 @@ class FaultPlan:
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
         d = json.loads(text)
+        if not isinstance(d, dict) or not set(d) <= {"seed", "rate", "events"}:
+            raise ValueError("not a fault plan: expected a JSON object "
+                             "with keys events, rate, seed")
         return cls(events=tuple(FaultEvent.from_dict(e)
                                 for e in d.get("events", [])),
                    seed=int(d.get("seed", 0)),
@@ -152,6 +156,10 @@ class FaultPlan:
     @classmethod
     def load(cls, path: Union[str, os.PathLike]) -> "FaultPlan":
         return cls.from_json(Path(path).read_text())
+
+    def digest(self) -> str:
+        """Stable 12-hex fingerprint, used to extend run cache keys."""
+        return hashlib.sha256(self.to_json().encode()).hexdigest()[:12]
 
     # ------------------------------------------------------------------
     @classmethod

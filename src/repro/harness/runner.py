@@ -23,11 +23,11 @@ locks down:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
@@ -38,7 +38,9 @@ from repro.cache import GENERATOR_VERSION, cache_key, configure, get_cache
 from repro.config import DEFAULT_CONFIG
 from repro.harness import experiments as exp
 from repro.harness import tables
+from repro.harness.cliutil import fan_out
 from repro.harness.report import ascii_table
+from repro.scenario import Scenario
 
 __all__ = ["EXPERIMENTS", "FIGURE_IDS", "ABLATION_IDS", "TABLE_IDS",
            "ALL_IDS", "FigureRun", "RunReport", "run_figures"]
@@ -115,38 +117,28 @@ def _config_fingerprint() -> str:
 # ----------------------------------------------------------------------
 # Worker
 # ----------------------------------------------------------------------
+_PLAIN = Scenario()
+
+
 def _run_one(fid: str, scale: float, seed: int, use_cache: bool,
              cache_dir: Optional[str], crash: bool = False,
-             relayout=None, trace=None, interfere=None) -> Dict:
+             scenario: Scenario = _PLAIN) -> Dict:
     """Run one experiment (in this or a worker process) → plain dict.
 
     Figure-level results are cached post-sanitization under a key derived
-    from (id, scale, seed, config fingerprint, generator version); a hit
-    skips the whole experiment.  ``use_cache=False`` bypasses both the
-    figure cache and the graph cache underneath.
+    from (id, scale, seed, config fingerprint, generator version), plus
+    the scenario's key fields; a hit skips the whole experiment.
+    ``use_cache=False`` bypasses both the figure cache and the graph
+    cache underneath.
 
     ``crash=True`` injects a WORKER_CRASH fault: the worker dies here,
     before computing or touching the cache, and the parent's restart
     logic is exercised exactly as if the process had been OOM-killed.
 
-    ``relayout`` (a :class:`repro.relayout.policy.RelayoutConfig`) runs
-    the experiment inside a relayout session, so epoch-aware workloads
-    migrate drifted arrays online.  The config digest joins the cache
-    key; ``None`` leaves the key — and every code path — byte-identical
-    to a plain run.
-
-    ``trace`` (a :class:`repro.obs.tracer.TraceConfig`) runs the
-    experiment inside a trace session, with the same digest-extends-key
-    / None-is-byte-identical contract as ``relayout``.  (Cache hits skip
-    execution, so a hit produces no trace events — ``python -m repro
-    trace`` runs workloads directly when events are the point.)
-
-    ``interfere`` (a :class:`repro.interfere.plan.HostTrafficPlan`) runs
-    the experiment inside an interference session, so a simulated host
-    contends for the same banks and links.  The plan digest joins the
-    cache key only for *non-empty* plans; an empty plan attaches nothing,
-    shares the clean cache entry, and leaves every byte identical to a
-    plain run — the property ``tests/test_interfere_properties.py`` pins.
+    ``scenario`` runs the experiment inside its sessions; each active
+    part's digest joins the cache key (:class:`repro.scenario.Scenario`).
+    A cache hit skips execution, so a traced hit records no events —
+    ``python -m repro trace`` runs workloads directly.
     """
     if crash:
         from repro.analysis.diagnostics import WorkerCrashError
@@ -157,28 +149,13 @@ def _run_one(fid: str, scale: float, seed: int, use_cache: bool,
         cache = configure(root=cache_dir)
     key_fields = dict(id=fid, scale=scale, seed=seed,
                       config=_config_fingerprint())
-    if relayout is not None:
-        key_fields["relayout"] = relayout.digest()
-    if trace is not None:
-        key_fields["trace"] = trace.digest()
-    if interfere is not None and not interfere.is_empty:
-        key_fields["interfere"] = interfere.digest()
+    key_fields.update(scenario.key_fields())
     key = cache_key("experiment", **key_fields)
     payload = cache.get_json(key) if use_cache else None
     from_cache = payload is not None
     if payload is None:
-        from contextlib import ExitStack
         fn = EXPERIMENTS[fid]
-        with ExitStack() as stack:
-            if relayout is not None:
-                from repro.relayout.engine import relayout_session
-                stack.enter_context(relayout_session(relayout, task=fid))
-            if trace is not None:
-                from repro.obs.tracer import trace_session
-                stack.enter_context(trace_session(trace, task=fid))
-            if interfere is not None and not interfere.is_empty:
-                from repro.interfere.engine import interfere_session
-                stack.enter_context(interfere_session(interfere, task=fid))
+        with scenario.sessions(task=fid):
             if use_cache:
                 result = fn(scale, seed)
             else:
@@ -289,12 +266,6 @@ def _preflight_lint(scale: float, notify: Callable[[str], None]) -> None:
         raise LintFailure(result.report)
 
 
-#: Restarts granted per experiment before an injected worker crash is
-#: allowed to propagate (a crash budget beyond this is a plan bug, not a
-#: degradation scenario).
-_MAX_WORKER_RESTARTS = 3
-
-
 def run_figures(ids: Sequence[str], jobs: int = 1, scale: float = 0.12,
                 seed: int = 0, use_cache: bool = True,
                 results_dir: Optional[os.PathLike] = None,
@@ -325,28 +296,20 @@ def run_figures(ids: Sequence[str], jobs: int = 1, scale: float = 0.12,
             the per-run fault session — consuming them here would poison
             the shared figure cache): each budgeted crash kills the
             worker before it computes, and the parent restarts it, up to
-            ``_MAX_WORKER_RESTARTS`` per experiment.  An empty/None plan
-            leaves every code path and the metrics JSON byte-identical
-            to a plain run.
-        relayout: optional :class:`repro.relayout.policy.RelayoutConfig`.
-            Every experiment runs inside a relayout session with this
-            config, so epoch-aware workloads migrate drifted arrays
-            online.  The config digest joins each figure's cache key
-            (plain and relayout runs never share cache entries); the
-            results filename is unchanged, so a run whose telemetry
-            triggers zero migrations reproduces the plain run's
+            :data:`~repro.harness.cliutil.MAX_RESTARTS` per experiment.
+            An empty/None plan leaves every code path and the metrics
+            JSON byte-identical to a plain run.
+        relayout, trace, interfere: optional scenario parts — a
+            :class:`~repro.relayout.policy.RelayoutConfig`, a
+            :class:`~repro.obs.tracer.TraceConfig` and a
+            :class:`~repro.interfere.plan.HostTrafficPlan` (see
+            :class:`repro.scenario.Scenario`).  Every experiment runs
+            inside their sessions, and each active part's digest joins
+            its figure's cache key, so scenario and plain runs never
+            share entries.  The results filename never changes: a run
+            whose scenario changes no number (a trace, zero migrations,
+            an empty host plan) reproduces the plain run's
             ``run-<hash>.json`` byte for byte.
-        trace: optional :class:`repro.obs.tracer.TraceConfig`.  Every
-            experiment runs inside a trace session; the config digest
-            joins each figure's cache key (traced and plain runs never
-            share entries) while the results filename — and, with
-            ``trace=None``, every byte of the run — is unchanged.
-        interfere: optional :class:`repro.interfere.plan.HostTrafficPlan`.
-            Every experiment runs against this simulated concurrent host;
-            non-empty plan digests join each figure's cache key.  An
-            empty (or None) plan attaches nothing and leaves every byte
-            of the run — metrics JSON, results filename, cache entries —
-            identical to a plain run.
 
     Returns:
         A :class:`RunReport`; ``report.figures`` preserves ``ids`` order
@@ -360,73 +323,23 @@ def run_figures(ids: Sequence[str], jobs: int = 1, scale: float = 0.12,
     if preflight:
         _preflight_lint(scale, notify)
     jobs = max(1, int(jobs))
-    cache_dir = str(get_cache().root)
     t_start = time.perf_counter()
-
     crashes: Dict[str, int] = {}
     if fault_plan is not None and fault_plan.events:
         crashes = fault_plan.crash_budget(list(ids))
-    from repro.analysis.diagnostics import WorkerCrashError
+    task = functools.partial(
+        _run_one, scale=scale, seed=seed, use_cache=use_cache,
+        cache_dir=str(get_cache().root),
+        scenario=Scenario(relayout=relayout, trace=trace,
+                          interfere=interfere))
+    done, _ = fan_out(
+        task, ids, jobs, crash_budget=crashes, notify=notify,
+        done_line=lambda k, fid, r: (
+            f"[{k}/{len(ids)}] {fid:<12} "
+            f"{'cache hit' if r['from_cache'] else 'computed'} "
+            f"in {r['wall_s']:.1f}s"))
 
-    def _note_restart(fid: str, attempt: int) -> None:
-        notify(f"[restart] {fid} worker crashed (injected); "
-               f"restart {attempt}/{_MAX_WORKER_RESTARTS}")
-
-    done: Dict[str, Dict] = {}
-    total = len(ids)
-    if jobs == 1 or total <= 1:
-        for i, fid in enumerate(ids):
-            remaining = crashes.get(fid, 0)
-            attempt = 0
-            while True:
-                try:
-                    r = _run_one(fid, scale, seed, use_cache, None,
-                                 crash=remaining > 0, relayout=relayout,
-                                 trace=trace, interfere=interfere)
-                except WorkerCrashError:
-                    remaining -= 1
-                    attempt += 1
-                    if attempt > _MAX_WORKER_RESTARTS:
-                        raise
-                    _note_restart(fid, attempt)
-                    continue
-                break
-            done[fid] = r
-            notify(f"[{i + 1}/{total}] {fid:<12} "
-                   f"{'cache hit' if r['from_cache'] else 'computed'} "
-                   f"in {r['wall_s']:.1f}s")
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, total)) as pool:
-            remaining = dict(crashes)
-            attempts: Dict[str, int] = {}
-            futs = {pool.submit(_run_one, fid, scale, seed, use_cache,
-                                cache_dir, remaining.get(fid, 0) > 0,
-                                relayout, trace, interfere): fid
-                    for fid in ids}
-            completed = 0
-            while futs:
-                fut = next(as_completed(futs))
-                fid = futs.pop(fut)
-                try:
-                    r = fut.result()
-                except WorkerCrashError:
-                    remaining[fid] = remaining.get(fid, 0) - 1
-                    attempts[fid] = attempts.get(fid, 0) + 1
-                    if attempts[fid] > _MAX_WORKER_RESTARTS:
-                        raise
-                    _note_restart(fid, attempts[fid])
-                    futs[pool.submit(_run_one, fid, scale, seed, use_cache,
-                                     cache_dir,
-                                     remaining.get(fid, 0) > 0,
-                                     relayout, trace, interfere)] = fid
-                    continue
-                done[r["id"]] = r
-                completed += 1
-                notify(f"[{completed}/{total}] {r['id']:<12} "
-                       f"{'cache hit' if r['from_cache'] else 'computed'} "
-                       f"in {r['wall_s']:.1f}s")
-
-    runs = [FigureRun(**done[fid]) for fid in ids]  # restore request order
+    runs = [FigureRun(**r) for r in done]
     metrics = metrics_from_runs(runs, scale, seed)
     run_hash = _run_name(ids, scale, seed)
     report = RunReport(figures=runs, metrics=metrics, run_hash=run_hash,

@@ -13,20 +13,21 @@ how much of the contention penalty migration claws back.
 
 Determinism contract (pinned by ``tests/test_interfere_properties.py``):
 the same ``(plan, workloads, mode, scale, seed, factors)`` produce an
-identical report for ``--jobs 1`` and ``--jobs N`` alike — per-task
-results are collected in the workers and merged in task order, never
-completion order.
+identical report at any ``--jobs`` (:func:`~repro.harness.cliutil.fan_out`
+merges in task order).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.harness.cliutil import (EXIT_FAILURE, EXIT_OK, fan_out,
+                                   load_or_usage_error)
 from repro.interfere.plan import HostTrafficPlan
 
 __all__ = ["InterfereReport", "DEFAULT_WORKLOADS", "DEFAULT_FACTORS",
@@ -85,20 +86,21 @@ def _interfere_task(name: str, mode_name: str, scale: float, seed: int,
     if mode is EngineMode.AFF_ALLOC and factors:
         # Recovery arm: the heaviest contention composed with online
         # re-layout — how much of the penalty does migration claw back?
-        from repro.relayout.engine import relayout_session
         from repro.relayout.policy import RelayoutConfig
+        from repro.scenario import Scenario
         fmax = max(factors)
-        cfg = RelayoutConfig(seed=seed)
-        with interfere_session(plan.scaled(fmax), task=name):
-            with relayout_session(cfg, task=name) as relayout:
-                online = run_workload(name, mode, scale=scale, seed=seed)
+        scenario = Scenario(relayout=RelayoutConfig(seed=seed),
+                            interfere=plan.scaled(fmax))
+        with scenario.sessions(task=name) as sessions:
+            online = run_workload(name, mode, scale=scale, seed=seed)
         online_m = run_metrics(online)
         contended = next(a["metrics"]["cycles"] for a in arms
                          if a["factor"] == fmax)
         recovery = {"factor": fmax,
                     "metrics": online_m,
                     "recovered": ratio(contended, online_m["cycles"]),
-                    "migrations": relayout.merged_plan().applied_count()}
+                    "migrations":
+                        sessions["relayout"].merged_plan().applied_count()}
 
     return {"workload": name, "clean": clean_m, "arms": arms,
             "recovery": recovery}
@@ -194,35 +196,17 @@ def run_interfere(workloads: Sequence[str], plan: HostTrafficPlan,
                   progress: Optional[Callable[[str], None]] = None
                   ) -> InterfereReport:
     """Run clean-vs-contended sweeps for every workload under one plan."""
-    notify = progress or (lambda line: None)
-    plan_json = plan.to_json()
     factors_t = tuple(float(f) for f in factors)
-    jobs = max(1, int(jobs))
     from repro.workloads import WORKLOADS
     unknown = [w for w in workloads if w not in WORKLOADS]
     if unknown:
         raise KeyError(f"unknown workload(s): {', '.join(unknown)}; "
                        f"available: {', '.join(sorted(WORKLOADS))}")
-
-    results: Dict[str, Dict] = {}
-    if jobs == 1 or len(workloads) <= 1:
-        for name in workloads:
-            results[name] = _interfere_task(name, mode, scale, seed,
-                                            plan_json, factors_t)
-            notify(f"[done] {name}")
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(workloads))) as pool:
-            futs = {pool.submit(_interfere_task, name, mode, scale, seed,
-                                plan_json, factors_t): name
-                    for name in workloads}
-            for fut in as_completed(futs):
-                name = futs[fut]
-                results[name] = fut.result()
-                notify(f"[done] {name}")
-
-    # Merge in task order (never completion order) so jobs=1 and jobs=N
-    # produce identical reports.
-    rows = [results[name] for name in workloads]
+    rows, _ = fan_out(
+        functools.partial(_interfere_task, mode_name=mode, scale=scale,
+                          seed=seed, plan_json=plan.to_json(),
+                          factors=factors_t),
+        workloads, jobs, notify=progress)
     return InterfereReport(plan=plan, mode=mode, scale=scale, seed=seed,
                            factors=factors_t, rows=rows)
 
@@ -325,14 +309,10 @@ def cli(argv: Optional[List[str]] = None) -> int:
     else:
         factors = DEFAULT_FACTORS
     if args.plan is not None:
-        try:
-            plan = HostTrafficPlan.load(args.plan)
-        except (OSError, ValueError, KeyError) as exc:
-            parser.error(f"cannot load plan {args.plan}: {exc}")
+        plan = load_or_usage_error(parser, HostTrafficPlan.load, args.plan,
+                                   "plan")
     else:
         plan = HostTrafficPlan.generate(args.seed, intensity=args.intensity)
-
-    from repro.harness.cliutil import EXIT_FAILURE, EXIT_OK
 
     if args.check_empty_identity:
         if not _check_empty_identity(args.scale, args.seed, print):

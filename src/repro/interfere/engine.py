@@ -1,22 +1,18 @@
 """The interference engine: charges a host-traffic plan into real runs.
 
-Lifecycle (mirrors :mod:`repro.faults.injector`):
+Lifecycle (the shared session protocol, :mod:`repro.session`):
 
-1. A caller opens ``with interfere_session(plan, task=...)``.  The
-   session becomes process-globally *active*.
-2. ``make_context`` (workloads/base.py) builds the :class:`Machine` and,
-   if a session is active and the plan is non-empty, calls
-   :meth:`InterferenceSession.attach` — creating an
-   :class:`InterferenceState` bound to that machine
+1. Inside ``with interfere_session(plan, task=...)``, ``make_context``
+   attaches an :class:`InterferenceState` to every new machine
    (``machine.interference``).  Empty plans attach *nothing*: the clean
    path stays structurally identical, not merely numerically.
-3. :meth:`~repro.perf.stats.RunRecorder.end_phase` consults
+2. :meth:`~repro.perf.stats.RunRecorder.end_phase` consults
    ``machine.interference`` through a cheap ``is None`` guard and, when
    present, injects one host epoch of traffic *before* sealing the
    phase — so the injected messages land inside the phase the NDC work
    ran in and the perf model prices the contention into that phase's
    link/bank bottlenecks.
-4. Injection charges go through the run's real
+3. Injection charges go through the run's real
    :class:`~repro.arch.noc.TrafficAccountant` and bank counters with the
    executor's own message conventions (request/response/writeback), so
    slowdowns come from the same physics as NDC traffic — no synthetic
@@ -33,8 +29,7 @@ under fault composition.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, ContextManager, Dict, List, Optional
 
 import numpy as np
 
@@ -45,13 +40,13 @@ from repro.interfere.plan import (
     HostTrafficPlan,
     burst_multiplier,
 )
+from repro.session import Session, scoped
 
 if TYPE_CHECKING:
     from repro.machine import Machine
     from repro.perf.stats import RunRecorder
 
-__all__ = ["InterferenceState", "InterferenceSession", "interfere_session",
-           "active_interference_session"]
+__all__ = ["InterferenceState", "InterferenceSession", "interfere_session"]
 
 #: Header-only host request payload (same figure the executor uses for
 #: indirect requests).
@@ -162,51 +157,29 @@ class InterferenceState:
         }
 
 
-class InterferenceSession:
+class InterferenceSession(Session):
     """One plan, attachable to any number of machines (an intensity sweep
-    builds several contexts; each gets its own state)."""
+    builds several contexts; each gets its own state).
 
-    def __init__(self, plan: HostTrafficPlan, task: str = "") -> None:
-        self.plan = plan
-        self.task = task
-        self.states: List[InterferenceState] = []
-
-    def attach(self, machine: "Machine") -> Optional[InterferenceState]:
-        """Attach interference state to ``machine``.
-
-        Empty plans attach nothing: ``machine.interference`` stays None
-        and the run is *structurally* identical to an uncontended one —
-        the byte-identity property the tests pin falls out of this, not
-        out of arithmetic with zeros.
-        """
-        if self.plan.is_empty:
-            return None
-        state = InterferenceState(self.plan, machine, self.task)
-        machine.interference = state
-        self.states.append(state)
-        return state
-
-
-_ACTIVE: Optional[InterferenceSession] = None
-
-
-def active_interference_session() -> Optional[InterferenceSession]:
-    return _ACTIVE
-
-
-@contextmanager
-def interfere_session(plan: HostTrafficPlan,
-                      task: str = "") -> Iterator[InterferenceSession]:
-    """Make an interference session active for the block's dynamic extent.
-
-    Machines built inside the block (via ``make_context``) get the plan
-    attached.  Sessions nest; the previous one is restored on exit.
+    Empty plans are inactive: ``machine.interference`` stays None and
+    the run is *structurally* identical to an uncontended one — the
+    byte-identity property the tests pin falls out of this, not out of
+    arithmetic with zeros.
     """
-    global _ACTIVE
-    prev = _ACTIVE
-    session = InterferenceSession(plan, task)
-    _ACTIVE = session
-    try:
-        yield session
-    finally:
-        _ACTIVE = prev
+
+    slot = "interference"
+    state_cls = InterferenceState
+
+    @classmethod
+    def is_active(cls, spec: Optional[HostTrafficPlan]) -> bool:
+        return spec is not None and not spec.is_empty
+
+    def new_state(self, machine: "Machine") -> InterferenceState:
+        return InterferenceState(self.spec, machine, self.task)
+
+
+def interfere_session(plan: HostTrafficPlan, task: str = ""
+                      ) -> ContextManager[InterferenceSession]:
+    """Scope an interference session over the block
+    (:mod:`repro.session`); an empty plan attaches nothing."""
+    return scoped(InterferenceSession(plan, task))

@@ -178,6 +178,10 @@ class HostTrafficPlan:
 
     @classmethod
     def from_dict(cls, d: Dict) -> "HostTrafficPlan":
+        if not isinstance(d, dict) \
+                or not set(d) <= {"seed", "intensity", "streams"}:
+            raise ValueError("not a host-traffic plan: expected a JSON "
+                             "object with keys intensity, seed, streams")
         return cls(streams=tuple(HostStream.from_dict(s)
                                  for s in d.get("streams", [])),
                    seed=int(d.get("seed", 0)),

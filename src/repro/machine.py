@@ -91,29 +91,16 @@ class Machine:
                                  config.page_size,
                                  interleaves=config.pool_interleaves)
 
-        # Chaos fault injection: populated by FaultSession.attach (see
-        # repro.faults.injector); None on the healthy path, and every
-        # layer's fault hook is gated on that None so clean runs execute
-        # the exact original instruction stream.
+        # Scenario layer states — chaos faults, online re-layout,
+        # tracing, concurrent-host interference — populated by the
+        # session protocol (repro.session, repro.scenario).  Each stays
+        # None unless an active session of its kind attaches (an empty
+        # host plan attaches nothing), and every hook is gated on that
+        # None so clean runs execute the exact original instruction
+        # stream.
         self.faults = None
-
-        # Online re-layout: populated by RelayoutSession.attach (see
-        # repro.relayout.engine); None when no autoplace session is
-        # active, and every hook is gated on that None so static runs
-        # execute the exact original instruction stream.
         self.relayout = None
-
-        # Observability: populated by TraceSession.attach (see
-        # repro.obs.tracer); None when no trace session is active, and
-        # every hook is gated on that None so untraced runs execute the
-        # exact original instruction stream.
         self.tracer = None
-
-        # Concurrent-host interference: populated by
-        # InterferenceSession.attach (see repro.interfere.engine); None
-        # on the uncontended path — including under an *empty* plan,
-        # which attaches nothing — and every hook is gated on that None
-        # so clean runs execute the exact original instruction stream.
         self.interference = None
 
     # ------------------------------------------------------------------

@@ -15,9 +15,7 @@ One instrumentation spine for the whole simulator:
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import (SPAN_CATEGORIES, TraceConfig, TraceSession,
-                              TraceState, active_trace_session,
-                              trace_session)
+                              TraceState, trace_session)
 
 __all__ = ["MetricsRegistry", "SPAN_CATEGORIES", "TraceConfig",
-           "TraceSession", "TraceState", "active_trace_session",
-           "trace_session"]
+           "TraceSession", "TraceState", "trace_session"]

@@ -10,10 +10,9 @@ cache hit would produce no events), then exports:
   channels (``--top N``) on stdout.
 
 Determinism contract: the same ``(targets, mode, scale, seed)`` produce
-byte-identical trace and metrics files for ``--jobs 1`` and ``--jobs N``
-alike — per-target results are collected in the workers as plain dicts
-and merged in task order, never completion order, with process ids
-assigned during the merge.  ``--diff A B`` checks two trace files for
+byte-identical trace and metrics files at any ``--jobs``
+(:func:`~repro.harness.cliutil.fan_out` merges in task order; process
+ids are assigned during the merge).  ``--diff A B`` checks two trace files for
 exact equality (exit 1 on mismatch); ``--validate FILE`` checks one
 against the trace-event schema.
 """
@@ -21,14 +20,15 @@ against the trace-event schema.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import types
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.harness.cliutil import EXIT_FAILURE, EXIT_OK, add_seed_argument
+from repro.harness.cliutil import (EXIT_FAILURE, EXIT_OK, add_seed_argument,
+                                   fan_out)
 from repro.obs.export import (channel_labels, chrome_trace, diff_traces,
                               metrics_csv_lines, top_entries,
                               validate_chrome_trace)
@@ -91,33 +91,19 @@ def run_trace(targets: Sequence[str], mode: str = "AFF_ALLOC",
     (``{pid/label: {metric: value}}``), and ``states`` (the per-machine
     data the stdout report is rendered from).
     """
-    notify = progress if progress is not None else (lambda line: None)
     cfg = cfg if cfg is not None else TraceConfig()
-    jobs = max(1, int(jobs))
+    results, _ = fan_out(
+        functools.partial(_trace_task, mode_name=mode, scale=scale,
+                          seed=seed, cfg=cfg),
+        targets, jobs, notify=progress)
 
-    results: Dict[str, Dict[str, Any]] = {}
-    if jobs == 1 or len(targets) <= 1:
-        for name in targets:
-            results[name] = _trace_task(name, mode, scale, seed, cfg)
-            notify(f"[done] {name}")
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(targets))) as pool:
-            futs = {pool.submit(_trace_task, name, mode, scale, seed, cfg):
-                    name for name in targets}
-            for fut in as_completed(futs):
-                name = futs[fut]
-                results[name] = fut.result()
-                notify(f"[done] {name}")
-
-    # Merge in task order (never completion order) so jobs=1 and jobs=N
-    # produce byte-identical trace and metrics files; pids are assigned
-    # here, sequentially in merge order.
+    # pids are assigned here, sequentially in task order.
     runs: List[Dict[str, Any]] = []
     metrics: Dict[str, Dict[str, float]] = {}
     states: List[Dict[str, Any]] = []
     pid = 0
-    for name in targets:
-        for st in results[name]["states"]:
+    for result in results:
+        for st in result["states"]:
             st = dict(st)
             st["pid"] = pid
             runs.append({"pid": pid, "label": st["label"],

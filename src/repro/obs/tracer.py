@@ -13,28 +13,28 @@ at run end, when the per-phase cycle counts exist:
   order — deterministic, and faithful to ordering if not to exact
   sub-phase timing (which the model does not define).
 
-Sessions mirror :func:`~repro.relayout.engine.relayout_session`:
-``trace_session(cfg)`` installs a module-global session which
-``make_context`` attaches to each new machine (``machine.tracer``);
-``cfg=None`` is an explicit *off* session.  Every hook in the simulator
-is gated on ``machine.tracer is None``, so untraced runs execute the
-exact original instruction stream and stay byte-identical.
+``trace_session(cfg)`` follows the shared session protocol
+(:mod:`repro.session`): ``make_context`` attaches it to each new machine
+(``machine.tracer``); ``cfg=None`` is an explicit *off* session.  Every
+hook in the simulator is gated on ``machine.tracer is None``, so
+untraced runs execute the exact original instruction stream and stay
+byte-identical.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, ContextManager, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import (MetricsRegistry, publish_alloc_stats,
                                publish_fault_state, publish_relayout_state,
                                publish_run)
+from repro.session import Session, scoped
 
 __all__ = ["SPAN_CATEGORIES", "TraceConfig", "TraceEvent", "TraceSession",
-           "TraceState", "active_trace_session", "trace_session"]
+           "TraceState", "trace_session"]
 
 #: The span/instant taxonomy (DESIGN.md §10).
 SPAN_CATEGORIES: Tuple[str, ...] = (
@@ -219,52 +219,15 @@ class TraceState:
         return out
 
 
-class TraceSession:
-    """One traced scope: config + every machine state it attached.
+class TraceSession(Session):
+    """One traced scope: config + every machine state it attached."""
 
-    ``cfg=None`` builds an explicitly *inactive* session (attach no-ops),
-    mirroring :class:`~repro.relayout.engine.RelayoutSession`.
-    """
-
-    def __init__(self, cfg: Optional[TraceConfig], task: str = ""):
-        self.cfg = cfg
-        self.task = task
-        self.states: List[TraceState] = []
-
-    @property
-    def active(self) -> bool:
-        return self.cfg is not None
-
-    def attach(self, machine: Any) -> Optional[TraceState]:
-        if self.cfg is None:
-            return None
-        state = TraceState(machine, self.cfg, task=self.task)
-        machine.tracer = state
-        self.states.append(state)
-        return state
+    slot = "tracer"
+    state_cls = TraceState
 
 
-_ACTIVE: Optional[TraceSession] = None
-
-
-def active_trace_session() -> Optional[TraceSession]:
-    return _ACTIVE
-
-
-@contextmanager
 def trace_session(cfg: Optional[TraceConfig],
-                  task: str = "") -> Iterator[TraceSession]:
-    """Scope a tracing session (mirror of ``relayout_session``).
-
-    Every machine built by ``make_context`` inside the scope gets a
-    :class:`TraceState` attached; pass ``cfg=None`` to force-disable
-    tracing inside an outer active session.
-    """
-    global _ACTIVE
-    prev = _ACTIVE
-    session = TraceSession(cfg, task=task)
-    _ACTIVE = session
-    try:
-        yield session
-    finally:
-        _ACTIVE = prev
+                  task: str = "") -> ContextManager[TraceSession]:
+    """Scope a trace session over the block (:mod:`repro.session`);
+    ``cfg=None`` turns tracing off even inside an outer session."""
+    return scoped(TraceSession(cfg, task))

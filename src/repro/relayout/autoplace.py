@@ -10,21 +10,21 @@ locality.
 
 Determinism contract (pinned by ``tests/test_relayout_golden.py``):
 the same ``(scenarios, config, scale, seed)`` produce an identical
-report and merged :class:`~repro.relayout.plan.MigrationPlan`, for
-``--jobs 1`` and ``--jobs N`` alike — per-task results are collected in
-the workers and merged in task order, never completion order.
+report and merged :class:`~repro.relayout.plan.MigrationPlan` at any
+``--jobs`` (:func:`~repro.harness.cliutil.fan_out` merges in task order).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.harness.cliutil import EXIT_FAILURE, EXIT_OK, fan_out
 from repro.relayout.plan import MigrationPlan
 from typing import TYPE_CHECKING
 
@@ -174,34 +174,18 @@ def run_autoplace(scenarios: Sequence[str],
                   progress: Optional[Callable[[str], None]] = None
                   ) -> AutoplaceReport:
     """Run static-vs-online pairs for every scenario under one config."""
-    notify = progress or (lambda line: None)
     cfg = cfg if cfg is not None else RelayoutConfig()
-    jobs = max(1, int(jobs))
     unknown = [s for s in scenarios if s not in SCENARIOS]
     if unknown:
         raise KeyError(f"unknown scenario(s): {', '.join(unknown)}; "
                        f"available: {', '.join(sorted(SCENARIOS))}")
+    results, _ = fan_out(
+        functools.partial(_autoplace_task, scale=scale, seed=seed, cfg=cfg),
+        scenarios, jobs, notify=progress)
 
-    results: Dict[str, Dict] = {}
-    if jobs == 1 or len(scenarios) <= 1:
-        for name in scenarios:
-            results[name] = _autoplace_task(name, scale, seed, cfg)
-            notify(f"[done] {name}")
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(scenarios))) as pool:
-            futs = {pool.submit(_autoplace_task, name, scale, seed, cfg): name
-                    for name in scenarios}
-            for fut in as_completed(futs):
-                name = futs[fut]
-                results[name] = fut.result()
-                notify(f"[done] {name}")
-
-    # Merge in task order (never completion order) so jobs=1 and jobs=N
-    # produce identical reports and plans.
     rows: List[Dict] = []
     plan = MigrationPlan.empty(seed=cfg.seed, max_per_epoch=cfg.max_per_epoch)
-    for name in scenarios:
-        r = results[name]
+    for name, r in zip(scenarios, results):
         rows.append(r)
         plan = plan.merged_with(
             MigrationPlan.from_json(json.dumps(r["plan"])).retagged(name))
@@ -260,7 +244,6 @@ def cli(argv: Optional[List[str]] = None) -> int:
     if args.save_plan is not None:
         report.plan.save(args.save_plan)
         print(f"migration plan -> {args.save_plan}")
-    from repro.harness.cliutil import EXIT_FAILURE, EXIT_OK
     if args.check_determinism:
         again = run_autoplace(scenarios, cfg, scale=args.scale,
                               seed=args.seed, jobs=2)

@@ -15,20 +15,18 @@ the executor streams drift observations into the machine's attached
 5. records every decision — applied or skipped — in a
    :class:`~repro.relayout.plan.MigrationPlan`.
 
-Sessions mirror the chaos layer's :func:`~repro.faults.fault_session`:
-``relayout_session(cfg)`` installs a module-global session which
-``make_context`` attaches to each new machine; ``cfg=None`` is an
-explicit *off* session (attach no-ops), which nested static arms use to
-stay static under an outer ``run_figures(relayout=...)``.
+``relayout_session(cfg)`` follows the shared session protocol
+(:mod:`repro.session`); ``cfg=None`` is an explicit *off* session
+(attaches nothing), which nested static arms use to stay static under an
+outer ``run_figures(relayout=...)``.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import (
     TYPE_CHECKING,
+    ContextManager,
     Dict,
-    Iterator,
     List,
     Optional,
     Tuple,
@@ -41,14 +39,14 @@ from repro.core.affine import LayoutKind
 from repro.relayout.plan import Migration, MigrationKind, MigrationPlan
 from repro.relayout.policy import (ArrayDrift, Decision, RelayoutConfig,
                                    Telemetry, decide)
+from repro.session import Session, scoped
 
 if TYPE_CHECKING:
     from repro.core.api import ArrayHandle
     from repro.machine import Machine
     from repro.perf.stats import PhaseStats, RunRecorder
 
-__all__ = ["RelayoutSession", "RelayoutState", "active_relayout_session",
-           "relayout_session"]
+__all__ = ["RelayoutSession", "RelayoutState", "relayout_session"]
 
 
 class RelayoutState:
@@ -342,34 +340,14 @@ class RelayoutState:
                              max_per_epoch=self.cfg.max_per_epoch)
 
 
-class RelayoutSession:
-    """One autoplace run: config + every machine state it attached.
+class RelayoutSession(Session):
+    """One autoplace run: config + every machine state it attached."""
 
-    ``cfg=None`` builds an explicitly *inactive* session: :meth:`attach`
-    no-ops, so workloads running inside it stay static even when an
-    outer active session exists (nested sessions shadow outer ones).
-    """
-
-    def __init__(self, cfg: Optional[RelayoutConfig],
-                 task: str = "") -> None:
-        self.cfg = cfg
-        self.task = task
-        self.states: List[RelayoutState] = []
-
-    @property
-    def active(self) -> bool:
-        return self.cfg is not None
-
-    def attach(self, machine: Machine) -> Optional[RelayoutState]:
-        if self.cfg is None:
-            return None
-        state = RelayoutState(machine, self.cfg, task=self.task)
-        machine.relayout = state
-        self.states.append(state)
-        return state
+    slot = "relayout"
+    state_cls = RelayoutState
 
     def merged_plan(self) -> MigrationPlan:
-        cfg = self.cfg if self.cfg is not None else RelayoutConfig()
+        cfg = self.spec if self.spec is not None else RelayoutConfig()
         plan = MigrationPlan.empty(seed=cfg.seed,
                                    max_per_epoch=cfg.max_per_epoch)
         for state in self.states:
@@ -377,27 +355,8 @@ class RelayoutSession:
         return plan
 
 
-_ACTIVE: Optional[RelayoutSession] = None
-
-
-def active_relayout_session() -> Optional[RelayoutSession]:
-    return _ACTIVE
-
-
-@contextmanager
 def relayout_session(cfg: Optional[RelayoutConfig],
-                     task: str = "") -> Iterator[RelayoutSession]:
-    """Scope an online re-layout session (mirror of ``fault_session``).
-
-    Every machine built by ``make_context`` inside the scope gets a
-    :class:`RelayoutState` attached; pass ``cfg=None`` to force-disable
-    relayout inside an outer active session (the static arm's tool).
-    """
-    global _ACTIVE
-    prev = _ACTIVE
-    session = RelayoutSession(cfg, task=task)
-    _ACTIVE = session
-    try:
-        yield session
-    finally:
-        _ACTIVE = prev
+                     task: str = "") -> ContextManager[RelayoutSession]:
+    """Scope a relayout session over the block (:mod:`repro.session`);
+    ``cfg=None`` keeps runs static even inside an outer session."""
+    return scoped(RelayoutSession(cfg, task))

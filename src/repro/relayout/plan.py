@@ -131,6 +131,10 @@ class MigrationPlan:
     @classmethod
     def from_json(cls, blob: str) -> "MigrationPlan":
         d = json.loads(blob)
+        if not isinstance(d, dict) \
+                or not set(d) <= {"migrations", "seed", "max_per_epoch"}:
+            raise ValueError("not a migration plan: expected a JSON object "
+                             "with keys max_per_epoch, migrations, seed")
         return cls(migrations=tuple(Migration.from_dict(m)
                                     for m in d.get("migrations", ())),
                    seed=int(d.get("seed", 0)),

@@ -21,15 +21,12 @@ from repro.config import DEFAULT_CONFIG, SystemConfig
 from repro.core.api import AffineArray, ArrayHandle, alloc_plain_array
 from repro.core.policy import BankSelectPolicy, HybridPolicy
 from repro.core.runtime import AffinityAllocator
-from repro.faults.injector import active_fault_session
-from repro.interfere.engine import active_interference_session
 from repro.machine import Machine
-from repro.obs.tracer import active_trace_session
-from repro.relayout.engine import active_relayout_session
 from repro.nsc.engine import EngineMode
 from repro.nsc.executor import StreamExecutor
 from repro.perf.model import PerfModel, RunResult
 from repro.perf.stats import RunRecorder
+from repro.scenario import attach_active
 
 __all__ = ["EngineMode", "RunContext", "Workload", "WORKLOADS",
            "make_context", "run_workload", "register"]
@@ -105,34 +102,10 @@ def make_context(mode: EngineMode, config: SystemConfig = DEFAULT_CONFIG,
     """
     heap_mode = "linear" if mode.affinity_aware else "random"
     machine = Machine(config, heap_mode=heap_mode, seed=seed)
-    session = active_fault_session()
-    if session is not None:
-        # Chaos fault injection: boot-phase faults (pool caps, armed
-        # alloc ordinals, boot bank/link failures) apply here, before
-        # any allocation; run-phase faults arm and fire at the first
-        # executor primitive.
-        session.attach(machine)
-    relayout = active_relayout_session()
-    if relayout is not None:
-        # Online re-layout: attaches a RelayoutState (machine.relayout)
-        # that the executor feeds drift observations and end_epoch()
-        # drives; an inactive session (cfg=None) no-ops, keeping nested
-        # static arms static.
-        relayout.attach(machine)
-    trace = active_trace_session()
-    if trace is not None:
-        # Observability: attaches a TraceState (machine.tracer) that
-        # buffers span/instant events for virtual-time resolution; an
-        # inactive session (cfg=None) no-ops, keeping untraced runs
-        # byte-identical.
-        trace.attach(machine)
-    interference = active_interference_session()
-    if interference is not None:
-        # Concurrent-host interference: attaches an InterferenceState
-        # (machine.interference) whose host epochs fire at every
-        # end_phase; an empty plan no-ops, keeping uncontended runs
-        # byte-identical.
-        interference.attach(machine)
+    # Scenario layers (faults, relayout, trace, host interference) attach
+    # their per-machine state here, in that fixed order: boot-phase
+    # faults must apply before any allocation or other layer.
+    attach_active(machine)
     recorder = RunRecorder(machine)
     executor = StreamExecutor(machine, recorder, mode)
     allocator = None

@@ -26,6 +26,7 @@ from repro.cache import ArtifactCache
 from repro.faults.chaos import run_chaos
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.harness import runner
+from repro.harness.cliutil import MAX_RESTARTS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -198,7 +199,7 @@ class TestRunnerFaultPlan:
         from repro.analysis.diagnostics import WorkerCrashError
         plan = FaultPlan(events=(
             FaultEvent(FaultKind.WORKER_CRASH, 1,
-                       param=runner._MAX_WORKER_RESTARTS + 1),), seed=0)
+                       param=MAX_RESTARTS + 1),), seed=0)
         with pytest.raises(WorkerCrashError):
             runner.run_figures(self.IDS, jobs=1, scale=self.SCALE, seed=0,
                                use_cache=False, fault_plan=plan)

@@ -4,7 +4,8 @@ Pins the cliutil exit-code contract (0 success / 1 failed check /
 2 usage error) across both new surfaces, including the regression where
 ``repro chaos`` used to blow up with a traceback (exit 1) instead of a
 usage error when handed an unreadable plan path — with or without an
-``--interfere`` plan riding along.
+``--interfere`` plan riding along — and the one where a plan of the
+wrong kind (or a non-object) was silently accepted or crashed.
 """
 
 import json
@@ -14,7 +15,10 @@ import pytest
 from repro.faults.chaos import cli as chaos_cli
 from repro.harness.cliutil import EXIT_FAILURE, EXIT_OK, EXIT_USAGE
 from repro.interfere.cli import cli as interfere_cli
+from repro.faults.log import FaultEventLog
+from repro.faults.plan import FaultPlan
 from repro.interfere.plan import HostTrafficPlan
+from repro.relayout.plan import MigrationPlan
 
 WORKLOAD_ARGS = ["vecadd", "--scale", "0.05", "--sweep", "1"]
 
@@ -23,6 +27,20 @@ WORKLOAD_ARGS = ["vecadd", "--scale", "0.05", "--sweep", "1"]
 def plan_file(tmp_path):
     path = tmp_path / "plan.json"
     HostTrafficPlan.generate(0).save(path)
+    return path
+
+
+@pytest.fixture
+def fault_plan_file(tmp_path):
+    path = tmp_path / "fault-plan.json"
+    FaultPlan.generate(0, 0.05).save(path)
+    return path
+
+
+@pytest.fixture
+def list_file(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
     return path
 
 
@@ -53,6 +71,17 @@ class TestInterfereCli:
     def test_broken_plan_file_is_usage_error(self, broken_file):
         with pytest.raises(SystemExit) as exc:
             interfere_cli(WORKLOAD_ARGS + ["--plan", str(broken_file)])
+        assert exc.value.code == EXIT_USAGE
+
+    def test_fault_plan_as_host_plan_is_usage_error(self, fault_plan_file):
+        # Used to run an empty host plan and report a 1.000x slowdown.
+        with pytest.raises(SystemExit) as exc:
+            interfere_cli(WORKLOAD_ARGS + ["--plan", str(fault_plan_file)])
+        assert exc.value.code == EXIT_USAGE
+
+    def test_non_object_plan_is_usage_error(self, list_file):
+        with pytest.raises(SystemExit) as exc:
+            interfere_cli(WORKLOAD_ARGS + ["--plan", str(list_file)])
         assert exc.value.code == EXIT_USAGE
 
     def test_bad_sweep_is_usage_error(self):
@@ -134,3 +163,47 @@ class TestChaosInterfereComposition:
         with pytest.raises(SystemExit) as exc:
             chaos_cli(["vecadd", "--interfere", str(broken_file)])
         assert exc.value.code == EXIT_USAGE
+
+    def test_wrong_kind_fault_plan_is_usage_error(self, plan_file):
+        with pytest.raises(SystemExit) as exc:
+            chaos_cli(["vecadd", "--plan", str(plan_file)])
+        assert exc.value.code == EXIT_USAGE
+
+    def test_non_object_fault_plan_is_usage_error(self, list_file):
+        with pytest.raises(SystemExit) as exc:
+            chaos_cli(["vecadd", "--plan", str(list_file)])
+        assert exc.value.code == EXIT_USAGE
+
+    def test_wrong_kind_interfere_plan_is_usage_error(self,
+                                                      fault_plan_file):
+        with pytest.raises(SystemExit) as exc:
+            chaos_cli(["vecadd", "--interfere", str(fault_plan_file)])
+        assert exc.value.code == EXIT_USAGE
+
+
+class TestPlanLoaders:
+    LOADERS = [FaultPlan.from_json, HostTrafficPlan.from_json,
+               MigrationPlan.from_json, FaultEventLog.from_json]
+
+    @pytest.mark.parametrize("load", LOADERS)
+    @pytest.mark.parametrize("text", ["[1, 2]", "7", '"plan"', "null"])
+    def test_wrong_top_level_type_raises(self, load, text):
+        with pytest.raises(ValueError):
+            load(text)
+
+    @pytest.mark.parametrize("load", LOADERS[:3])
+    def test_unknown_top_level_key_raises(self, load):
+        with pytest.raises(ValueError, match="not a"):
+            load('{"seed": 0, "bogus": 1}')
+
+    def test_plans_reject_each_other(self):
+        fault = FaultPlan.generate(0, 0.05).to_json()
+        host = HostTrafficPlan.generate(0).to_json()
+        with pytest.raises(ValueError):
+            HostTrafficPlan.from_json(fault)
+        with pytest.raises(ValueError):
+            FaultPlan.from_json(host)
+        with pytest.raises(ValueError):
+            MigrationPlan.from_json(fault)
+        with pytest.raises(ValueError):
+            FaultEventLog.from_json(fault)

@@ -60,6 +60,17 @@ class TestCli:
         from repro.__main__ import main
         assert main(["lint"]) == 0
 
+    @pytest.mark.parametrize("flag", ["--fault-log", "--migration-plan"])
+    @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]",
+                                         '{"events": []}', "7"])
+    def test_bad_replay_file_is_usage_error(self, tmp_path, flag, content):
+        path = tmp_path / "replay.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            cli([flag, str(path)])
+        assert exc.value.code == 2
+
 
 class TestPreflight:
     def test_preflight_emits_progress_line(self):

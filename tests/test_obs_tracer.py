@@ -16,9 +16,11 @@ import json
 import pytest
 
 from repro.nsc.engine import EngineMode
-from repro.obs import (SPAN_CATEGORIES, TraceConfig, active_trace_session,
+from repro.obs import (SPAN_CATEGORIES, TraceConfig, TraceSession,
                        trace_session)
 from repro.obs.export import chrome_trace, validate_chrome_trace
+from repro.scenario import Scenario
+from repro.session import active
 from repro.workloads.base import run_workload
 
 SCALE = 0.05
@@ -46,7 +48,7 @@ class TestCleanPathIdentity:
 
     def test_off_session_attaches_nothing(self):
         with trace_session(None) as session:
-            assert active_trace_session() is session
+            assert active(TraceSession) is session
             assert not session.active
             result = run_workload("vecadd", EngineMode.AFF_ALLOC,
                                   scale=SCALE, seed=0)
@@ -54,12 +56,12 @@ class TestCleanPathIdentity:
         assert result.cycles > 0
 
     def test_sessions_nest_and_restore(self):
-        assert active_trace_session() is None
+        assert active(TraceSession) is None
         with trace_session(TraceConfig()) as outer:
             with trace_session(None) as inner:
-                assert active_trace_session() is inner
-            assert active_trace_session() is outer
-        assert active_trace_session() is None
+                assert active(TraceSession) is inner
+            assert active(TraceSession) is outer
+        assert active(TraceSession) is None
 
     def test_run_hash_json_byte_identical(self, tmp_path):
         """Tracing must not leak into the results JSON: same bytes, same
@@ -82,7 +84,7 @@ class TestCleanPathIdentity:
         from repro.harness import runner
         r1 = runner._run_one("table1", SCALE, 0, True, str(tmp_path))
         r2 = runner._run_one("table1", SCALE, 0, True, str(tmp_path),
-                             trace=TraceConfig())
+                             scenario=Scenario(trace=TraceConfig()))
         assert not r2["from_cache"]
         assert r1["rows"] == r2["rows"]
 

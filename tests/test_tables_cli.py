@@ -67,3 +67,16 @@ class TestCli:
         from repro.__main__ import main
         with pytest.raises(SystemExit):
             main(["run"])
+
+    def test_run_unknown_workload_is_usage_error(self):
+        from repro.__main__ import main
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "nosuch"])
+        assert exc.value.code == 2
+
+    def test_bad_kernel_backend_is_usage_error(self, monkeypatch):
+        from repro.__main__ import main
+        monkeypatch.setenv("REPRO_KERNELS", "bogus")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "vecadd", "--scale", "0.02"])
+        assert exc.value.code == 2
