@@ -35,10 +35,11 @@ files.
 from __future__ import annotations
 
 import argparse
-import os
+import importlib
 import sys
 import time
 
+from repro.cache import CacheConfigError, get_cache
 from repro.harness import runner
 from repro.nsc.engine import EngineMode
 from repro.workloads import WORKLOADS, run_workload
@@ -46,32 +47,27 @@ from repro.workloads import WORKLOADS, run_workload
 #: Backwards-compatible alias — the registry now lives in the runner.
 EXPERIMENTS = runner.EXPERIMENTS
 
+#: Subcommands with their own parser, as ``"module:function"`` entry
+#: points; ``list``, ``run``, ``all`` and experiment ids ride the default
+#: parser below.
+SUBCOMMANDS = {
+    "lint": "repro.analysis.lint:cli",
+    "bench": "repro.perf.bench:cli",
+    "chaos": "repro.faults.chaos:cli",
+    "interfere": "repro.interfere.cli:cli",
+    "autoplace": "repro.relayout.autoplace:cli",
+    "trace": "repro.obs.cli:cli",
+    "info": "repro.harness.info:cli",
+}
+
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "lint":
-        # afflint has its own argument surface; delegate wholesale.
-        from repro.analysis.lint import cli as lint_cli
-        return lint_cli(list(argv[1:]))
-    if argv and argv[0] == "bench":
-        from repro.perf.bench import cli as bench_cli
-        return bench_cli(list(argv[1:]))
-    if argv and argv[0] == "chaos":
-        from repro.faults.chaos import cli as chaos_cli
-        return chaos_cli(list(argv[1:]))
-    if argv and argv[0] == "interfere":
-        from repro.interfere.cli import cli as interfere_cli
-        return interfere_cli(list(argv[1:]))
-    if argv and argv[0] == "autoplace":
-        from repro.relayout.autoplace import cli as autoplace_cli
-        return autoplace_cli(list(argv[1:]))
-    if argv and argv[0] == "trace":
-        from repro.obs.cli import cli as trace_cli
-        return trace_cli(list(argv[1:]))
-    if argv and argv[0] == "info":
-        from repro.harness.info import cli as info_cli
-        return info_cli(list(argv[1:]))
+    if argv and argv[0] in SUBCOMMANDS:
+        # Each subcommand owns its argument surface; delegate wholesale.
+        module, func = SUBCOMMANDS[argv[0]].split(":")
+        return getattr(importlib.import_module(module), func)(list(argv[1:]))
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -103,11 +99,10 @@ def main(argv=None) -> int:
         print("workloads  :", " ".join(sorted(WORKLOADS)))
         return 0
 
-    from repro.perf.kernels import BACKEND_CHOICES
-    backend = os.environ.get("REPRO_KERNELS", "auto")
-    if (backend or "auto").lower() not in BACKEND_CHOICES:
-        parser.error(f"REPRO_KERNELS={backend!r}: choose from "
-                     f"{', '.join(BACKEND_CHOICES)}")
+    try:
+        get_cache()
+    except CacheConfigError as exc:
+        parser.error(str(exc))
 
     if args.target == "run":
         if not args.workload:

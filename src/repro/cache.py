@@ -19,9 +19,14 @@ Knobs (all optional):
 
 * ``REPRO_CACHE_DIR``      — cache directory (default ``~/.cache/repro``).
 * ``REPRO_CACHE_MAX_BYTES``— LRU size cap (default 2 GiB).
+* ``REPRO_CACHE_MEM_BYTES``— in-process memo cap (default 256 MiB).
 * ``REPRO_NO_CACHE=1``     — disable the cache process-wide.
 * :meth:`ArtifactCache.disabled` / ``configure(enabled=False)`` — the
   programmatic / ``--no-cache`` escape hatch.
+
+A cache directory that is (or sits under) a regular file, or a byte
+count that is not a non-negative integer, raises
+:class:`CacheConfigError` when the cache is built.
 
 Corrupted entries (truncated ``.npz`` after a crash, hand-edited JSON)
 are treated as misses: the entry is deleted and regenerated, never
@@ -44,6 +49,7 @@ import numpy as np
 __all__ = [
     "GENERATOR_VERSION",
     "ArtifactCache",
+    "CacheConfigError",
     "get_cache",
     "configure",
     "cache_key",
@@ -93,6 +99,37 @@ def cache_key(kind: str, **params) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+class CacheConfigError(ValueError):
+    """A cache location or ``REPRO_CACHE_*`` value that cannot work; the
+    CLI reports it as a usage error (exit 2)."""
+
+
+def _env_bytes(name: str, default: int) -> int:
+    """A non-negative byte count from environment variable ``name``."""
+    raw = os.environ.get(name, "")
+    if not raw:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1  # reported below, like a negative count
+    if value < 0:
+        raise CacheConfigError(
+            f"{name}={raw!r}: expected a non-negative byte count")
+    return value
+
+
+def _check_root(root: Path) -> None:
+    """Reject a cache root that is, or sits under, a non-directory."""
+    for path in (root, *root.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise CacheConfigError(
+                    f"cache directory {str(root)!r} is unusable: "
+                    f"{str(path)!r} is not a directory")
+            return
+
+
 class ArtifactCache:
     """A directory of content-addressed ``.npz``/``.json`` artifacts."""
 
@@ -103,17 +140,17 @@ class ArtifactCache:
             root = os.environ.get("REPRO_CACHE_DIR") or (
                 Path.home() / ".cache" / "repro")
         self.root = Path(root)
+        _check_root(self.root)
         if max_bytes is None:
-            max_bytes = int(os.environ.get("REPRO_CACHE_MAX_BYTES",
-                                           DEFAULT_MAX_BYTES))
+            max_bytes = _env_bytes("REPRO_CACHE_MAX_BYTES", DEFAULT_MAX_BYTES)
         self.max_bytes = max_bytes
         if enabled is None:
             enabled = os.environ.get("REPRO_NO_CACHE", "") not in ("1", "true")
         self.enabled = enabled
         self.hits = 0
         self.misses = 0
-        self.mem_max_bytes = int(os.environ.get("REPRO_CACHE_MEM_BYTES",
-                                                DEFAULT_MEM_BYTES))
+        self.mem_max_bytes = _env_bytes("REPRO_CACHE_MEM_BYTES",
+                                        DEFAULT_MEM_BYTES)
         self._mem: "OrderedDict[str, Dict[str, np.ndarray]]" = OrderedDict()
         self._mem_bytes = 0
 

@@ -178,7 +178,7 @@ class HybridPolicy(BankSelectPolicy):
         is irreducible — but not unoptimizable: the active kernel
         backend (:mod:`repro.perf.kernels`) runs it either as chunked
         *speculative* evaluation (python backend — exact, see DESIGN
-        §12) or as a compiled scalar loop (numba backend), both
+        §12) or as a compiled scalar loop (C backend), both
         bit-identical to the naive expression.  The masked (degraded)
         variant folds the fault mask into an additive 0/inf penalty
         row, leaving the healthy path untouched.

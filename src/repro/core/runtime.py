@@ -602,8 +602,8 @@ class AffinityAllocator:
 
         The hop row for step ``i`` depends on in-batch choices, so this
         loop cannot be speculated like ``select_batch``; the active
-        kernel backend runs the scalar body (numba-compiled when
-        available) against the transposed, contiguous hop table.  The
+        kernel backend runs the scalar body (compiled C where a system
+        compiler exists) against the transposed, contiguous hop table.  The
         masked (degraded) variant folds the fault mask into an additive
         0/inf penalty row, leaving the healthy path untouched.
         """

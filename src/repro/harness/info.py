@@ -2,9 +2,9 @@
 
 One screen answering "what will run, from where, with what": package and
 interpreter versions, the default seed/scale/jobs, the artifact cache
-location and occupancy, and the registered workloads, experiments and
-subcommands.  ``--json`` emits the same data machine-readably (used by
-bug reports and CI logs).
+location and occupancy, the resolved Eq. 4 kernel backend, and the
+registered workloads, experiments and subcommands.  ``--json`` emits
+the same data machine-readably (used by bug reports and CI logs).
 """
 
 from __future__ import annotations
@@ -15,14 +15,10 @@ import platform
 import sys
 from typing import Any, Dict, List, Optional
 
+from repro.cache import CacheConfigError
 from repro.harness.cliutil import EXIT_OK
 
 __all__ = ["collect_info", "cli"]
-
-#: The ``python -m repro`` subcommand surface (kept in sync with
-#: ``repro.__main__``; 'run'/'all'/'list' ride the default parser).
-SUBCOMMANDS = ("list", "run", "all", "lint", "bench", "chaos", "autoplace",
-               "trace", "info")
 
 
 def collect_info() -> Dict[str, Any]:
@@ -30,8 +26,10 @@ def collect_info() -> Dict[str, Any]:
     import numpy as np
 
     import repro
+    from repro.__main__ import SUBCOMMANDS
     from repro.cache import get_cache
     from repro.harness import runner
+    from repro.perf.kernels import backend_info
     from repro.workloads import WORKLOADS
 
     cache = get_cache()
@@ -51,12 +49,15 @@ def collect_info() -> Dict[str, Any]:
         },
         "workloads": sorted(WORKLOADS),
         "experiments": sorted(runner.EXPERIMENTS),
-        "subcommands": list(SUBCOMMANDS),
+        "kernels": backend_info(),
+        # 'list', 'run' and 'all' ride the default parser.
+        "subcommands": ["list", "run", "all", *SUBCOMMANDS],
     }
 
 
 def _render(info: Dict[str, Any]) -> str:
     cache = info["cache"]
+    kernels = info["kernels"]
     lines = [
         f"repro {info['version']}  "
         f"(python {info['python']}, numpy {info['numpy']})",
@@ -68,6 +69,8 @@ def _render(info: Dict[str, Any]) -> str:
         f"{cache['entries']} entries, "
         f"{cache['size_bytes'] / (1 << 20):.1f} MiB of "
         f"{cache['max_bytes'] / (1 << 20):.0f} MiB)",
+        f"kernels    : {kernels['kernels']}"
+        + (f" ({kernels['cc']})" if kernels["cc"] else ""),
         f"subcommands: {' '.join(info['subcommands'])}",
         f"experiments: {' '.join(info['experiments'])}",
         f"workloads  : {' '.join(info['workloads'])}",
@@ -84,7 +87,10 @@ def cli(argv: Optional[List[str]] = None) -> int:
                         help="emit machine-readable JSON instead of text")
     args = parser.parse_args(argv)
 
-    info = collect_info()
+    try:
+        info = collect_info()
+    except CacheConfigError as exc:
+        parser.error(str(exc))
     if args.json:
         json.dump(info, sys.stdout, sort_keys=True, indent=1)
         sys.stdout.write("\n")

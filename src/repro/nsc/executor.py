@@ -40,7 +40,7 @@ from repro.arch.noc import MessageClass
 from repro.core.api import ArrayHandle
 from repro.machine import Machine
 from repro.nsc.engine import EngineMode
-from repro.perf import kernels as _kernels
+from repro.perf.kernels import pybackend
 from repro.perf.stats import RunRecorder
 
 __all__ = ["StreamExecutor"]
@@ -58,31 +58,25 @@ _NSC_CHASE_MLP = 12.0
 _L2_LATENCY = 16.0
 
 
-def _shrink_key(key: np.ndarray) -> np.ndarray:
-    """Bias the key to its minimum and narrow to int32 when it fits.
+# The executor's dedup/accounting kernels (one implementation each, in
+# the python backend).  Module-level names so
+# :mod:`repro.perf.reference` can swap in its ``np.unique`` oracles.
 
-    Subtracting a constant and narrowing the dtype are strictly monotone,
-    so ``np.unique``'s sort order — and therefore the first-occurrence
-    indices the callers consume — is unchanged, while the radix sort runs
-    half the passes over half the bytes."""
-    return _kernels.pybackend.shrink_key(key)
+#: Bias the key to its minimum and narrow to int32 when it fits — a
+#: strictly monotone map, so ``np.unique``'s order is unchanged.
+_shrink_key = pybackend.shrink_key
 
+#: ``np.unique(key, return_index=True)[1]``: index of the first
+#: occurrence of each distinct key, ordered by ascending key.
+_first_unique = pybackend.first_unique
 
-def _first_unique(key: np.ndarray) -> np.ndarray:
-    """``np.unique(key, return_index=True)[1]``: index of the first
-    occurrence of each distinct key, ordered by ascending key.
+#: Like :func:`_first_unique` but also returns the multiplicity of each
+#: distinct key (``np.unique(..., return_counts=True)``).
+_first_unique_counts = pybackend.first_unique_counts
 
-    Dispatches to the active kernel backend: sorted inputs (traces
-    mostly walk arrays in address order) take an O(n) boundary scan,
-    dense unsorted keys an O(n + span) scatter table — identical output
-    to the ``np.unique`` sort either way."""
-    return _kernels.get_backend().first_unique(key)
-
-
-def _first_unique_counts(key: np.ndarray):
-    """Like :func:`_first_unique` but also returns the multiplicity of
-    each distinct key (``np.unique(..., return_counts=True)``)."""
-    return _kernels.get_backend().first_unique_counts(key)
+#: Mask of entries starting a new run of equal ``values`` within the
+#: same ``groups`` entry (both arrays in iteration order).
+_consecutive_dedup = pybackend.consecutive_dedup
 
 
 def _pair_key(groups: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -97,12 +91,6 @@ def _pair_key(groups: np.ndarray, values: np.ndarray) -> np.ndarray:
     lo = values.min()
     span = np.int64(int(values.max()) - int(lo) + 1)
     return groups * span + (values - lo)
-
-
-def _consecutive_dedup(values: np.ndarray, groups: np.ndarray) -> np.ndarray:
-    """Mask of entries starting a new run of equal ``values`` within the
-    same ``groups`` entry (both arrays in iteration order)."""
-    return _kernels.get_backend().consecutive_dedup(values, groups)
 
 
 def _weighted_counts(key: np.ndarray, first: np.ndarray,
@@ -276,7 +264,7 @@ class StreamExecutor:
         b, g = banks[new], groups[new]
         if b.size < 2:
             return
-        src, dst = _kernels.get_backend().migration_pairs(b, g)
+        src, dst = pybackend.migration_pairs(b, g)
         self.rec.traffic.record(src, dst, _MIGRATE_BYTES,
                                 MessageClass.OFFLOAD, count=repeat)
 
@@ -296,7 +284,7 @@ class StreamExecutor:
         if first.size == 0:
             return
         active = cores[first]
-        n_credits = _kernels.get_backend().credit_roundtrips(counts, k) * repeat
+        n_credits = pybackend.credit_roundtrips(counts, k) * repeat
         peer = banks[first]  # each core's first bank is the credit peer
         self.rec.traffic.record(active, peer, _CREDIT_BYTES,
                                 MessageClass.CONTROL, count=n_credits)

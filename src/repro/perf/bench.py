@@ -561,19 +561,10 @@ def cli(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--profile", action="store_true",
                         help="run each bench under cProfile and write "
                              "BENCH_<name>.prof next to the JSONs")
-    from repro.perf.kernels import BACKEND_CHOICES
-    parser.add_argument("--kernels", default=None, choices=BACKEND_CHOICES,
-                        help="pin the kernel backend for every bench "
-                             "(default: REPRO_KERNELS env or auto)")
     from repro.harness.cliutil import add_seed_argument
     add_seed_argument(parser, help_suffix="feeds the end-to-end benches "
                                           "(fig12, relayout) only")
     args = parser.parse_args(argv)
-
-    if args.kernels:
-        from repro.perf import kernels
-        resolved = kernels.set_backend(args.kernels)
-        print(f"[bench] kernel backend: {resolved}", flush=True)
 
     names = [n for n in args.only.split(",") if n]
     bad = [n for n in names if n not in _BENCHES]

@@ -1,56 +1,38 @@
-"""Pluggable compute backends for the allocator/executor hot loops.
+"""The two sequential Eq. 4 loops, on one kernel path per platform.
 
 PR 3 vectorized the simulator's batch paths but left the Eq. 4
 bank-select loop sequential — every choice shifts the load the next
 choice sees — and DESIGN §7 called it the Amdahl wall of fig12.  This
-package puts the remaining inner loops behind a tiny backend registry
-so the same call sites can run either
+package runs that loop on one of two backends:
 
-* ``python`` — numpy-only, always available.  Carries the algorithmic
-  work: incremental Eq. 4 scoring through a per-chunk *division table*
-  (exact — every table element carries the same IEEE roundings as the
-  scalar chain; see :mod:`repro.perf.kernels.pybackend` and DESIGN
-  §12), scatter-based first-occurrence dedup, and bulk load recording;
-  or
-* ``numba`` — ``@njit`` scalar loops executing the same arithmetic in
-  the same IEEE order (no fastmath, no contraction), compiled to native
-  code.  Optional: when the wheel is absent the registry falls back —
-  a *backend* fallback, never a silent numeric drift, because every
-  backend is bit-identical to :mod:`repro.perf.reference` by contract
-  (tests/test_kernels_equivalence.py); or
-* ``c`` — the two sequential Eq. 4 loops compiled from a shipped C
-  source by the *system* compiler at first use (cached .so, loaded via
-  ctypes, ``-ffp-contract=off``).  Available wherever ``cc`` is, which
-  unlike the numba wheel includes this repo's reference container.
+* ``c`` — the loops compiled from a shipped C source by the *system*
+  compiler at first use (cached .so, loaded via ctypes,
+  ``-ffp-contract=off``); or
+* ``python`` — numpy-only incremental Eq. 4 scoring through a per-chunk
+  *division table* (exact — every table element carries the same IEEE
+  roundings as the scalar chain; see
+  :mod:`repro.perf.kernels.pybackend` and DESIGN §12).
 
-Selection: ``REPRO_KERNELS=python|numba|c|auto`` (default ``auto`` =
-numba when importable, else ``c`` when a compiler is present, else
-``python``), or :func:`set_backend` / ``--kernels`` on the bench and
-CLI entry points.  The numba import and the C compile are lazy: a
-process pinned to the python backend pays for neither.
+The registry resolves once, by observation: ``c`` when the shipped C
+kernels built, else ``python``.  Both are bit-identical to
+:mod:`repro.perf.reference` by contract
+(tests/test_kernels_equivalence.py), so the choice moves throughput,
+never a result.  :func:`set_backend` switches in-process for callers
+that compare the two (the alloc bench, the equivalence tests).
 
-The backend surface every implementation must export:
+The backend surface:
 
 ``hybrid_select_batch(mean_hops, loads, h, penalty)``
     Sequential Eq. 4 over a batch; mutates the ``loads`` working copy.
 ``chained_hybrid(dist_t, prev_ids, head_banks, loads, h, penalty)``
     Eq. 4 where affinity banks come from the batch's earlier choices.
-``first_unique(key)`` / ``first_unique_counts(key)``
-    ``np.unique(key, return_index=True)[1]`` (+ counts) equivalents.
-``consecutive_dedup(values, groups)``
-    Run-boundary mask used by the executor's stream accounting.
-``migration_pairs(banks, groups)``
-    (src, dst) bank pairs of the executor's stream migrations.
-``credit_roundtrips(counts, credit_iters)``
-    Per-core credit round-trip counts (``np.ceil(counts / k)``).
+
+The executor's dedup/accounting kernels have one implementation and
+live in :mod:`repro.perf.kernels.pybackend`.
 """
 
 from __future__ import annotations
 
-import importlib.metadata
-import importlib.util
-import os
-import warnings
 from types import ModuleType
 from typing import Dict, Optional, Tuple
 
@@ -61,108 +43,46 @@ __all__ = [
     "backend_info",
     "get_backend",
     "set_backend",
-    "BACKEND_CHOICES",
 ]
-
-#: Names accepted by :func:`set_backend` and ``REPRO_KERNELS``.
-BACKEND_CHOICES: Tuple[str, ...] = ("auto", "python", "numba", "c")
 
 _active: Optional[ModuleType] = None
 
 
-def _numba_importable() -> bool:
-    """Whether the numba wheel exists, without importing it."""
-    try:
-        return importlib.util.find_spec("numba") is not None
-    except (ImportError, ValueError):
-        return False
-
-
-def _c_available() -> bool:
-    """Whether the C backend compiled (imports — and builds — lazily)."""
-    try:
-        from repro.perf.kernels import cbackend
-        return cbackend.AVAILABLE
-    except Exception:
-        return False
+def _c_backend() -> Optional[ModuleType]:
+    """The C backend when it compiled (imports — and builds — lazily)."""
+    from repro.perf.kernels import cbackend
+    return cbackend if cbackend.AVAILABLE else None
 
 
 def available_backends() -> Tuple[str, ...]:
-    """Backends that can actually execute in this interpreter."""
-    names = ["python"]
-    if _numba_importable():
-        names.append("numba")
-    if _c_available():
-        names.append("c")
-    return tuple(names)
+    """Backends that can execute in this interpreter, python first."""
+    return ("python", "c") if _c_backend() is not None else ("python",)
 
 
-def set_backend(name: str = "auto") -> str:
-    """Select the active kernel backend; returns the resolved name.
+def set_backend(name: str) -> str:
+    """Switch the active backend in-process; returns its name.
 
-    ``auto`` resolves to ``numba`` when the wheel is importable, then
-    ``c`` when a system compiler can build the shipped kernels, else
-    ``python``.  Requesting an unavailable backend explicitly warns
-    and falls back to ``python`` — allocator results are bit-identical
-    either way, only throughput differs.
-    """
+    Accepts ``"python"`` or ``"c"`` and raises :class:`ValueError` for
+    anything else, including ``"c"`` where no compiler built it."""
     global _active
-    name = (name or "auto").lower()
-    if name not in BACKEND_CHOICES:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; choose from {BACKEND_CHOICES}")
-    if name == "auto":
-        if _numba_importable():
-            name = "numba"
-        elif _c_available():
-            name = "c"
-        else:
-            name = "python"
-    if name == "numba":
-        from repro.perf.kernels import nbbackend
-        if nbbackend.AVAILABLE:
-            _active = nbbackend
-            return _active.NAME
-        warnings.warn("kernel backend 'numba' requested but numba is not "
-                      "importable; falling back to the python backend "
-                      "(bit-identical results, lower throughput)",
-                      RuntimeWarning, stacklevel=2)
-    elif name == "c":
-        if _c_available():
-            from repro.perf.kernels import cbackend
-            _active = cbackend
-            return _active.NAME
-        warnings.warn("kernel backend 'c' requested but no working C "
-                      "compiler was found; falling back to the python "
-                      "backend (bit-identical results, lower throughput)",
-                      RuntimeWarning, stacklevel=2)
-    _active = pybackend
-    return _active.NAME
+    backend = {"python": pybackend, "c": _c_backend()}.get(name)
+    if backend is None:
+        raise ValueError(f"kernel backend {name!r} is not available here; "
+                         f"choose from {available_backends()}")
+    _active = backend
+    return backend.NAME
 
 
 def get_backend() -> ModuleType:
-    """The active backend module (resolving ``REPRO_KERNELS`` lazily)."""
+    """The active backend module: ``c`` when it built, else ``python``."""
     global _active
     if _active is None:
-        set_backend(os.environ.get("REPRO_KERNELS", "auto"))
-    assert _active is not None
+        _active = _c_backend() or pybackend
     return _active
 
 
 def backend_info() -> Dict[str, Optional[str]]:
-    """Attribution block for BENCH_*.json / RunResult metadata."""
-    numba_version: Optional[str] = None
-    if _numba_importable():
-        try:
-            numba_version = importlib.metadata.version("numba")
-        except Exception:
-            numba_version = "unknown"
+    """Attribution block for BENCH_*.json, perfbench and ``repro info``."""
     active = get_backend()
-    cc: Optional[str] = None
-    if active.NAME == "c":
-        cc = getattr(active, "COMPILER", None)
-    return {
-        "kernels": active.NAME,
-        "numba": numba_version,
-        "cc": cc,
-    }
+    return {"kernels": active.NAME,
+            "cc": getattr(active, "COMPILER", None)}

@@ -1,19 +1,18 @@
 """Kernel backend compiled from C at first use (no wheel required).
 
-The container this repo targets ships a system C compiler but not
-numba, so depending on a compiled-extension *wheel* would be a new
-dependency while depending on ``cc`` is free: ``_ckernels.c`` (a page
+Depending on a compiled-extension *wheel* would be a new dependency
+while depending on the system ``cc`` is free: ``_ckernels.c`` (a page
 of scalar loops mirroring the numpy op chain statement by statement)
 is compiled once into a cached shared object and loaded through
 ctypes.  The build is keyed by a hash of the source and the compiler
 banner, so editing the C file or switching compilers rebuilds
 automatically; any failure — no compiler, read-only tree and no
 tempdir, cc dying — just flips ``AVAILABLE`` off and the registry
-falls back to the python backend (bit-identical results, lower
+resolves to the python backend instead (bit-identical results, lower
 throughput; never silent numeric drift).
 
 Only the two sequential Eq. 4 loops live in C — they are the Amdahl
-wall DESIGN §12 profiles.  Every other kernel delegates to
+wall DESIGN §12 profiles.  The executor's dedup kernels stay in
 :mod:`repro.perf.kernels.pybackend`, whose vectorized forms are
 already memory-bound (a C radix-sort dedup was tried and measured
 slower than numpy's stable argsort on the workload's real sparse
@@ -37,8 +36,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-
-from repro.perf.kernels import pybackend
 
 NAME = "c"
 
@@ -150,57 +147,43 @@ def _loads_writeback(loads: np.ndarray, buf: np.ndarray) -> None:
         loads[...] = buf
 
 
-if AVAILABLE:
-
-    def hybrid_select_batch(mean_hops, loads, h, penalty):
-        mh = np.ascontiguousarray(mean_hops, dtype=np.float64)
-        n, nb = mh.shape
-        out = np.empty(n, dtype=np.int64)
-        if n == 0:
-            return out
-        pen = None
-        if penalty is not None:
-            pen = np.ascontiguousarray(penalty, dtype=np.float64)
-        buf = _loads_buffer(loads)
-        total = float(buf.sum())
-        _lib.repro_hybrid_select_batch(
-            _dptr(mh), _dptr(buf), float(h),
-            _dptr(pen) if pen is not None else None,
-            total, n, nb, _iptr(out))
-        _loads_writeback(loads, buf)
+def hybrid_select_batch(mean_hops, loads, h, penalty):
+    mh = np.ascontiguousarray(mean_hops, dtype=np.float64)
+    n, nb = mh.shape
+    out = np.empty(n, dtype=np.int64)
+    if n == 0:
         return out
+    pen = None
+    if penalty is not None:
+        pen = np.ascontiguousarray(penalty, dtype=np.float64)
+    buf = _loads_buffer(loads)
+    total = float(buf.sum())
+    _lib.repro_hybrid_select_batch(
+        _dptr(mh), _dptr(buf), float(h),
+        _dptr(pen) if pen is not None else None,
+        total, n, nb, _iptr(out))
+    _loads_writeback(loads, buf)
+    return out
 
-    def chained_hybrid(dist_t, prev_ids, head_banks, loads, h, penalty):
-        dt = np.ascontiguousarray(dist_t, dtype=np.float64)
-        prev = np.ascontiguousarray(prev_ids, dtype=np.int64)
-        heads = np.ascontiguousarray(head_banks, dtype=np.int64)
-        n = prev.size
-        nb = loads.size
-        chosen = np.empty(n, dtype=np.int64)
-        if n == 0:
-            return chosen
-        pen = None
-        if penalty is not None:
-            pen = np.ascontiguousarray(penalty, dtype=np.float64)
-        zeros = np.zeros(nb, dtype=np.float64)
-        buf = _loads_buffer(loads)
-        total = float(buf.sum())
-        _lib.repro_chained_hybrid(
-            _dptr(dt), _iptr(prev), _iptr(heads), _dptr(buf),
-            float(h), _dptr(pen) if pen is not None else None,
-            _dptr(zeros), total, n, nb, _iptr(chosen))
-        _loads_writeback(loads, buf)
+
+def chained_hybrid(dist_t, prev_ids, head_banks, loads, h, penalty):
+    dt = np.ascontiguousarray(dist_t, dtype=np.float64)
+    prev = np.ascontiguousarray(prev_ids, dtype=np.int64)
+    heads = np.ascontiguousarray(head_banks, dtype=np.int64)
+    n = prev.size
+    nb = loads.size
+    chosen = np.empty(n, dtype=np.int64)
+    if n == 0:
         return chosen
-
-else:  # pragma: no cover - exercised only where no compiler exists
-    hybrid_select_batch = pybackend.hybrid_select_batch
-    chained_hybrid = pybackend.chained_hybrid
-
-# The accounting kernels are already vectorized numpy — C would only
-# re-buy memory bandwidth numpy saturates.
-first_unique = pybackend.first_unique
-first_unique_counts = pybackend.first_unique_counts
-consecutive_dedup = pybackend.consecutive_dedup
-migration_pairs = pybackend.migration_pairs
-credit_roundtrips = pybackend.credit_roundtrips
-shrink_key = pybackend.shrink_key
+    pen = None
+    if penalty is not None:
+        pen = np.ascontiguousarray(penalty, dtype=np.float64)
+    zeros = np.zeros(nb, dtype=np.float64)
+    buf = _loads_buffer(loads)
+    total = float(buf.sum())
+    _lib.repro_chained_hybrid(
+        _dptr(dt), _iptr(prev), _iptr(heads), _dptr(buf),
+        float(h), _dptr(pen) if pen is not None else None,
+        _dptr(zeros), total, n, nb, _iptr(chosen))
+    _loads_writeback(loads, buf)
+    return chosen

@@ -328,7 +328,8 @@ def chained_hybrid(dist_t: np.ndarray, prev_ids: np.ndarray,
 
 
 # ----------------------------------------------------------------------
-# Executor dedup / accounting kernels
+# Executor dedup / accounting kernels (one implementation; the executor
+# calls them directly, whichever backend runs Eq. 4)
 # ----------------------------------------------------------------------
 
 def shrink_key(key: np.ndarray) -> np.ndarray:

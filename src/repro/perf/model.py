@@ -25,7 +25,6 @@ from repro.arch.energy import EnergyBreakdown
 from repro.arch.mesh import Mesh
 from repro.arch.noc import MessageClass, pair_channel_loads
 from repro.machine import Machine
-from repro.perf import kernels as _kernels
 from repro.perf.stats import PhaseStats, RunRecorder
 
 __all__ = ["PerfModel", "RunResult", "pair_link_loads"]
@@ -55,12 +54,6 @@ class RunResult:
     #: Per-phase resource times (core/bank/link/serial), aligned with
     #: ``phase_cycles``; each phase's cycles is the max of its entries.
     phase_resources: List[Tuple[str, Dict[str, float]]] = field(default_factory=list)
-    #: Execution-environment attribution (kernel backend, numba/cc
-    #: versions).  Metadata only: deliberately excluded from figure rows
-    #: and the harness' ``run-<hash>.json`` so results stay byte-identical
-    #: across backends — that byte-identity is what the equivalence suite
-    #: asserts.
-    env: Dict[str, object] = field(default_factory=dict)
 
     @property
     def energy_pj(self) -> float:
@@ -185,7 +178,6 @@ class PerfModel:
             phases=list(recorder.phases),
             value=value,
             phase_resources=phase_resources,
-            env=dict(_kernels.backend_info()),
         )
         interference = machine.interference
         if interference is not None:

@@ -1,18 +1,17 @@
 """Kernel backends vs. the scalar Eq. 4 oracle — bit-identical, always.
 
 PR 8's contract: every compute backend (``python`` division-table,
-``numba`` njit loops, ``c`` ctypes kernels) executes the same arithmetic
-in the same IEEE order as the pre-PR scalar loop, so goldens and
-``run-<hash>.json`` never move when the backend changes.  The oracle
-here is an *independent* re-statement of that scalar chain (not a call
-into the shipped code), and every assertion is ``array_equal`` on exact
-bit values — never ``allclose``.
+``c`` ctypes kernels) executes the same arithmetic in the same IEEE
+order as the pre-PR scalar loop, so goldens and ``run-<hash>.json``
+never move when the backend changes.  The oracle here is an
+*independent* re-statement of that scalar chain (not a call into the
+shipped code), and every assertion is ``array_equal`` on exact bit
+values — never ``allclose``.
 
-Backends that cannot run in this interpreter (no numba wheel, no system
-C compiler) skip cleanly; the python backend always runs.
+The C cases skip cleanly where no system C compiler exists; the python
+backend always runs.
 """
 
-import importlib.util
 import json
 
 import numpy as np
@@ -20,38 +19,36 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch.mesh import Mesh
+from repro.nsc import executor
 from repro.perf import kernels
-from repro.perf.kernels import pybackend
+from repro.perf.kernels import cbackend, pybackend
 
 
 # ----------------------------------------------------------------------
-# Backend parametrization (unavailable ones skip, never fail)
+# Backend parametrization (C skips without a compiler, never fails)
 # ----------------------------------------------------------------------
-def _backend_params():
-    params = [pytest.param("python", id="python")]
-    have_numba = importlib.util.find_spec("numba") is not None
-    params.append(pytest.param(
-        "numba", id="numba",
-        marks=pytest.mark.skipif(not have_numba,
-                                 reason="numba wheel not installed")))
-    params.append(pytest.param(
-        "c", id="c",
-        marks=pytest.mark.skipif(not kernels._c_available(),
-                                 reason="no working system C compiler")))
-    return params
-
-
-BACKENDS = _backend_params()
+BACKENDS = [
+    pytest.param("python", id="python"),
+    pytest.param("c", id="c",
+                 marks=pytest.mark.skipif(not cbackend.AVAILABLE,
+                                          reason="no working system C "
+                                                 "compiler")),
+]
 
 
 def _module(name):
-    if name == "python":
-        return pybackend
-    if name == "numba":
-        from repro.perf.kernels import nbbackend
-        return nbbackend
-    from repro.perf.kernels import cbackend
-    return cbackend
+    return pybackend if name == "python" else cbackend
+
+
+@pytest.fixture
+def active_backend(backend):
+    """Make ``backend`` the registry's active backend for one test."""
+    before = kernels.get_backend().NAME
+    kernels.set_backend(backend)
+    try:
+        yield backend
+    finally:
+        kernels.set_backend(before)
 
 
 # ----------------------------------------------------------------------
@@ -319,11 +316,14 @@ class TestDivisionTableInternals:
 # Dedup kernels (np.unique semantics, integer-exact)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.usefixtures("active_backend")
 class TestDedupEquivalence:
+    """The executor's dedup kernels match ``np.unique`` whichever Eq. 4
+    backend the registry has active."""
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), presort=st.booleans())
     def test_first_unique_matches_np_unique(self, backend, data, presort):
-        mod = _module(backend)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         n = data.draw(st.integers(0, 400))
         span = data.draw(st.sampled_from([4, 1 << 10, 1 << 30, 1 << 50]))
@@ -331,33 +331,30 @@ class TestDedupEquivalence:
         if presort:
             key.sort()
         want = np.unique(key, return_index=True)[1]
-        assert np.array_equal(mod.first_unique(key), want)
+        assert np.array_equal(executor._first_unique(key), want)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_first_unique_counts_matches_np_unique(self, backend, data):
-        mod = _module(backend)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         n = data.draw(st.integers(0, 400))
         span = data.draw(st.sampled_from([4, 1 << 10, 1 << 50]))
         key = rng.integers(-span, span, size=n)
         _, want_first, want_counts = np.unique(
             key, return_index=True, return_counts=True)
-        got_first, got_counts = mod.first_unique_counts(key)
+        got_first, got_counts = executor._first_unique_counts(key)
         assert np.array_equal(got_first, want_first)
         assert np.array_equal(got_counts, want_counts)
 
     def test_sparse_unsorted_fallback_path(self, backend):
         # Wide span + unsorted defeats both the boundary scan and the
-        # scatter table, forcing each backend's sparse fallback (stable
-        # argsort in python, radix sort in c).
-        mod = _module(backend)
+        # scatter table, forcing the sparse stable-argsort fallback.
         rng = np.random.default_rng(17)
         key = rng.integers(-(1 << 55), 1 << 55, size=10_000)
         key = np.concatenate([key, key[::3]])  # real duplicates
         want = np.unique(key, return_index=True)[1]
-        assert np.array_equal(mod.first_unique(key), want)
-        got_first, got_counts = mod.first_unique_counts(key)
+        assert np.array_equal(executor._first_unique(key), want)
+        got_first, got_counts = executor._first_unique_counts(key)
         _, wf, wc = np.unique(key, return_index=True, return_counts=True)
         assert np.array_equal(got_first, wf)
         assert np.array_equal(got_counts, wc)
@@ -379,24 +376,47 @@ class TestBackendRegistry:
             kernels.set_backend(before)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            kernels.set_backend("fortran")
+        # numba and auto were backend names once; now only python and c.
+        for name in ("fortran", "numba", "auto"):
+            with pytest.raises(ValueError, match="not available"):
+                kernels.set_backend(name)
 
-    def test_unavailable_backend_warns_and_falls_back(self):
-        before = kernels.get_backend().NAME
-        try:
-            if importlib.util.find_spec("numba") is None:
-                with pytest.warns(RuntimeWarning, match="numba"):
-                    assert kernels.set_backend("numba") == "python"
-            else:
-                assert kernels.set_backend("numba") == "numba"
-        finally:
-            kernels.set_backend(before)
+    def test_unavailable_c_rejected(self, monkeypatch):
+        before = kernels.get_backend()
+        monkeypatch.setattr(cbackend, "AVAILABLE", False)
+        with pytest.raises(ValueError, match="not available"):
+            kernels.set_backend("c")
+        assert kernels.available_backends() == ("python",)
+        assert kernels.get_backend() is before  # a failed switch is a no-op
+
+    @pytest.mark.parametrize("c_built", [True, False])
+    def test_resolves_to_c_exactly_when_it_built(self, monkeypatch, c_built):
+        monkeypatch.setattr(cbackend, "AVAILABLE", c_built)
+        monkeypatch.setattr(kernels, "_active", None)
+        want = cbackend if c_built else pybackend
+        assert kernels.get_backend() is want
+
+    def test_no_environment_knob(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNELS", "python")
+        monkeypatch.setattr(kernels, "_active", None)
+        want = cbackend if cbackend.AVAILABLE else pybackend
+        assert kernels.get_backend() is want
 
     def test_backend_info_shape(self):
         info = kernels.backend_info()
-        assert set(info) == {"kernels", "numba", "cc"}
-        assert info["kernels"] in ("python", "numba", "c")
+        assert set(info) == {"kernels", "cc"}
+        assert info["kernels"] == kernels.get_backend().NAME
+        assert info["kernels"] in ("python", "c")
+        assert (info["cc"] is not None) == (info["kernels"] == "c")
+
+    def test_registry_surface_is_the_two_eq4_loops(self):
+        # The dedup/accounting kernels have one implementation; only the
+        # sequential Eq. 4 loops vary by backend.
+        surface = {"hybrid_select_batch", "chained_hybrid"}
+        for name in kernels.available_backends():
+            mod = _module(name)
+            assert surface <= set(vars(mod))
+        assert not hasattr(cbackend, "first_unique")
 
 
 # ----------------------------------------------------------------------

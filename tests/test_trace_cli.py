@@ -124,6 +124,89 @@ class TestInfoCli:
         out = capsys.readouterr().out
         assert "workloads" in out and "experiments" in out
 
+    def test_every_dispatchable_subcommand_listed(self, capsys):
+        from repro.__main__ import SUBCOMMANDS, main
+        from repro.harness.info import cli as info_cli
+        assert info_cli(["--json"]) == EXIT_OK
+        listed = json.loads(capsys.readouterr().out)["subcommands"]
+        assert "interfere" in listed
+        for name in SUBCOMMANDS:
+            assert name in listed
+            with pytest.raises(SystemExit) as exc:  # it really dispatches
+                main([name, "--help"])
+            assert exc.value.code == EXIT_OK
+        capsys.readouterr()
+
+    def test_json_reports_resolved_kernels(self, capsys):
+        from repro.harness.info import cli as info_cli
+        from repro.perf import kernels
+        assert info_cli(["--json"]) == EXIT_OK
+        data = json.loads(capsys.readouterr().out)
+        assert data["kernels"] == kernels.backend_info()
+
+    def test_text_shows_kernel_backend(self, capsys):
+        from repro.harness.info import cli as info_cli
+        from repro.perf import kernels
+        info = kernels.backend_info()
+        assert info_cli([]) == EXIT_OK
+        line = next(ln for ln in capsys.readouterr().out.splitlines()
+                    if ln.startswith("kernels"))
+        want = info["kernels"] + (f" ({info['cc']})" if info["cc"] else "")
+        assert line == f"kernels    : {want}"
+
+
+class TestCacheEnvUsageErrors:
+    """Unusable cache settings exit 2 with a message, not a traceback."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_cache(self, monkeypatch):
+        from repro import cache as cache_mod
+        monkeypatch.setattr(cache_mod, "_CACHE", None)
+
+    @pytest.fixture(params=["fig4", "info"])
+    def entry(self, request):
+        return [request.param] + (["--scale", "0.02", "--no-lint"]
+                                  if request.param == "fig4" else [])
+
+    def _usage_error(self, argv, capsys):
+        from repro.__main__ import main
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        return capsys.readouterr().err
+
+    def test_cache_dir_is_a_file(self, entry, tmp_path, monkeypatch,
+                                 capsys):
+        blocker = tmp_path / "plain-file"
+        blocker.write_text("not a directory")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(blocker))
+        assert "is not a directory" in self._usage_error(entry, capsys)
+
+    def test_cache_dir_under_a_file(self, entry, tmp_path, monkeypatch,
+                                    capsys):
+        blocker = tmp_path / "plain-file"
+        blocker.write_text("not a directory")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(blocker / "sub"))
+        assert "is not a directory" in self._usage_error(entry, capsys)
+
+    @pytest.mark.parametrize("var", ["REPRO_CACHE_MAX_BYTES",
+                                     "REPRO_CACHE_MEM_BYTES"])
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+    def test_bad_byte_count(self, entry, var, value, tmp_path, monkeypatch,
+                            capsys):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.setenv(var, value)
+        err = self._usage_error(entry, capsys)
+        assert var in err and "byte count" in err
+
+    def test_typed_error_from_constructor(self, tmp_path, monkeypatch):
+        from repro.cache import ArtifactCache, CacheConfigError
+        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "abc")
+        with pytest.raises(CacheConfigError):
+            ArtifactCache(root=tmp_path)
+        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "4096")
+        assert ArtifactCache(root=tmp_path).max_bytes == 4096
+
 
 class TestUniformCliConventions:
     def test_exit_code_constants(self):
