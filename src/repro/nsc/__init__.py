@@ -4,8 +4,8 @@ Streams are long-term access patterns (affine, indirect, pointer-chasing)
 that can be offloaded to L3-bank stream engines, migrating along the data
 and forwarding operands to dependent streams.  This package provides:
 
-* :mod:`repro.nsc.stream` — stream descriptors and the stream dependence
-  graph (Fig 2);
+* :mod:`repro.nsc.stream` — stream descriptors, the stream dependence
+  graph (Fig 2) and the affine operand descriptor ``AffineIndex``;
 * :mod:`repro.nsc.engine` — engine modes and the offload decision the
   core stream engine (SEcore) makes;
 * :mod:`repro.nsc.executor` — the vectorized trace executor that turns
@@ -13,7 +13,14 @@ and forwarding operands to dependent streams.  This package provides:
   serialized chains, under either in-core or offloaded execution.
 """
 
-from repro.nsc.stream import StreamKind, StreamDef, StreamDep, DepKind, StreamGraph
+from repro.nsc.stream import (
+    AffineIndex,
+    DepKind,
+    StreamDef,
+    StreamDep,
+    StreamGraph,
+    StreamKind,
+)
 from repro.nsc.engine import EngineMode, OffloadDecision, decide_offload
 from repro.nsc.executor import StreamExecutor
 from repro.nsc.compiler import (
@@ -30,6 +37,7 @@ __all__ = [
     "StreamDep",
     "DepKind",
     "StreamGraph",
+    "AffineIndex",
     "EngineMode",
     "OffloadDecision",
     "decide_offload",

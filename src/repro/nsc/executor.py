@@ -2,8 +2,10 @@
 
 Workload kernels call these primitives with *element traces* (arrays of
 element indices in iteration order, plus the owning core of each
-iteration).  The executor turns them into the events the perf model needs,
-with the message conventions of the paper's Figs 1/3/5:
+iteration; an affine operand may instead be an
+:class:`~repro.nsc.stream.AffineIndex` descriptor).  The executor turns
+them into the events the perf model needs, with the message conventions
+of the paper's Figs 1/3/5:
 
 ==================  ==============================================  =========
 primitive           IN_CORE                                          offloaded
@@ -40,6 +42,7 @@ from repro.arch.noc import MessageClass
 from repro.core.api import ArrayHandle
 from repro.machine import Machine
 from repro.nsc.engine import EngineMode
+from repro.nsc.stream import AffineIndex
 from repro.perf.kernels import pybackend
 from repro.perf.stats import RunRecorder
 
@@ -120,6 +123,32 @@ def _per_elem(idx: np.ndarray, lens: np.ndarray, w: float, n: int):
     return np.repeat(idx, lens), w
 
 
+def _granule_crossings(handle: ArrayHandle, offset: int, n: int,
+                       g: int) -> np.ndarray:
+    """Iterations ``i`` in ``[1, n)`` at which an ``AffineIndex(offset)``
+    stream over ``handle`` enters a new ``2**g``-byte granule, in closed
+    form and ascending order.
+
+    Iteration ``i`` reads element ``j = clip(i + offset, 0, N - 1)``.  The
+    clamped ends repeat one element and never cross, so crossings fall in
+    the interior span ``j`` in ``[max(1, offset + 1), min(N - 1, n - 1 +
+    offset)]``.  With ``stride >= 2**g`` every interior step crosses;
+    otherwise each granule boundary ``m << g`` inside the span is crossed
+    exactly once, at the first element at or past it,
+    ``j = ceil(((m << g) - vaddr) / stride)``.
+    """
+    lo = max(1, offset + 1)
+    hi = min(handle.num_elem - 1, n - 1 + offset)
+    if lo > hi:
+        return np.empty(0, dtype=np.int64)
+    base, stride = handle.vaddr, handle.stride
+    if stride >= 1 << g:
+        return np.arange(lo - offset, hi + 1 - offset, dtype=np.int64)
+    m = np.arange(((base + stride * (lo - 1)) >> g) + 1,
+                  ((base + stride * hi) >> g) + 1, dtype=np.int64)
+    return -((base - (m << g)) // stride) - offset
+
+
 class StreamExecutor:
     """Execution primitives for one run."""
 
@@ -192,6 +221,11 @@ class StreamExecutor:
         pages to page-aligned frames, so every element of a run shares
         its head's physical line, bank and pre-fault bank.
 
+        An index-array stream finds its granule steps from per-element
+        addresses; an :class:`AffineIndex` stream gets them in closed form
+        (:func:`_granule_crossings`) and computes addresses for the run
+        heads only.  Both mark one mask of run starts.
+
         Returns (run heads, run lengths, each stream's head addresses).
         """
         g = self.machine.iot.granule_shift()
@@ -199,15 +233,27 @@ class StreamExecutor:
         change = np.empty(n, dtype=bool)
         change[0] = True
         np.not_equal(cores[1:], cores[:-1], out=change[1:])
-        step = np.empty(n - 1, dtype=bool)
-        gran = np.empty(n, dtype=np.int64)
-        vaddrs = [h.addr_of(np.asarray(i)) for h, i in streams]
-        for v in vaddrs:
+        gran = step = None
+        vaddrs = []
+        for h, i in streams:
+            if isinstance(i, AffineIndex):
+                change[_granule_crossings(h, i.offset, n, g)] = True
+                vaddrs.append(None)
+                continue
+            v = h.addr_of(np.asarray(i))
+            if gran is None:
+                gran = np.empty(n, dtype=np.int64)
+                step = np.empty(n - 1, dtype=bool)
             np.right_shift(v, g, out=gran)
             np.not_equal(gran[1:], gran[:-1], out=step)
             change[1:] |= step
+            vaddrs.append(v)
         heads = np.flatnonzero(change)
-        return heads, np.diff(heads, append=n), [v[heads] for v in vaddrs]
+        head_addrs = [
+            h.vaddr + h.stride * i.elements(heads, h.num_elem)
+            if v is None else v[heads]
+            for (h, i), v in zip(streams, vaddrs)]
+        return heads, np.diff(heads, append=n), head_addrs
 
     def _fetch_lines_to_core(self, cores, banks, lines, store: bool = False,
                              repeat: float = 1.0) -> None:
@@ -306,19 +352,28 @@ class StreamExecutor:
 
         Args:
             cores: core owning each iteration (array, iteration order).
-            ins: input streams as (handle, element-index array) pairs.
-            out: optional output stream.
+            ins: input streams as (handle, element index) pairs; the index
+                is a per-iteration array or an :class:`AffineIndex`.
+            out: optional output stream, in the same form.
             ops_per_elem: compute ops per iteration.
             repeat: number of identical iterations this trace stands for.
+
+        Raises:
+            TypeError: an :class:`AffineIndex` paired with a handle that
+                has no fixed stride (an ``AddressView``).
         """
+        streams = list(ins) + ([out] if out else [])
+        for h, i in streams:
+            if isinstance(i, AffineIndex) and not isinstance(h, ArrayHandle):
+                raise TypeError(f"AffineIndex needs a fixed-stride ArrayHandle,"
+                                f" got {type(h).__name__}")
         cores = np.asarray(cores, dtype=np.int64)
         n = cores.size
         if n == 0:
             return
         st = self._faults()
-        heads, lens, head_addrs = self._line_runs(
-            cores, list(ins) + ([out] if out else []))
-        elem_cores, cores = cores, cores[heads]
+        heads, lens, head_addrs = self._line_runs(cores, streams)
+        cores = cores[heads]
         in_bl = [self._banks_and_lines_of(a) for a in head_addrs[:len(ins)]]
         out_bl = self._banks_and_lines_of(head_addrs[-1]) if out else None
 
@@ -355,7 +410,8 @@ class StreamExecutor:
             if out_bl:
                 self._fetch_lines_to_core(cores, out_bl[0], out_bl[1],
                                           store=True, repeat=repeat)
-            self.rec.add_core_ops(elem_cores, (ops_per_elem + 1.0) * repeat)
+            self.rec.add_core_ops(*_per_elem(cores, lens,
+                                             (ops_per_elem + 1.0) * repeat, n))
             self.rec.add_private_accesses(n * (len(ins) + (1 if out else 0)) * repeat)
             return
 

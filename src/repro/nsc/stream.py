@@ -11,17 +11,63 @@ These descriptors are *declarative*: workloads build a graph per kernel,
 the engine uses it to decide offloading (:func:`repro.nsc.engine.decide_offload`),
 and tests/examples use it to describe kernels.  The executor does the
 actual accounting.
+
+:class:`AffineIndex` is the operand form of an affine stream that the
+executor consumes directly: an offset instead of a per-element index
+array.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.api import ArrayHandle
 
-__all__ = ["StreamKind", "DepKind", "StreamDef", "StreamDep", "StreamGraph"]
+__all__ = ["StreamKind", "DepKind", "StreamDef", "StreamDep", "StreamGraph",
+           "AffineIndex"]
+
+
+@dataclass(frozen=True)
+class AffineIndex:
+    """Affine operand descriptor: iteration ``i`` touches element
+    ``clip(i + offset, 0, num_elem - 1)`` of its array.
+
+    Stands in for the index array of an affine stream in
+    :meth:`repro.nsc.executor.StreamExecutor.affine_kernel`, which then
+    finds the stream's line runs in closed form instead of walking
+    per-element addresses.  The clamp is the border handling of the
+    stencils (a row above the first row reads the first row).
+
+    Raises:
+        TypeError: ``offset`` is not an integer.
+    """
+
+    offset: int = 0
+
+    def __post_init__(self):
+        try:
+            if isinstance(self.offset, bool):
+                raise TypeError
+            offset = operator.index(self.offset)
+        except TypeError:
+            raise TypeError("AffineIndex offset must be an integer, got "
+                            f"{type(self.offset).__name__}") from None
+        object.__setattr__(self, "offset", offset)
+
+    def elements(self, iterations: np.ndarray, num_elem: int) -> np.ndarray:
+        """Element index touched by each of ``iterations`` in a
+        ``num_elem``-element array."""
+        return np.clip(iterations + self.offset, 0, num_elem - 1)
+
+    def expand(self, n: int, num_elem: int) -> np.ndarray:
+        """The element-index array this descriptor stands for over an
+        ``n``-iteration trace."""
+        return self.elements(np.arange(n, dtype=np.int64), num_elem)
 
 
 class StreamKind(enum.Enum):

@@ -250,21 +250,29 @@ def affine_kernel_reference(self, cores, ins, out=None,
 
     Args:
         cores: core owning each iteration (array, iteration order).
-        ins: input streams as (handle, element-index array) pairs.
+        ins: input streams as (handle, element index) pairs; an
+            ``AffineIndex`` is expanded to its index array first.
         out: optional output stream.
         ops_per_elem: compute ops per iteration.
         repeat: number of identical iterations this trace stands for.
     """
     from repro.arch.noc import MessageClass
     from repro.nsc.executor import _consecutive_dedup, _first_unique, _pair_key
+    from repro.nsc.stream import AffineIndex
 
     cores = np.asarray(cores, dtype=np.int64)
     n = cores.size
     if n == 0:
         return
+
+    def elems(h, i):
+        if isinstance(i, AffineIndex):
+            return i.expand(n, h.num_elem)
+        return np.asarray(i)
+
     st = self._faults()
-    in_bl = [self._banks_and_lines(h, np.asarray(i)) for h, i in ins]
-    out_bl = self._banks_and_lines(out[0], np.asarray(out[1])) if out else None
+    in_bl = [self._banks_and_lines(h, elems(h, i)) for h, i in ins]
+    out_bl = self._banks_and_lines(out[0], elems(*out)) if out else None
 
     off = self._offloads(st, *(bl[0] for bl in in_bl),
                          out_bl[0] if out_bl else None)

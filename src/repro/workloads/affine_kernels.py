@@ -5,6 +5,9 @@ Rodinia kernels ported to the trace executor (Table 3 sizes: pathfinder
 8 iterations).  The per-iteration access trace of these kernels is
 congruent across iterations (the ping-pong buffers are allocated with
 identical alignment), so the trace is walked once with ``repeat=iters``.
+Every operand is an :class:`~repro.nsc.stream.AffineIndex` (neighbor
+offset, clamped at the borders): the executor derives line runs from the
+offsets and builds no per-element index arrays.
 
 Functional results use simplified update formulas (plain diffusion
 stencils rather than Rodinia's full physics) — the access structure, not
@@ -13,21 +16,18 @@ the arithmetic, is what the evaluation measures.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.config import DEFAULT_CONFIG, SystemConfig
 from repro.core.api import ArrayHandle
 from repro.nsc.engine import EngineMode
+from repro.nsc.stream import AffineIndex
 from repro.perf.model import RunResult
 from repro.workloads.base import RunContext, Workload, make_context, register
 
 __all__ = ["Pathfinder", "Srad", "Hotspot", "Hotspot3D"]
-
-
-def _clip(idx: np.ndarray, n: int) -> np.ndarray:
-    return np.clip(idx, 0, n - 1)
 
 
 @register
@@ -60,13 +60,13 @@ class Pathfinder(Workload):
         wall = ctx.alloc(4, n, "wall")
         prev = ctx.alloc(4, n, "prev", align_to=wall if aff else None)
         nxt = ctx.alloc(4, n, "next", align_to=wall if aff else None)
-        idx = np.arange(n, dtype=np.int64)
+        here = AffineIndex(0)
         cores = ctx.cores_for(n)
         ctx.executor.affine_kernel(
             cores,
-            [(prev, _clip(idx - 1, n)), (prev, idx), (prev, _clip(idx + 1, n)),
-             (wall, idx)],
-            out=(nxt, idx), ops_per_elem=4.0, repeat=iters)
+            [(prev, AffineIndex(-1)), (prev, here), (prev, AffineIndex(1)),
+             (wall, here)],
+            out=(nxt, here), ops_per_elem=4.0, repeat=iters)
         # functional DP
         rng = np.random.default_rng(seed)
         w = rng.integers(0, 10, n).astype(np.float32)
@@ -113,14 +113,11 @@ class _Stencil2D(Workload):
         return out
 
     @staticmethod
-    def _stencil_indices(rows: int, cols: int) -> Tuple[np.ndarray, ...]:
-        n = rows * cols
-        idx = np.arange(n, dtype=np.int64)
-        north = _clip(idx - cols, n)
-        south = _clip(idx + cols, n)
-        west = _clip(idx - 1, n)
-        east = _clip(idx + 1, n)
-        return idx, north, south, west, east
+    def _stencil_indices(rows: int, cols: int) -> Tuple[AffineIndex, ...]:
+        """Center, north, south, west and east operands of a row-major
+        ``rows x cols`` grid."""
+        return (AffineIndex(0), AffineIndex(-cols), AffineIndex(cols),
+                AffineIndex(-1), AffineIndex(1))
 
     @staticmethod
     def _functional_diffuse(rows: int, cols: int, iters: int, seed: int,
@@ -154,13 +151,13 @@ class Hotspot(_Stencil2D):
         ctx = make_context(mode, config, policy, seed)
         temp, power, temp_out = self._alloc_grids(ctx, rows, cols,
                                                   ["temp", "power", "temp_out"])
-        idx, north, south, west, east = self._stencil_indices(rows, cols)
-        cores = ctx.cores_for(idx.size)
+        here, north, south, west, east = self._stencil_indices(rows, cols)
+        cores = ctx.cores_for(rows * cols)
         ctx.executor.affine_kernel(
             cores,
-            [(temp, idx), (temp, north), (temp, south), (temp, west),
-             (temp, east), (power, idx)],
-            out=(temp_out, idx), ops_per_elem=7.0, repeat=iters)
+            [(temp, here), (temp, north), (temp, south), (temp, west),
+             (temp, east), (power, here)],
+            out=(temp_out, here), ops_per_elem=7.0, repeat=iters)
         value = self._functional_diffuse(rows, cols, iters, seed)
         return ctx.finish(f"hotspot/{mode.value}", value=value)
 
@@ -181,18 +178,18 @@ class Srad(_Stencil2D):
         rows, cols, iters = p["rows"], p["cols"], p["iters"]
         ctx = make_context(mode, config, policy, seed)
         img, coeff = self._alloc_grids(ctx, rows, cols, ["img", "coeff"])
-        idx, north, south, west, east = self._stencil_indices(rows, cols)
-        cores = ctx.cores_for(idx.size)
+        here, north, south, west, east = self._stencil_indices(rows, cols)
+        cores = ctx.cores_for(rows * cols)
         # pass 1: compute diffusion coefficient from image gradients
         ctx.executor.affine_kernel(
             cores,
-            [(img, idx), (img, north), (img, south), (img, west), (img, east)],
-            out=(coeff, idx), ops_per_elem=10.0, repeat=iters)
+            [(img, here), (img, north), (img, south), (img, west), (img, east)],
+            out=(coeff, here), ops_per_elem=10.0, repeat=iters)
         # pass 2: update image from coefficients (south/east neighbors)
         ctx.executor.affine_kernel(
             cores,
-            [(coeff, idx), (coeff, south), (coeff, east), (img, idx)],
-            out=(img, idx), ops_per_elem=6.0, repeat=iters)
+            [(coeff, here), (coeff, south), (coeff, east), (img, here)],
+            out=(img, here), ops_per_elem=6.0, repeat=iters)
         value = self._functional_diffuse(rows, cols, iters, seed, passes=2)
         return ctx.finish(f"srad/{mode.value}", value=value)
 
@@ -230,12 +227,12 @@ class Hotspot3D(Workload):
         t_in = ctx.alloc(4, n, "tIn", x=nx * ny if aff else 0)
         power = ctx.alloc(4, n, "power", align_to=t_in if aff else None)
         t_out = ctx.alloc(4, n, "tOut", align_to=t_in if aff else None)
-        idx = np.arange(n, dtype=np.int64)
+        here = AffineIndex(0)
         offsets = [0, -1, 1, -nx, nx, -nx * ny, nx * ny]
-        ins = [(t_in, _clip(idx + off, n)) for off in offsets]
-        ins.append((power, idx))
+        ins = [(t_in, AffineIndex(off)) for off in offsets]
+        ins.append((power, here))
         cores = ctx.cores_for(n)
-        ctx.executor.affine_kernel(cores, ins, out=(t_out, idx),
+        ctx.executor.affine_kernel(cores, ins, out=(t_out, here),
                                    ops_per_elem=9.0, repeat=iters)
         # functional 3D diffusion
         rng = np.random.default_rng(seed)

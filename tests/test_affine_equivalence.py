@@ -6,7 +6,8 @@ Both run on twin contexts built from the same seed, and every piece of
 state the kernel can touch must come out byte-identical: the recorder's
 bank/core arrays and scalars, per-class pair flits and message counts,
 stream locality, relayout drift histograms, fault log records and trace
-instants.
+instants.  ``AffineIndex`` operands must also match the same call on the
+index arrays they stand for.
 """
 
 import dataclasses
@@ -16,12 +17,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.arch.iot import MigrationEntry
 from repro.arch.noc import MessageClass
 from repro.config import DEFAULT_CONFIG
-from repro.core.api import AddressView
+from repro.core.api import AddressView, ArrayHandle
 from repro.faults import FaultPlan, fault_session
 from repro.faults.plan import FaultEvent, FaultKind
 from repro.nsc.engine import EngineMode
+from repro.nsc.stream import AffineIndex
 from repro.obs.tracer import TraceConfig, trace_session
 from repro.perf.reference import affine_kernel_reference
 from repro.relayout.engine import relayout_session
@@ -65,17 +68,35 @@ def recorder_state(ctx) -> dict:
     return state
 
 
-def _handles(ctx, n_elem: int, rng):
-    """Three handles: a base array, an array aligned to it, and an
-    ``AddressView`` over a shuffled slice of the base array."""
+def _handles(ctx, n_elem: int, rng, stride: int):
+    """Four handles: a base array, an array aligned to it, an
+    ``AddressView`` over a shuffled slice of the base array, and a padded
+    array of ``stride``-byte slots whose base is not line-aligned."""
     a = ctx.alloc(4, n_elem, name="A")
     b = ctx.alloc(8, n_elem, name="B", align_to=a)
     view = AddressView(ctx.machine, a.addr_of(rng.permutation(n_elem)),
                        a.elem_size, name="V")
-    return [a, b, view]
+    base = ctx.machine.malloc(stride * n_elem + 64)
+    padded = ArrayHandle(ctx.machine, base + 4, 4, n_elem, stride=stride,
+                         name="P")
+    return [a, b, view, padded]
 
 
-def _index(kind: str, n: int, size: int, rng) -> np.ndarray:
+def install_migration(ctx, handle, elem: int, shift: int) -> int:
+    """Install a migration entry over ``handle`` from element ``elem`` and
+    return its physical start.  A start that is only 4-byte aligned, or a
+    ``shift`` below the line, shrinks the IOT granule."""
+    start = int(ctx.machine.translate(handle.addr_of([elem]))[0])
+    ctx.machine.iot.install_migration(MigrationEntry(
+        start=start, end=start + 4 * 1000, shift=shift, offset=5))
+    return start
+
+
+def _index(kind, n: int, size: int, rng):
+    """Index operand of one stream; an integer ``kind`` is the offset of
+    an ``AffineIndex``."""
+    if isinstance(kind, int):
+        return AffineIndex(kind)
     base = np.arange(n, dtype=np.int64) % size
     if kind == "identity":
         return base
@@ -96,9 +117,14 @@ def _cores(kind: str, ctx, n: int, rng) -> np.ndarray:
 
 def run_twin(kernel, *, mode, seed, n, n_elem, core_kind, streams, out,
              ops_per_elem, repeat, credit_iters=CREDIT_ITERS[0], faults=None,
-             relayout=False, trace=False, calls=2):
+             relayout=False, trace=False, calls=2, stride=12, migrate=None):
     """Build a context under the requested sessions and drive ``kernel``
-    through ``calls`` epochs; return the final recorder state."""
+    through ``calls`` epochs; return the final recorder state.
+
+    ``migrate`` is an optional ``(element, shift)`` migration over the
+    base array, installed before the first call; under relayout it goes
+    over a spare array instead, so relayout's own entries never overlap
+    it."""
     with ExitStack() as stack:
         if faults is not None:
             stack.enter_context(fault_session(faults))
@@ -112,7 +138,11 @@ def run_twin(kernel, *, mode, seed, n, n_elem, core_kind, streams, out,
             DEFAULT_CONFIG.perf, credit_iters=credit_iters))
         ctx = make_context(mode, config=config, seed=seed)
         rng = np.random.default_rng(seed)
-        handles = _handles(ctx, n_elem, rng)
+        handles = _handles(ctx, n_elem, rng, stride)
+        if migrate is not None:
+            target = ctx.alloc(4, 2048, name="S") if relayout else handles[0]
+            install_migration(ctx, target,
+                              min(migrate[0], target.num_elem - 1), migrate[1])
         cores = _cores(core_kind, ctx, n, rng)
         ins = [(handles[h], _index(k, n, n_elem, rng)) for h, k in streams]
         dst = (handles[out[0]], _index(out[1], n, n_elem, rng)) if out else None
@@ -137,12 +167,28 @@ def shipped(executor, *args, **kw):
     executor.affine_kernel(*args, **kw)
 
 
-def assert_twins_match(**case):
-    got = run_twin(shipped, **case)
-    want = run_twin(affine_kernel_reference, **case)
+def expanded(executor, cores, ins, out=None, **kw):
+    """The shipped kernel on the index arrays that ``AffineIndex``
+    operands stand for."""
+    n = np.size(cores)
+
+    def arrays(h, i):
+        return (h, i.expand(n, h.num_elem) if isinstance(i, AffineIndex)
+                else i)
+
+    executor.affine_kernel(cores, [arrays(*p) for p in ins],
+                           out=arrays(*out) if out else None, **kw)
+
+
+def assert_same_state(got, want):
     assert got.keys() == want.keys()
     for key in want:
         assert got[key] == want[key], key
+
+
+def assert_twins_match(**case):
+    assert_same_state(run_twin(shipped, **case),
+                      run_twin(affine_kernel_reference, **case))
 
 
 stream_specs = st.lists(
@@ -185,14 +231,50 @@ def test_session_runs_match_reference(bank, rehome, **case):
     assert_twins_match(faults=plan, **case)
 
 
+# Descriptor operands: any offset (|offset| >= n clamps a whole stream),
+# over the base, aligned and padded arrays (the AddressView has no fixed
+# stride).  Padded strides straddle the 2**g granule: 12 and 40 below
+# it, 96 and 160 above.
+descriptor_specs = st.lists(
+    st.tuples(st.sampled_from([0, 1, 3]),
+              st.integers(-8, 8) | st.integers(-4000, 4000)),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(mode=st.sampled_from(MODES), seed=st.integers(0, 2**16),
+       n=st.integers(1, 3000), n_elem=st.integers(1, 2048),
+       core_kind=st.sampled_from(["block", "shuffled", "sorted"]),
+       streams=descriptor_specs,
+       out=st.none() | descriptor_specs.map(lambda specs: specs[0]),
+       ops_per_elem=st.sampled_from(WEIGHTS),
+       repeat=st.sampled_from(REPEATS),
+       credit_iters=st.sampled_from(CREDIT_ITERS),
+       stride=st.sampled_from([12, 40, 96, 160]),
+       migrate=st.none() | st.tuples(st.integers(0, 2047),
+                                     st.sampled_from([2, 3, 6])),
+       bank=st.none() | st.integers(0, 63), rehome=st.booleans(),
+       relayout=st.booleans(), trace=st.booleans())
+def test_descriptor_operands_match_expanded_arrays(bank, rehome, **case):
+    """``AffineIndex`` operands leave the same recorder, relayout, fault
+    and trace state as their expanded index arrays, in the shipped kernel
+    and in the per-element reference."""
+    if bank is not None:
+        case["faults"] = FaultPlan(events=(FaultEvent(
+            FaultKind.BANK_FAIL, bank, rehome=rehome),))
+    want = run_twin(expanded, **case)
+    assert_same_state(run_twin(shipped, **case), want)
+    assert_same_state(run_twin(affine_kernel_reference, **case), want)
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_stencil_shape_matches_reference(mode):
-    """Three offset streams over one array plus an aligned output: the
-    workloads' dominant call shape, at a size with long line runs."""
+    """Neighbor descriptors over one array plus an aligned output: the
+    stencils' call shape, at a size with long line runs."""
     assert_twins_match(mode=mode, seed=7, n=200_000, n_elem=200_000,
                        core_kind="block",
-                       streams=[(0, "offset"), (0, "identity"), (1, "offset")],
-                       out=(1, "identity"), ops_per_elem=3.0, repeat=5.0)
+                       streams=[(0, -1), (0, 0), (0, 1), (1, -448)],
+                       out=(1, 0), ops_per_elem=3.0, repeat=5.0)
 
 
 def test_relayout_migrations_match_reference():

@@ -6,7 +6,12 @@ link (tiles 9-10) — for one affine workload (vecadd) and one graph
 workload (pr_push).  Golden values live in ``tests/golden/chaos_*.json``;
 regenerate them deliberately when a modeling change is intentional.
 
-Also pins the chaos determinism contract:
+Also pins the whole-stream host fallback: a plan whose no-re-home bank
+every stream touches runs ``spmv_gather`` as host execution on the
+Aff-Alloc layout, which beats both the clean run and In-Core (DESIGN
+§8).
+
+And pins the chaos determinism contract:
 
 * ``--jobs 1`` and ``--jobs N`` produce identical event logs, reports,
   and restart counts, including under injected worker crashes;
@@ -23,10 +28,13 @@ import pytest
 
 from repro import cache as cache_mod
 from repro.cache import ArtifactCache
+from repro.faults import fault_session
 from repro.faults.chaos import run_chaos
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.harness import runner
 from repro.harness.cliutil import MAX_RESTARTS
+from repro.nsc.engine import EngineMode
+from repro.workloads.base import run_workload
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -109,6 +117,38 @@ class TestCanonicalGolden:
             # but locality never collapses: within 1% of the clean run
             assert row["faulted"]["locality"] >= \
                 row["clean"]["locality"] - 0.01
+
+
+class TestWholeStreamFallback:
+    """``FaultPlan.generate(0, 0.05)`` fails bank 11 without re-homing,
+    and every ``spmv_gather`` stream touches it, so every offload falls
+    back to the host.  The run is host execution on the Aff-Alloc
+    layout: In-Core's counters, but shorter links to the data."""
+
+    SCALE = 0.25
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        def run(mode):
+            return run_workload("spmv_gather", mode, scale=self.SCALE, seed=0)
+
+        with fault_session(FaultPlan.generate(0, 0.05)):
+            faulted = run(EngineMode.AFF_ALLOC)
+        return faulted, run(EngineMode.AFF_ALLOC), run(EngineMode.IN_CORE)
+
+    def test_counters_equal_in_core(self, runs):
+        faulted, _clean, in_core = runs
+        for key, want in (("messages", 225894), ("total_flits", 517324),
+                          ("l3_accesses", 80179), ("core_ops", 458752)):
+            assert faulted.counters[key] == in_core.counters[key] == want, key
+        assert faulted.counters["near_ops"] == 0
+
+    def test_fallback_reads_as_a_speedup(self, runs):
+        faulted, clean, in_core = runs
+        assert (faulted.cycles, clean.cycles, in_core.cycles) == (
+            13780, 133738, 82670)
+        assert faulted.cycles < clean.cycles
+        assert faulted.cycles < in_core.cycles
 
 
 class TestJobsDeterminism:

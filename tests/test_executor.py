@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from repro.arch.address import alignment_shift
-from repro.arch.iot import MigrationEntry
 from repro.arch.noc import MessageClass
-from repro.core.api import AffineArray
+from repro.core.api import AddressView, AffineArray
 from repro.nsc.engine import EngineMode
+from repro.nsc.stream import AffineIndex
 from repro.perf.reference import affine_kernel_reference
 from repro.workloads.base import make_context
-from tests.test_affine_equivalence import recorder_state, shipped
+from tests.test_affine_equivalence import (
+    install_migration,
+    recorder_state,
+    shipped,
+)
 
 DATA, CONTROL, OFFLOAD = (MessageClass.DATA, MessageClass.CONTROL,
                           MessageClass.OFFLOAD)
@@ -121,25 +125,18 @@ class TestLineRunGranule:
         assert g_got == g_want == granule
         assert got == want
 
-    @staticmethod
-    def _migrate(ctx, handle, start_elem, shift):
-        start = int(ctx.machine.translate(handle.addr_of([start_elem]))[0])
-        ctx.machine.iot.install_migration(MigrationEntry(
-            start=start, end=start + 4 * 1000, shift=shift, offset=5))
-        return start
-
     def test_misaligned_migration_start(self):
         starts = []
 
         def mutate(ctx, a):
-            starts.append(self._migrate(ctx, a, 101, shift=6))
+            starts.append(install_migration(ctx, a, 101, shift=6))
 
         self._assert_exact(mutate, granule=2)
         assert alignment_shift(starts[0]) == 2
 
     def test_migration_shift_below_line(self):
         def mutate(ctx, a):
-            self._migrate(ctx, a, 128, shift=3)
+            install_migration(ctx, a, 128, shift=3)
 
         self._assert_exact(mutate, granule=3)
 
@@ -159,11 +156,39 @@ class TestLineRunGranule:
 
     def test_clear_migrations(self):
         def mutate(ctx, a):
-            self._migrate(ctx, a, 101, shift=3)
+            install_migration(ctx, a, 101, shift=3)
             assert ctx.machine.iot.granule_shift() == 2
             ctx.machine.iot.clear_migrations()
 
         self._assert_exact(mutate, granule=6)
+
+
+class TestAffineIndex:
+    @pytest.mark.parametrize("offset", [1.5, "1", None, True, np.arange(2)])
+    def test_non_integer_offset_raises(self, offset):
+        with pytest.raises(TypeError, match="must be an integer"):
+            AffineIndex(offset)
+
+    def test_numpy_integer_offset_is_normalised(self):
+        d = AffineIndex(np.int64(-3))
+        assert d.offset == -3 and type(d.offset) is int
+        assert d.expand(5, 4).tolist() == [0, 0, 0, 0, 1]
+
+    @pytest.mark.parametrize("as_out", [False, True])
+    def test_descriptor_on_address_view_raises(self, as_out):
+        """An AddressView has no fixed stride to derive runs from; the
+        call fails before it records anything."""
+        ctx = aff_ctx()
+        a = ctx.alloc(4, 64, "a")
+        view = AddressView(ctx.machine, a.addr_of(np.arange(64)), 4)
+        before = recorder_state(ctx)
+        ins = [(a, AffineIndex(0))]
+        out = (view, AffineIndex(0)) if as_out else None
+        if not as_out:
+            ins.append((view, AffineIndex(1)))
+        with pytest.raises(TypeError, match="AddressView"):
+            ctx.executor.affine_kernel(ctx.cores_for(64), ins, out=out)
+        assert recorder_state(ctx) == before
 
 
 class TestAffineKernelInCore:
