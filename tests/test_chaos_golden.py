@@ -18,8 +18,12 @@ And pins the chaos determinism contract:
 * an empty fault plan leaves ``results/run-<hash>.json`` byte-identical
   to a plain run, and injected worker crashes never change the payload —
   only the restart bookkeeping.
+
+The canonical report's JSON and rendered text and its event log JSON are
+pinned by sha256, so a refactor of the report code cannot move a byte.
 """
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -107,6 +111,20 @@ class TestCanonicalGolden:
             assert "bank 9 -> bank 1" in rehomed.detail
             rerouted = next(r for r in rs if r.action == "rerouted")
             assert rerouted.target == "9-10"
+
+    @pytest.mark.parametrize("part, digest", [
+        ("report", "3d84afa21e0ccd35652515e03ebafd97"
+                   "c03a191f2e57dac8e6877956ac154c8e"),
+        ("render", "ae3727cc82d13fcfb523fee7150f0a11"
+                   "d647f6ba6afd96e54a56945912b37fdd"),
+        ("log", "0ef5fe74e95d6b579ec90847b7b436ea"
+                "4d18ba15a42898d36e9935048096f71c"),
+    ])
+    def test_bytes_pinned(self, canonical_report, part, digest):
+        text = {"report": canonical_report.to_json,
+                "render": canonical_report.render,
+                "log": canonical_report.log.to_json}[part]()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, part
 
     def test_degradation_is_graceful_not_free(self, canonical_report):
         for workload in WORKLOADS:

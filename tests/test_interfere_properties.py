@@ -21,6 +21,7 @@ randomized plans:
 * ``jobs=1`` and ``jobs=2`` sweeps produce identical reports.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -277,7 +278,8 @@ class TestSlowdownMonotonicity:
 
 
 class TestJobsDeterminism:
-    def test_serial_equals_parallel_report(self):
+    @pytest.fixture(scope="class")
+    def reports(self):
         from repro.interfere.cli import run_interfere
         plan = HostTrafficPlan.generate(0)
         names = ("vecadd", "alloc_storm")
@@ -285,5 +287,21 @@ class TestJobsDeterminism:
                                factors=(1.0, 4.0), jobs=1)
         parallel = run_interfere(names, plan, scale=SCALE, seed=0,
                                  factors=(1.0, 4.0), jobs=2)
+        return serial, parallel
+
+    def test_serial_equals_parallel_report(self, reports):
+        serial, parallel = reports
         assert serial.to_json() == parallel.to_json()
         assert json.loads(serial.to_json())["rows"][0]["workload"] == "vecadd"
+
+    @pytest.mark.parametrize("part, digest", [
+        ("report", "c87a536a14967e55e521ebdca4244b22"
+                   "492dd104417f9f7f71787ad96ee87356"),
+        ("render", "46b967bffe85a45c459e75ec1f582819"
+                   "6e78ce7a70070177cb5e603b5fb0d0ec"),
+    ])
+    def test_serial_report_bytes_pinned(self, reports, part, digest):
+        # A refactor of the report code must not move a byte.
+        serial, _ = reports
+        text = serial.to_json() if part == "report" else serial.render()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, part

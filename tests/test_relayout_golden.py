@@ -11,8 +11,13 @@ Also pins structural invariants of the merged migration plan: every
 migration applied, every one a ROTATE (the canonical scenarios drift by
 pure bank offsets), and the plan replays clean through afflint's RLY
 audit with the per-epoch bound enforced.
+
+The canonical report's JSON and rendered text and the merged plan's
+JSON are pinned by sha256, so a refactor of the report code cannot move
+a byte.
 """
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -86,6 +91,20 @@ class TestCanonicalGolden:
         row = _row(canonical_report, scenario)
         assert row["online"]["cycles"] < row["static"]["cycles"]
         assert row["post_locality"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("part, digest", [
+        ("report", "362ddccbfe4be012966679f11db7ab06"
+                   "5dc0d43a7108c00d1a39093a5957d66d"),
+        ("render", "f26bbafc908a2d392c7da24dba59a6ef"
+                   "d2e4d8ccbe1ad488330d72c6865d15a2"),
+        ("plan", "698cba1c6111f80ed9b5ae3f547443f3"
+                 "2029da0662a217ca03b4a64ca894449e"),
+    ])
+    def test_bytes_pinned(self, canonical_report, part, digest):
+        text = {"report": canonical_report.to_json,
+                "render": canonical_report.render,
+                "plan": canonical_report.plan.to_json}[part]()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, part
 
     def test_golden_config_digest_matches_defaults(self):
         # A silent default-config change would invalidate every pinned
