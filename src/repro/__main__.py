@@ -53,9 +53,9 @@ EXPERIMENTS = runner.EXPERIMENTS
 SUBCOMMANDS = {
     "lint": "repro.analysis.lint:cli",
     "bench": "repro.perf.bench:cli",
-    "chaos": "repro.faults.chaos:cli",
-    "interfere": "repro.interfere.cli:cli",
-    "autoplace": "repro.relayout.autoplace:cli",
+    "chaos": "repro.harness.arms:chaos_cli",
+    "interfere": "repro.harness.arms:interfere_cli",
+    "autoplace": "repro.harness.arms:autoplace_cli",
     "trace": "repro.obs.cli:cli",
     "info": "repro.harness.info:cli",
 }

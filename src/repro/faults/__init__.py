@@ -1,6 +1,6 @@
 """Deterministic fault injection + graceful degradation (chaos layer).
 
-The subsystem has four parts:
+The subsystem has three parts, and one consumer:
 
 * :mod:`repro.faults.plan` — typed, seeded :class:`FaultPlan` (what to
   break and when).
@@ -10,8 +10,8 @@ The subsystem has four parts:
 * :mod:`repro.faults.injector` — the active :class:`FaultSession` /
   per-machine :class:`FaultState` that applies the plan and drives each
   layer's degradation path.
-* :mod:`repro.faults.chaos` — the ``python -m repro chaos`` runner that
-  executes clean-vs-faulted pairs and emits the degradation report.
+* the ``python -m repro chaos`` preset in :mod:`repro.harness.arms`,
+  which runs clean-vs-faulted arm pairs and emits the degradation report.
 
 Everything is gated so that *no* active fault session means the simulator
 executes the exact original instruction stream — clean runs stay

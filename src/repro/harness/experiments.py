@@ -516,7 +516,7 @@ def fig_relayout(scenarios: Optional[Sequence[str]] = None,
     boundaries.  ``recovered_speedup`` is static cycles / online cycles
     (cost of migration already charged to the online arm).
     """
-    from repro.relayout.autoplace import DEFAULT_SCENARIOS, run_autoplace
+    from repro.harness.arms import DEFAULT_SCENARIOS, run_autoplace
     from repro.relayout.policy import RelayoutConfig
     report = run_autoplace(tuple(scenarios or DEFAULT_SCENARIOS),
                            RelayoutConfig(seed=seed), scale=scale,
@@ -555,14 +555,14 @@ def fig_interfere(workloads: Optional[Sequence[str]] = None,
     ``AFF_ALLOC`` the per-workload recovery arm (contention composed
     with online re-layout at the top factor) appends one extra row.
     """
-    from repro.interfere.cli import DEFAULT_FACTORS, run_interfere
+    from repro.harness import arms
     from repro.interfere.plan import HostTrafficPlan
     plan = HostTrafficPlan.generate(seed)
-    names = tuple(workloads or ("vecadd", "hash_join_skew", "spmv_gather"))
-    report = run_interfere(names, plan, mode="AFF_ALLOC", scale=scale,
-                           seed=seed, factors=tuple(factors or
-                                                    DEFAULT_FACTORS),
-                           jobs=1)
+    names = tuple(workloads or arms.INTERFERE_WORKLOADS)
+    report = arms.run_interfere(names, plan, mode="AFF_ALLOC", scale=scale,
+                                seed=seed,
+                                factors=tuple(factors or arms.DEFAULT_FACTORS),
+                                jobs=1)
     res = SweepResult(
         "Interfere: Slowdown Under Concurrent-Host Traffic",
         ["workload", "arm", "clean_cycles", "contended_cycles", "slowdown",

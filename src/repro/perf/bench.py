@@ -359,7 +359,7 @@ def _bench_alloc(sizes: dict) -> Dict[str, dict]:
 
 
 def _bench_relayout(sizes: dict) -> Dict[str, dict]:
-    from repro.relayout.autoplace import run_autoplace
+    from repro.harness.arms import run_autoplace
     from repro.relayout.policy import (ArrayDrift, RelayoutConfig, Telemetry,
                                        decide)
 
@@ -408,7 +408,7 @@ def _bench_interfere(sizes: dict) -> Dict[str, dict]:
     contended at the top factor), so the recorded ``speedup`` is the
     deterministic slowdown ratio — identical on any machine, and a drift
     in it means the injection physics changed, not the hardware."""
-    from repro.interfere.cli import run_interfere
+    from repro.harness.arms import run_interfere
     from repro.interfere.plan import HostTrafficPlan
 
     scale = sizes["interfere_scale"]

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.faults.chaos import run_chaos
+from repro.harness.arms import run_chaos
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.harness.report import run_metrics
 from repro.interfere.engine import interfere_session

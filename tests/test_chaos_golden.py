@@ -33,7 +33,7 @@ import pytest
 from repro import cache as cache_mod
 from repro.cache import ArtifactCache
 from repro.faults import fault_session
-from repro.faults.chaos import run_chaos
+from repro.harness.arms import run_chaos
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.harness import runner
 from repro.harness.cliutil import MAX_RESTARTS

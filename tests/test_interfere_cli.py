@@ -1,7 +1,10 @@
-"""CLI contract tests for ``repro interfere`` and the chaos composition.
+"""CLI contract tests for ``repro interfere``, ``autoplace`` and chaos.
 
 Pins the cliutil exit-code contract (0 success / 1 failed check /
-2 usage error) across both new surfaces, including the regression where
+2 usage error) across the arm-comparison subcommands, including bad
+numeric flags (non-finite or out-of-range scales, sweep factors, rates
+and intensities end in exit 2, never a traceback or an ``inf`` report),
+the regression where
 ``repro chaos`` used to blow up with a traceback (exit 1) instead of a
 usage error when handed an unreadable plan path — with or without an
 ``--interfere`` plan riding along — and the one where a plan of the
@@ -12,9 +15,8 @@ import json
 
 import pytest
 
-from repro.faults.chaos import cli as chaos_cli
+from repro.harness.arms import autoplace_cli, chaos_cli, interfere_cli
 from repro.harness.cliutil import EXIT_FAILURE, EXIT_OK, EXIT_USAGE
-from repro.interfere.cli import cli as interfere_cli
 from repro.faults.log import FaultEventLog
 from repro.faults.plan import FaultPlan
 from repro.interfere.plan import HostTrafficPlan
@@ -110,6 +112,53 @@ class TestInterfereCli:
         assert payload["rows"][0]["arms"][0]["slowdown"] >= 1.0
         assert HostTrafficPlan.load(plan_out) \
             == HostTrafficPlan.load(plan_file)
+
+
+CLIS = {"chaos": chaos_cli, "interfere": interfere_cli,
+        "autoplace": autoplace_cli}
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("autoplace", ["bfs", "--scale", "0"]),
+    ("autoplace", ["bfs", "--scale", "-1"]),
+    ("chaos", ["vecadd", "--scale", "nan"]),
+    ("interfere", ["vecadd", "--scale", "inf"]),
+    ("interfere", ["vecadd", "--sweep", "nan"]),
+    ("interfere", ["vecadd", "--sweep", "inf"]),
+    ("interfere", ["vecadd", "--sweep", "1,abc"]),
+    ("chaos", ["vecadd", "--rate", "-1"]),
+    ("interfere", ["vecadd", "--intensity", "-1"]),
+])
+def test_bad_numeric_flag_is_usage_error(name, argv):
+    with pytest.raises(SystemExit) as exc:
+        CLIS[name](argv)
+    assert exc.value.code == EXIT_USAGE
+
+
+class TestAutoplaceCli:
+    def test_unknown_scenario_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            autoplace_cli(["no_such_scenario"])
+        assert exc.value.code == EXIT_USAGE
+
+    def test_unmet_min_recovery_is_check_failure(self, capsys):
+        assert autoplace_cli(["stream_flip", "--scale", "0.25",
+                              "--min-recovery", "100"]) == EXIT_FAILURE
+        assert "ERROR: best recovered speedup" in capsys.readouterr().out
+
+    def test_save_report_and_plan_round_trip(self, tmp_path):
+        report_path = tmp_path / "report.json"
+        plan_path = tmp_path / "plan.json"
+        assert autoplace_cli(["stream_flip", "--scale", "0.25",
+                              "--save-report", str(report_path),
+                              "--save-plan", str(plan_path)]) == EXIT_OK
+        text = report_path.read_text()
+        payload = json.loads(text)
+        assert json.dumps(payload, sort_keys=True, indent=1) + "\n" == text
+        assert [r["scenario"] for r in payload["rows"]] == ["stream_flip"]
+        plan = MigrationPlan.load(plan_path)
+        assert plan.to_dict() == payload["plan"]
+        assert plan.applied_count() == payload["rows"][0]["migrations"] > 0
 
 
 class TestChaosInterfereComposition:

@@ -280,7 +280,7 @@ class TestSlowdownMonotonicity:
 class TestJobsDeterminism:
     @pytest.fixture(scope="class")
     def reports(self):
-        from repro.interfere.cli import run_interfere
+        from repro.harness.arms import run_interfere
         plan = HostTrafficPlan.generate(0)
         names = ("vecadd", "alloc_storm")
         serial = run_interfere(names, plan, scale=SCALE, seed=0,

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.relayout.autoplace import DEFAULT_SCENARIOS, run_autoplace
+from repro.harness.arms import DEFAULT_SCENARIOS, run_autoplace
 from repro.relayout.plan import MigrationKind
 from repro.relayout.policy import RelayoutConfig
 

@@ -31,7 +31,7 @@ from repro.faults.injector import fault_session
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.harness import runner
 from repro.nsc.engine import EngineMode
-from repro.relayout.autoplace import run_autoplace
+from repro.harness.arms import run_autoplace
 from repro.relayout.engine import relayout_session
 from repro.relayout.plan import MigrationKind, MigrationPlan
 from repro.relayout.policy import (ArrayDrift, RelayoutConfig, Telemetry,

@@ -68,7 +68,7 @@ class TestRender:
     def test_autoplace_report_has_migration_columns(self):
         # The relayout report rides the same renderer; its migration
         # columns must survive the table pass.
-        from repro.relayout.autoplace import AutoplaceReport
+        from repro.harness.arms import AutoplaceReport
         from repro.relayout.policy import RelayoutConfig
         report = AutoplaceReport(
             config=RelayoutConfig(), scale=1.0, seed=0,
@@ -220,11 +220,12 @@ class TestSharedHelpers:
         assert run_metrics(R())["locality"] == 1.0
 
     def test_chaos_and_autoplace_use_the_shared_metrics(self):
-        # the dedup contract: neither module carries its own _metrics
-        import repro.faults.chaos as chaos
-        import repro.relayout.autoplace as autoplace
-        assert not hasattr(chaos, "_metrics")
-        assert not hasattr(autoplace, "_metrics")
+        # the dedup contract: the arm-comparison module (chaos and
+        # autoplace presets) carries no _metrics of its own
+        import repro.harness.arms as arms
+        from repro.harness.report import run_metrics
+        assert not hasattr(arms, "_metrics")
+        assert arms.run_metrics is run_metrics
 
 
 class TestAttributionTable:

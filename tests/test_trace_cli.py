@@ -224,9 +224,8 @@ class TestUniformCliConventions:
         import argparse
 
         from repro.analysis.lint import cli as lint_cli
-        from repro.faults.chaos import cli as chaos_cli
+        from repro.harness.arms import autoplace_cli, chaos_cli
         from repro.perf.bench import cli as bench_cli
-        from repro.relayout.autoplace import cli as autoplace_cli
 
         # parse-only probes: invalid second flag aborts before running
         for cli_fn in (lint_cli, chaos_cli, autoplace_cli, bench_cli,
