@@ -11,8 +11,8 @@ Usage::
     python -m repro run pr_push --mode Aff-Alloc --scale 0.1
     python -m repro lint                   # afflint the workload layouts
     python -m repro lint examples/lint_fixtures --expect-findings
-    python -m repro bench                  # tracked perf benchmarks
-    python -m repro bench --smoke --compare --baseline benchmarks/smoke
+    python -m repro bench                  # fig12 wall-time benchmarks
+    python -m repro bench --smoke --only fig12
     python -m repro chaos --seed 0 --rate 0.05   # fault injection +
                                            # degradation report
     python -m repro chaos --plan plan.json vecadd pr_push
@@ -41,6 +41,7 @@ import time
 
 from repro.cache import CacheConfigError, get_cache
 from repro.harness import runner
+from repro.harness.cliutil import add_seed_argument
 from repro.nsc.engine import EngineMode
 from repro.workloads import WORKLOADS, run_workload
 
@@ -79,8 +80,7 @@ def main(argv=None) -> int:
     parser.add_argument("workload", nargs="?", help="workload name for 'run'")
     parser.add_argument("--scale", type=float, default=0.12,
                         help="fraction of Table 3 input sizes (default 0.12)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="base RNG seed threaded through experiments")
+    add_seed_argument(parser, help_suffix="threaded through experiments")
     parser.add_argument("--jobs", "-j", type=int, default=1,
                         help="worker processes for experiments (default 1)")
     parser.add_argument("--no-cache", action="store_true",

@@ -26,8 +26,8 @@ from repro.analysis.diagnostics import WorkerCrashError
 from repro.analysis.interference import verify_host_injection
 from repro.faults.log import FaultEventLog, FaultRecord
 from repro.faults.plan import FaultKind, FaultPlan
-from repro.harness.cliutil import (EXIT_FAILURE, EXIT_OK, fan_out,
-                                   load_or_usage_error)
+from repro.harness.cliutil import (EXIT_FAILURE, EXIT_OK, add_seed_argument,
+                                   fan_out, load_or_usage_error)
 from repro.harness.report import ascii_table, ratio, run_metrics, section
 from repro.interfere.plan import HostTrafficPlan
 from repro.nsc.engine import EngineMode
@@ -127,8 +127,7 @@ def _parser(name: str, description: str, noun: str,
     parser.add_argument("tasks", nargs="*", default=list(defaults),
                         metavar=f"{noun}s",
                         help=f"{noun} names (default: {', '.join(defaults)})")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="plan-generation / run seed (default 0)")
+    add_seed_argument(parser, help_suffix="plan generation and runs")
     if modes:
         parser.add_argument("--mode", default="AFF_ALLOC",
                             choices=["IN_CORE", "NEAR_L3", "AFF_ALLOC"],

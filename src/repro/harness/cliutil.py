@@ -34,6 +34,18 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
 
+def _seed(text: str) -> int:
+    """An int >= 0 (numpy's RNGs reject negative seeds)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def add_seed_argument(parser: argparse.ArgumentParser,
                       default: int = 0,
                       help_suffix: str = "") -> None:
@@ -41,7 +53,7 @@ def add_seed_argument(parser: argparse.ArgumentParser,
     text = f"base RNG seed (default {default})"
     if help_suffix:
         text += f"; {help_suffix}"
-    parser.add_argument("--seed", type=int, default=default, help=text)
+    parser.add_argument("--seed", type=_seed, default=default, help=text)
 
 
 def load_or_usage_error(parser: argparse.ArgumentParser,

@@ -5,22 +5,17 @@ baseline (Fig 12 top two panels) and NoC traffic to *In-Core* (Fig 12
 bottom panel); sweep figures normalize to whichever configuration the
 caption names.  These helpers keep the direction of every ratio in one
 place so experiment code cannot get them backwards.
-
-:func:`compare_bench` — the regression gate ``python -m repro bench
---compare`` (and CI) judges BENCH_*.json payloads with — lives here too,
-next to the other comparison logic; :mod:`repro.perf.bench` re-exports
-it for backwards compatibility.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Sequence
+from typing import Iterable, Sequence
 
 from repro.perf.model import RunResult
 
 __all__ = ["speedup", "energy_efficiency", "traffic_ratio", "geomean",
-           "mean", "compare_bench"]
+           "mean"]
 
 
 def speedup(baseline: RunResult, candidate: RunResult) -> float:
@@ -58,36 +53,3 @@ def mean(values: Sequence[float]) -> float:
         raise ValueError("mean of empty sequence")
     return sum(values) / len(values)
 
-
-def compare_bench(old: Dict, new: Dict, threshold: float = 2.0,
-                  metric: str = "both") -> List[str]:
-    """Regression messages for one bench (empty list = no regression).
-
-    A metric regresses when ``seconds`` grows beyond ``threshold`` times
-    the baseline, or its measured ``speedup`` over the reference drops
-    below ``1/threshold`` of the baseline's.  ``metric`` restricts which
-    check runs (``"seconds"``, ``"speedup"``, or ``"both"`` — CI uses
-    ``"speedup"``, which is stable across machines of different speeds).
-    Only metrics whose ``params`` match exactly are compared; a baseline
-    recorded at one problem size is never judged against another, and
-    metrics new in ``new`` (or missing from it) are skipped.
-    """
-    problems = []
-    for name, n in new.get("metrics", {}).items():
-        o = old.get("metrics", {}).get(name)
-        if o is None or o.get("params") != n.get("params"):
-            continue
-        if metric in ("seconds", "both") and o.get("seconds"):
-            if n["seconds"] > o["seconds"] * threshold:
-                problems.append(
-                    f"{new.get('bench', '?')}/{name}: {n['seconds']:.6f}s vs "
-                    f"baseline {o['seconds']:.6f}s "
-                    f"(> {threshold:g}x slowdown)")
-        if metric in ("speedup", "both") and o.get("speedup") \
-                and n.get("speedup"):
-            if n["speedup"] < o["speedup"] / threshold:
-                problems.append(
-                    f"{new.get('bench', '?')}/{name}: speedup "
-                    f"{n['speedup']:.1f}x vs baseline {o['speedup']:.1f}x "
-                    f"(> {threshold:g}x regression)")
-    return problems

@@ -17,8 +17,8 @@ The registry resolves once, by observation: ``c`` when the shipped C
 kernels built, else ``python``.  Both are bit-identical to
 :mod:`repro.perf.reference` by contract
 (tests/test_kernels_equivalence.py), so the choice moves throughput,
-never a result.  :func:`set_backend` switches in-process for callers
-that compare the two (the alloc bench, the equivalence tests).
+never a result.  :func:`set_backend` switches in-process for the
+equivalence tests, which compare the two.
 
 The backend surface:
 

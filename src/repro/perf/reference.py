@@ -12,10 +12,10 @@ on here, verbatim, for two jobs:
   ``tests/test_affine_equivalence.py``) check the vectorized paths
   against these on randomized inputs, and the vectorized paths must be
   *byte-identical* (same float bit patterns), not merely close;
-* **before/after benchmarking** — ``python -m repro bench`` times each
-  hot path twice, once through :func:`reference_impls` and once through
-  the shipped code, so ``BENCH_*.json`` carries a measured speedup
-  instead of a stale hand-recorded number.
+* **the fig12 reference leg** — ``python -m repro bench --only fig12``
+  runs fig12 once through :func:`reference_impls` and once through the
+  shipped code, requires equal rows, and records the measured speedup
+  in ``BENCH_fig12.json``.
 
 Nothing here is a fallback: the vectorized implementations have no
 scalar code path left.  If an equivalence test fails, the vectorized
@@ -373,8 +373,8 @@ def reference_impls():
     """Route every vectorized hot path through its pre-PR original.
 
     Patches module globals and methods in place (process-wide, not
-    thread-safe) and restores them on exit.  Used by ``repro bench`` to
-    measure the "before" timings in the same process, and by tests that
+    thread-safe) and restores them on exit.  Used by the fig12 bench to
+    measure the "before" timing in the same process, and by tests that
     want to exercise the reference paths end-to-end.
     """
     from repro.arch import iot as iot_mod

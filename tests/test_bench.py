@@ -1,126 +1,172 @@
-"""The tracked benchmark suite: JSON schema, compare semantics, CLI."""
+"""The figure wall-time benches: runner, JSON writer, CLI.
+
+A real figure bench takes seconds, so these tests swap stubs into
+``bench._BENCHES`` (or stub the figure itself) and check the plumbing
+around them: payload schema, seed/size routing, profiling, the
+reference-vs-shipped row check, and usage errors that must exit 2
+before any bench runs.
+"""
 
 import json
 
 import pytest
 
-from repro.perf.bench import (BENCH_NAMES, cli, compare_bench, run_benches,
-                              write_bench_json)
+from repro.harness.cliutil import EXIT_USAGE
+from repro.perf import bench
+from repro.perf.bench import BENCH_NAMES, cli, run_benches, write_bench_json
 
 
-@pytest.fixture(scope="module")
-def noc_payloads():
-    # One real (smoke-sized) bench run, shared across the module.
-    return run_benches(["noc"], smoke=True)
+@pytest.fixture
+def calls(monkeypatch):
+    """Replace both benches with stubs; returns the ``(name, sizes)``
+    calls they receive."""
+    seen = []
+
+    def _stub(name):
+        def _run(sizes):
+            seen.append((name, dict(sizes)))
+            return {f"{name}_end_to_end": bench._metric(
+                0.5, 1, {"seed": sizes["fig12_seed"]}, 1.0)}
+        return _run
+
+    monkeypatch.setattr(bench, "_BENCHES",
+                        {name: _stub(name) for name in BENCH_NAMES})
+    return seen
 
 
 class TestRunBenches:
-    def test_schema(self, noc_payloads):
-        payload = noc_payloads["noc"]
-        assert payload["bench"] == "noc"
+    def test_schema(self, calls):
+        payload = run_benches(["fig12"], smoke=True)["fig12"]
+        assert payload["bench"] == "fig12"
         assert payload["schema"] == 1
         assert payload["smoke"] is True
-        for key in ("python", "numpy", "platform", "cpu_count", "timestamp"):
+        for key in ("python", "numpy", "platform", "cpu_count",
+                    "cpu_affinity", "kernels", "cc", "timestamp"):
             assert key in payload["env"]
-        assert "pair_channel_loads" in payload["metrics"]
-        for m in payload["metrics"].values():
-            assert m["seconds"] > 0
-            assert isinstance(m["params"], dict)
-            if m["reference_seconds"] is not None:
-                assert m["speedup"] == pytest.approx(
-                    m["reference_seconds"] / m["seconds"])
+        m = payload["metrics"]["fig12_end_to_end"]
+        assert set(m) == {"seconds", "calls", "reference_seconds",
+                          "speedup", "params"}
+        assert m["speedup"] == pytest.approx(
+            m["reference_seconds"] / m["seconds"])
 
-    def test_unknown_bench_rejected(self):
+    def test_unknown_bench_rejected(self, calls):
         with pytest.raises(ValueError, match="unknown bench"):
             run_benches(["nope"])
+        assert calls == []
 
-    def test_json_roundtrip(self, noc_payloads, tmp_path):
-        paths = write_bench_json(noc_payloads, tmp_path)
-        assert [p.name for p in paths] == ["BENCH_noc.json"]
-        loaded = json.loads(paths[0].read_text())
-        assert loaded == noc_payloads["noc"]
+    def test_seed_and_sizes_reach_every_bench(self, calls):
+        run_benches(["fig12", "fig12_full"], smoke=True, seed=7)
+        assert [name for name, _ in calls] == ["fig12", "fig12_full"]
+        for _, sizes in calls:
+            assert sizes == {**bench._SMOKE, "fig12_seed": 7}
+        calls.clear()
+        run_benches(["fig12_full"])
+        assert calls == [("fig12_full", {**bench._FULL, "fig12_seed": 0})]
+
+    def test_profile_dumps_prof_and_keeps_payload(self, calls, tmp_path):
+        payload = run_benches(["fig12"], profile_dir=tmp_path)["fig12"]
+        assert (tmp_path / "BENCH_fig12.prof").stat().st_size > 0
+        assert list(payload["metrics"]) == ["fig12_end_to_end"]
+
+    def test_json_roundtrip(self, calls, tmp_path):
+        payloads = run_benches(["fig12", "fig12_full"], smoke=True)
+        paths = write_bench_json(payloads, tmp_path / "new")
+        assert [p.name for p in paths] == ["BENCH_fig12.json",
+                                           "BENCH_fig12_full.json"]
+        for path, payload in zip(paths, payloads.values()):
+            assert json.loads(path.read_text()) == payload
 
 
-class TestCompare:
-    def _payload(self, seconds=1.0, speedup=10.0, params=None):
-        return {
-            "bench": "noc", "schema": 1, "smoke": True, "env": {},
-            "metrics": {"m": {
-                "seconds": seconds, "calls": 1,
-                "reference_seconds": seconds * speedup, "speedup": speedup,
-                "params": params if params is not None else {"n": 5},
-            }},
-        }
+class _Rows:
+    def __init__(self, rows):
+        self._rows = rows
 
-    def test_no_regression(self):
-        old, new = self._payload(), self._payload(seconds=1.5)
-        assert compare_bench(old, new, threshold=2.0) == []
+    def rows(self):
+        return iter(self._rows)
 
-    def test_seconds_regression(self):
-        old, new = self._payload(), self._payload(seconds=2.5)
-        problems = compare_bench(old, new, threshold=2.0)
-        assert len(problems) == 1 and "slowdown" in problems[0]
 
-    def test_speedup_regression(self):
-        old = self._payload(speedup=10.0)
-        new = self._payload(speedup=4.0)
-        problems = compare_bench(old, new, threshold=2.0,
-                                 metric="speedup")
-        assert len(problems) == 1 and "speedup" in problems[0]
+class TestFig12Bench:
+    """``_bench_fig12`` around a stubbed figure: the row check runs."""
 
-    def test_param_mismatch_skipped(self):
-        old = self._payload(params={"n": 5})
-        new = self._payload(seconds=100.0, params={"n": 50})
-        assert compare_bench(old, new) == []
+    @pytest.fixture
+    def figure(self, monkeypatch):
+        from repro.core import runtime
+        from repro.harness import experiments, runner
+        from repro.perf import reference
 
-    def test_metric_selector(self):
-        # A pure wall-clock slip with unchanged speedup: the CI mode
-        # (speedup-only) must not flag it — machines differ in speed.
-        old = self._payload(seconds=1.0, speedup=10.0)
-        new = self._payload(seconds=3.0, speedup=10.0)
-        assert compare_bench(old, new, metric="speedup") == []
-        assert compare_bench(old, new, metric="seconds") != []
+        state = {"diverge": False}
+
+        def _fig12(scale, seed):
+            in_reference = (runtime._affinity_hop_sums
+                            is reference.affinity_hop_sums_reference)
+            return _Rows([("pr_push", 2.0 + (state["diverge"]
+                                             and in_reference))])
+
+        monkeypatch.setattr(experiments, "fig12_overall", _fig12)
+        monkeypatch.setattr(runner, "_run_one", lambda *args: None)
+        return state
+
+    def test_metrics_and_params(self, figure):
+        metrics = bench._bench_fig12({**bench._SMOKE, "fig12_seed": 3})
+        assert list(metrics) == ["fig12_end_to_end", "fig12_cache_cold",
+                                 "fig12_cache_warm"]
+        for m in metrics.values():
+            assert m["params"] == {"scale": bench._SMOKE["fig12_scale"],
+                                   "seed": 3}
+        assert metrics["fig12_end_to_end"]["reference_seconds"] is not None
+
+    def test_diverging_reference_rows_abort(self, figure):
+        figure["diverge"] = True
+        with pytest.raises(RuntimeError, match="diverged"):
+            bench._bench_fig12({**bench._SMOKE, "fig12_seed": 0})
 
 
 class TestCli:
-    def test_writes_json_and_exits_zero(self, tmp_path, capsys):
-        rc = cli(["--smoke", "--only", "noc", "--out", str(tmp_path)])
+    def test_writes_json_and_exits_zero(self, calls, tmp_path, capsys):
+        rc = cli(["--smoke", "--only", "fig12_full", "--seed", "4",
+                  "--out", str(tmp_path)])
         assert rc == 0
-        assert (tmp_path / "BENCH_noc.json").exists()
+        payload = json.loads((tmp_path / "BENCH_fig12_full.json").read_text())
+        assert payload["metrics"]["fig12_full_end_to_end"]["params"] == \
+            {"seed": 4}
+        assert "wrote" in capsys.readouterr().out
 
-    def test_compare_against_self_passes(self, tmp_path):
-        assert cli(["--smoke", "--only", "noc",
-                    "--out", str(tmp_path)]) == 0
-        assert cli(["--smoke", "--only", "noc", "--out", str(tmp_path),
-                    "--compare"]) == 0
+    def test_default_runs_every_bench(self, calls, tmp_path):
+        assert cli(["--out", str(tmp_path)]) == 0
+        assert [name for name, _ in calls] == list(BENCH_NAMES)
 
-    def test_compare_flags_crafted_regression(self, tmp_path, capsys):
-        assert cli(["--smoke", "--only", "noc",
-                    "--out", str(tmp_path)]) == 0
-        # Forge an impossibly good baseline: everything now "regresses".
-        path = tmp_path / "BENCH_noc.json"
-        baseline = json.loads(path.read_text())
-        for m in baseline["metrics"].values():
-            m["seconds"] = 1e-12
-            if m["speedup"] is not None:
-                m["speedup"] = 1e9
-        path.write_text(json.dumps(baseline))
-        rc = cli(["--smoke", "--only", "noc", "--out", str(tmp_path),
-                  "--compare"])
-        assert rc == 1
-        assert "regression" in capsys.readouterr().err
-
-    def test_compare_missing_baseline_is_not_an_error(self, tmp_path,
-                                                      capsys):
-        rc = cli(["--smoke", "--only", "noc", "--out", str(tmp_path),
-                  "--compare", "--baseline", str(tmp_path / "nowhere")])
-        assert rc == 0
-        assert "no baseline" in capsys.readouterr().out
-
-    def test_unknown_bench_name_rejected(self, tmp_path):
-        with pytest.raises(SystemExit):
+    def test_unknown_bench_name_rejected(self, calls, tmp_path):
+        with pytest.raises(SystemExit) as exc:
             cli(["--only", "bogus", "--out", str(tmp_path)])
+        assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["--only", ""],
+        ["--only", ","],
+        ["--smoke", "--only", "fig12_full", "--out", "{file}"],
+        ["--seed", "-1"],
+    ], ids=["only-empty", "only-comma", "out-is-a-file", "negative-seed"])
+    def test_usage_errors_exit_2_before_any_bench(self, calls, tmp_path,
+                                                   argv):
+        existing = tmp_path / "existing"
+        existing.write_text("keep me\n")
+        argv = [a.format(file=existing) for a in argv]
+        if "--out" not in argv:
+            argv += ["--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            cli(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert calls == []
+        assert existing.read_text() == "keep me\n"
+
+    def test_help_has_no_compare_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            cli(["--help"])
+        out = capsys.readouterr().out
+        for flag in ("--compare", "--baseline", "--threshold"):
+            assert flag not in out
 
     def test_bench_names_cover_issue_artifacts(self):
-        # The committed artifacts the ISSUE names must stay producible.
-        assert "noc" in BENCH_NAMES and "fig12" in BENCH_NAMES
+        # The committed BENCH_*.json at the repo root, and nothing else.
+        assert BENCH_NAMES == ("fig12", "fig12_full")
+        assert set(bench._BENCHES) == set(BENCH_NAMES)

@@ -1,26 +1,10 @@
-"""Edge-case backfill for ``repro.perf.compare``.
-
-The normalization helpers' guard rails (zero/empty inputs) and the
-``compare_bench`` regression gate's boundary behaviour: missing
-baseline entries, params mismatches, zero-time denominators, and the
-exact-threshold boundary.  ``compare_bench`` moved here from
-``perf.bench``; the re-export is pinned too.
-"""
+"""Edge-case backfill for ``repro.perf.compare``: the normalization
+helpers' guard rails on zero and empty inputs."""
 
 import pytest
 
-from repro.perf.compare import (compare_bench, energy_efficiency, geomean,
-                                mean, speedup, traffic_ratio)
-
-
-def _payload(name="noc", **metrics):
-    return {"bench": name, "metrics": metrics}
-
-
-def _metric(seconds, speedup_=None, params=None):
-    return {"seconds": seconds, "calls": 1,
-            "reference_seconds": None, "speedup": speedup_,
-            "params": params if params is not None else {"n": 1}}
+from repro.perf.compare import (energy_efficiency, geomean, mean, speedup,
+                                traffic_ratio)
 
 
 # ----------------------------------------------------------------------
@@ -58,65 +42,3 @@ class TestNormalizationEdges:
             mean([])
         assert mean([1.0, 3.0]) == 2.0
 
-
-# ----------------------------------------------------------------------
-# compare_bench edges
-# ----------------------------------------------------------------------
-class TestCompareBenchEdges:
-    def test_reexported_from_bench(self):
-        from repro.perf import bench
-        assert bench.compare_bench is compare_bench
-
-    def test_metric_missing_from_baseline_is_skipped(self):
-        old = _payload(m1=_metric(1.0))
-        new = _payload(m1=_metric(1.0), m_new=_metric(100.0))
-        assert compare_bench(old, new) == []
-
-    def test_metric_missing_from_new_is_skipped(self):
-        old = _payload(m1=_metric(1.0), m_gone=_metric(1.0))
-        new = _payload(m1=_metric(1.0))
-        assert compare_bench(old, new) == []
-
-    def test_params_mismatch_never_compared(self):
-        old = _payload(m=_metric(1.0, params={"n": 1}))
-        new = _payload(m=_metric(100.0, params={"n": 2}))
-        assert compare_bench(old, new, threshold=1.01) == []
-
-    def test_zero_baseline_seconds_is_skipped(self):
-        """A 0-second baseline denominator must not divide, flag, or
-        crash — the metric is simply not comparable."""
-        old = _payload(m=_metric(0.0))
-        new = _payload(m=_metric(5.0))
-        assert compare_bench(old, new, threshold=1.5,
-                             metric="seconds") == []
-
-    def test_null_speedups_are_skipped(self):
-        old = _payload(m=_metric(1.0, speedup_=None))
-        new = _payload(m=_metric(1.0, speedup_=None))
-        assert compare_bench(old, new, metric="speedup") == []
-        old = _payload(m=_metric(1.0, speedup_=10.0))
-        new = _payload(m=_metric(1.0, speedup_=None))
-        assert compare_bench(old, new, metric="speedup") == []
-
-    def test_threshold_boundary_is_exclusive(self):
-        # exactly threshold-times slower is NOT a regression (strict >)
-        old = _payload(m=_metric(1.0))
-        new = _payload(m=_metric(2.0))
-        assert compare_bench(old, new, threshold=2.0,
-                             metric="seconds") == []
-        new = _payload(m=_metric(2.0000001))
-        assert len(compare_bench(old, new, threshold=2.0,
-                                 metric="seconds")) == 1
-
-    def test_speedup_boundary_is_exclusive(self):
-        old = _payload(m=_metric(1.0, speedup_=10.0))
-        new = _payload(m=_metric(1.0, speedup_=5.0))
-        assert compare_bench(old, new, threshold=2.0,
-                             metric="speedup") == []
-        new = _payload(m=_metric(1.0, speedup_=4.9))
-        msgs = compare_bench(old, new, threshold=2.0, metric="speedup")
-        assert len(msgs) == 1 and "noc/m" in msgs[0]
-
-    def test_empty_payloads(self):
-        assert compare_bench({}, {}) == []
-        assert compare_bench({}, _payload(m=_metric(1.0))) == []

@@ -218,25 +218,27 @@ class TestUniformCliConventions:
         add_seed_argument(p, default=7)
         assert p.parse_args([]).seed == 7
         assert p.parse_args(["--seed", "3"]).seed == 3
+        assert p.parse_args(["--seed", "0"]).seed == 0
 
     def test_every_subcommand_accepts_seed(self):
         """--seed parses everywhere (uniformity contract from README)."""
-        import argparse
-
+        from repro.__main__ import main
         from repro.analysis.lint import cli as lint_cli
-        from repro.harness.arms import autoplace_cli, chaos_cli
+        from repro.harness.arms import autoplace_cli, chaos_cli, interfere_cli
         from repro.perf.bench import cli as bench_cli
 
-        # parse-only probes: invalid second flag aborts before running
-        for cli_fn in (lint_cli, chaos_cli, autoplace_cli, bench_cli,
-                       trace_cli):
-            with pytest.raises(SystemExit) as exc:
-                cli_fn(["--seed", "1", "--definitely-not-a-flag"])
-            assert exc.value.code == EXIT_USAGE, cli_fn
-        # argparse must know --seed for all of them: a bad *value* also
-        # exits 2, but an unknown --seed flag would print its own error
-        for cli_fn in (lint_cli, chaos_cli, autoplace_cli, bench_cli,
-                       trace_cli):
-            with pytest.raises(SystemExit):
-                argparse_probe = ["--seed", "not-an-int"]
-                cli_fn(argparse_probe)
+        def fig4(argv):
+            return main(["fig4", *argv])
+
+        clis = (lint_cli, chaos_cli, autoplace_cli, interfere_cli, bench_cli,
+                trace_cli, fig4)
+        # Parse-only probes: every one exits 2 before anything runs.  An
+        # invalid second flag proves --seed itself parsed; a non-integer
+        # or negative value is rejected by the shared --seed type.
+        for probe in (["--seed", "1", "--definitely-not-a-flag"],
+                      ["--seed", "not-an-int"],
+                      ["--seed", "-1"]):
+            for cli_fn in clis:
+                with pytest.raises(SystemExit) as exc:
+                    cli_fn(probe)
+                assert exc.value.code == EXIT_USAGE, (cli_fn, probe)

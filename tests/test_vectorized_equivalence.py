@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch.iot import InterleaveOverrideTable, IotEntry
-from repro.arch.mesh import Mesh
+from repro.arch.mesh import Mesh, TopologyError
 from repro.arch.noc import MessageClass, TrafficAccountant, pair_channel_loads
 from repro.config import DEFAULT_CONFIG
+from repro.core.runtime import _affinity_hop_sums
 from repro.machine import Machine
 from repro.nsc.executor import (_consecutive_dedup, _first_unique,
                                 _first_unique_counts, _pair_key, _shrink_key)
@@ -202,6 +203,55 @@ class TestIotEquivalence:
         iot.install(IotEntry(0x2000, 0x3000, 128))
         assert iot.lookup(0x1FFF).intrlv == 64
         assert iot.lookup(0x2000).intrlv == 128
+
+
+# ----------------------------------------------------------------------
+# Batched affinity scoring and heap footprint registration
+# ----------------------------------------------------------------------
+class TestAffinityHopSumsEquivalence:
+    @settings(max_examples=40, deadline=None)
+    @given(dims=meshes, data=st.data())
+    def test_hop_sums_match_reference(self, dims, data):
+        mesh = Mesh(*dims)
+        # A dead link swaps the Manhattan table for the BFS one.
+        if data.draw(st.booleans()):
+            a, b = data.draw(st.sampled_from(mesh.undirected_interior_links()))
+            try:
+                mesh.remove_link_between(a, b)
+            except TopologyError:
+                pass
+        n = data.draw(st.integers(1, 20))
+        k = data.draw(st.integers(0, 200))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        alloc_ids = rng.integers(0, n, size=k)
+        banks = rng.integers(0, mesh.num_tiles, size=k)
+        dist = mesh.hops_table()
+        got = _affinity_hop_sums(alloc_ids, banks, dist, n)
+        want = ref.affinity_hop_sums_reference(alloc_ids, banks, dist, n)
+        assert np.array_equal(got, want)
+
+
+class TestHeapFootprintEquivalence:
+    @settings(max_examples=30, deadline=None)
+    @given(heap_mode=st.sampled_from(["linear", "random"]), data=st.data())
+    def test_register_matches_reference(self, heap_mode, data):
+        heap = 1 << 18
+        page = DEFAULT_CONFIG.page_size
+        shipped, oracle = Machine(heap_mode=heap_mode), \
+            Machine(heap_mode=heap_mode)
+        base = shipped.malloc(heap)
+        assert oracle.malloc(heap) == base
+        for m in (shipped, oracle):
+            m.llc.reset_footprint()
+        ranges = data.draw(st.lists(
+            st.tuples(st.integers(0, heap - 1), st.integers(0, 3 * page)),
+            min_size=1, max_size=20))
+        for off, size in ranges:
+            size = min(size, heap - off)
+            shipped._register_heap_footprint(base + off, size)
+            ref.register_heap_footprint_reference(oracle, base + off, size)
+        assert np.array_equal(shipped.llc.footprint_bytes,
+                              oracle.llc.footprint_bytes)
 
 
 # ----------------------------------------------------------------------
