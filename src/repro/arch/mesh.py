@@ -265,11 +265,12 @@ class Mesh:
         """Full ``(num_tiles, num_tiles)`` hop table, **read-only** and
         memoized per :attr:`topology_epoch`.
 
-        ``table[b, d]`` = hops from ``b`` to ``d``.  The bank-select hot
-        paths (``malloc_irregular_batch``, ``_chained_hybrid``) consume
-        the whole table every batch; building the Manhattan broadcast
-        (or BFS table) once per topology and slicing is bit-identical
-        and removes an O(num_tiles²) rebuild per allocation batch.
+        ``table[b, d]`` = hops from ``b`` to ``d``.  The batched
+        bank-select paths (``_affinity_hybrid``, ``_chained_hybrid``)
+        hand its transpose to the Eq. 4 kernels, which read one row per
+        affinity bank; building the Manhattan broadcast (or BFS table)
+        once per topology is bit-identical and removes an
+        O(num_tiles²) rebuild per allocation batch.
         """
         if (self._hops_table is None
                 or self._hops_table_epoch != self.topology_epoch):

@@ -86,6 +86,15 @@ class BankSelectPolicy(abc.ABC):
             raise NoHealthyBankError("every candidate bank is failed/masked")
         return allowed
 
+    @staticmethod
+    def _penalty_row(mask: Optional[np.ndarray]) -> Optional[np.ndarray]:
+        """The fault mask folded into Eq. 4's additive 0/inf penalty row
+        (None on the healthy path, which then scores untouched)."""
+        if mask is None:
+            return None
+        BankSelectPolicy._healthy_indices(mask)  # raises if all failed
+        return np.where(np.asarray(mask, dtype=bool), 0.0, np.inf)
+
 
 class RandomPolicy(BankSelectPolicy):
     name = "Rnd"
@@ -184,13 +193,8 @@ class HybridPolicy(BankSelectPolicy):
         row, leaving the healthy path untouched.
         """
         loads = load.loads  # private working copy
-        if mask is not None:
-            self._healthy_indices(mask)
-            penalty = np.where(np.asarray(mask, dtype=bool), 0.0, np.inf)
-        else:
-            penalty = None
         out = _kernels.get_backend().hybrid_select_batch(
-            mean_hops, loads, self.h, penalty)
+            mean_hops, loads, self.h, self._penalty_row(mask))
         load.record_many(np.bincount(out, minlength=load.num_banks))
         return out
 

@@ -46,24 +46,26 @@ from repro.perf import kernels as _kernels
 __all__ = ["AffinityAllocator", "AllocStats"]
 
 
-def _affinity_hop_sums(alloc_ids: np.ndarray, banks: np.ndarray,
-                       dist: np.ndarray, n: int) -> np.ndarray:
-    """Summed hop distance from every candidate bank to each allocation's
-    affinity banks: ``out[i, b] = sum(dist[b, banks[j]] for j where
-    alloc_ids[j] == i)``.
+def _affinity_groups(alloc_ids: np.ndarray, banks: np.ndarray,
+                     n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Group affinity banks by allocation in CSR form: ``(offsets,
+    banks)`` with allocation ``i``'s banks at
+    ``banks[offsets[i]:offsets[i + 1]]``.
 
-    Distances and occurrence counts are exact small integers, so folding
-    the per-entry row scatter (formerly an ``np.add.at``, the hottest
-    call in Linked-CSR builds) into a bank-occurrence histogram times the
-    distance matrix is bit-exact and orders of magnitude faster.
+    Linked CSR emits its entries in allocation order already, so the
+    stable sort runs only for callers that do not; it keeps each group's
+    banks in input order (their sum is exact in any order anyway).
     """
-    nb = dist.shape[0]
-    # Weighted bincount emits float64 directly: each hit adds exactly
-    # 1.0, so the histogram carries the same small integers the int64
-    # variant would — minus the full-size astype copy before the matmul.
-    occ = np.bincount(alloc_ids * nb + banks,
-                      weights=np.ones(alloc_ids.size), minlength=n * nb)
-    return occ.reshape(n, nb) @ dist.T.astype(np.float64)
+    if alloc_ids.size != banks.size:
+        raise ValueError("alloc_ids and aff_addrs must have the same size")
+    if alloc_ids.size and (int(alloc_ids.min()) < 0
+                           or int(alloc_ids.max()) >= n):
+        raise ValueError(f"alloc_ids must lie in [0, {n})")
+    if bool((alloc_ids[1:] < alloc_ids[:-1]).any()):
+        banks = banks[np.argsort(alloc_ids, kind="stable")]
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(alloc_ids, minlength=n), out=offsets[1:])
+    return offsets, banks
 
 
 @dataclass
@@ -461,23 +463,20 @@ class AffinityAllocator:
         if intrlv is None:
             raise OversizeError(f"irregular allocation of {size}B exceeds "
                                 "the largest interleaving")
-        nb = self.machine.num_banks
         aff_addrs = np.asarray(aff_addrs, dtype=np.int64)
         alloc_ids = np.asarray(alloc_ids, dtype=np.int64)
-        mean_hops = np.zeros((n, nb), dtype=np.float64)
         if aff_addrs.size:
             banks = self.machine.banks_of(aff_addrs)
-            dist = self.mesh.hops_table()  # (bank, bank) hops, memoized
-            mean_hops = _affinity_hop_sums(alloc_ids, banks, dist, n)
-            counts = np.bincount(alloc_ids, minlength=n).astype(np.float64)
-            counts[counts == 0] = 1.0
-            mean_hops /= counts[:, None]
-        mask = self._fault_mask()
-        if mask is not None:
-            chosen = self.policy.select_batch(mean_hops, self.load,
-                                              self.mesh, mask=mask)
         else:
-            chosen = self.policy.select_batch(mean_hops, self.load, self.mesh)
+            banks = np.empty(0, dtype=np.int64)
+        mask = self._fault_mask()
+        if isinstance(self.policy, HybridPolicy):
+            chosen = self._affinity_hybrid(alloc_ids, banks, n, mask=mask)
+        else:
+            # Affinity-oblivious policies read only the batch length.
+            chosen = self.policy.select_batch(
+                np.zeros((n, self.machine.num_banks)), self.load, self.mesh,
+                mask=mask)
         try:
             vaddrs = self._slot_pool(intrlv).alloc_many_on_banks(chosen)
         except PoolExhaustedError:
@@ -594,6 +593,27 @@ class AffinityAllocator:
                           bytes=int(intrlv))
         return vaddrs
 
+    def _affinity_hybrid(self, alloc_ids: np.ndarray, banks: np.ndarray,
+                         n: int,
+                         mask: Optional[np.ndarray] = None) -> np.ndarray:
+        """Sequential Eq. 4 selection for a batch whose allocation
+        ``alloc_ids[j]`` carries affinity bank ``banks[j]``.
+
+        The entries are grouped per allocation (CSR offsets) and the
+        active kernel backend scores each allocation's mean-hop row from
+        the transposed hop table as the loop reaches it; the compiled
+        loop never holds more than one row.  The masked (degraded)
+        variant folds the fault mask into an additive 0/inf penalty row.
+        """
+        offsets, banks = _affinity_groups(alloc_ids, banks, n)
+        dist_t = self.mesh.hops_table().T.astype(np.float64)
+        loads = self.load.loads  # working copy
+        chosen = _kernels.get_backend().affinity_hybrid(
+            dist_t, offsets, banks, loads, self.policy.h,
+            BankSelectPolicy._penalty_row(mask))
+        self.load.record_many(np.bincount(chosen, minlength=loads.size))
+        return chosen
+
     def _chained_hybrid(self, prev_ids: np.ndarray, head_banks: np.ndarray,
                         n: int, nb: int,
                         mask: Optional[np.ndarray] = None) -> np.ndarray:
@@ -609,13 +629,9 @@ class AffinityAllocator:
         """
         dist_t = self.mesh.hops_table().T.astype(np.float64)
         loads = self.load.loads  # working copy
-        if mask is not None:
-            BankSelectPolicy._healthy_indices(mask)  # raises if all failed
-            penalty = np.where(np.asarray(mask, dtype=bool), 0.0, np.inf)
-        else:
-            penalty = None
         chosen = _kernels.get_backend().chained_hybrid(
-            dist_t, prev_ids, head_banks, loads, self.policy.h, penalty)
+            dist_t, prev_ids, head_banks, loads, self.policy.h,
+            BankSelectPolicy._penalty_row(mask))
         self.load.record_many(np.bincount(chosen, minlength=nb))
         return chosen
 

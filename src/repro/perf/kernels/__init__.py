@@ -1,4 +1,4 @@
-"""The two sequential Eq. 4 loops, on one kernel path per platform.
+"""The three sequential Eq. 4 loops, on one kernel path per platform.
 
 PR 3 vectorized the simulator's batch paths but left the Eq. 4
 bank-select loop sequential — every choice shifts the load the next
@@ -26,6 +26,10 @@ The backend surface:
     Sequential Eq. 4 over a batch; mutates the ``loads`` working copy.
 ``chained_hybrid(dist_t, prev_ids, head_banks, loads, h, penalty)``
     Eq. 4 where affinity banks come from the batch's earlier choices.
+``affinity_hybrid(dist_t, offsets, banks, loads, h, penalty)``
+    Eq. 4 where allocation ``i``'s affinity banks are
+    ``banks[offsets[i]:offsets[i + 1]]`` (CSR groups); the C loop builds
+    each mean-hop row as it reaches it, with no ``(n, nb)`` matrix.
 
 The executor's dedup/accounting kernels have one implementation and
 live in :mod:`repro.perf.kernels.pybackend`.

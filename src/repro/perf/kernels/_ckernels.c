@@ -89,3 +89,50 @@ void repro_chained_hybrid(const double *dist_t, const int64_t *prev_ids,
         total += 1.0;
     }
 }
+
+/* Eq. 4 where allocation i's affinity banks are
+ * banks[offsets[i] .. offsets[i+1]): the mean-hop row is built in `acc`
+ * from the transposed hop table's rows, one allocation at a time, so no
+ * (n, nb) matrix exists.  Hop entries are small integers, so every row
+ * sum is exact in binary64 whatever the order, and the one division by
+ * the group size rounds exactly like the dense path's `mean_hops /=
+ * counts`.  An empty group divides a zero sum by 1.0, as the dense path
+ * did.  Four columns are summed at a time in registers: the sums stay
+ * in order over the group, and the loop stores each column once
+ * instead of once per affinity bank. */
+void repro_affinity_hybrid(const double *dist_t, const int64_t *offsets,
+                           const int64_t *banks, double *loads, double h,
+                           const double *penalty, double *acc,
+                           double total, int64_t n, int64_t nb,
+                           int64_t *out)
+{
+    for (int64_t i = 0; i < n; i++) {
+        int64_t lo = offsets[i], hi = offsets[i + 1];
+        double count = hi > lo ? (double)(hi - lo) : 1.0;
+        int64_t b = 0;
+        for (; b + 4 <= nb; b += 4) {
+            double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+            for (int64_t j = lo; j < hi; j++) {
+                const double *row = dist_t + banks[j] * nb + b;
+                s0 += row[0];
+                s1 += row[1];
+                s2 += row[2];
+                s3 += row[3];
+            }
+            acc[b] = s0 / count;
+            acc[b + 1] = s1 / count;
+            acc[b + 2] = s2 / count;
+            acc[b + 3] = s3 / count;
+        }
+        for (; b < nb; b++) {
+            double s = 0.0;
+            for (int64_t j = lo; j < hi; j++)
+                s += dist_t[banks[j] * nb + b];
+            acc[b] = s / count;
+        }
+        b = pick(acc, loads, h, penalty, total, nb);
+        out[i] = b;
+        loads[b] += 1.0;
+        total += 1.0;
+    }
+}

@@ -11,7 +11,7 @@ tempdir, cc dying — just flips ``AVAILABLE`` off and the registry
 resolves to the python backend instead (bit-identical results, lower
 throughput; never silent numeric drift).
 
-Only the two sequential Eq. 4 loops live in C — they are the Amdahl
+Only the three sequential Eq. 4 loops live in C — they are the Amdahl
 wall DESIGN §12 profiles.  The executor's dedup kernels stay in
 :mod:`repro.perf.kernels.pybackend`, whose vectorized forms are
 already memory-bound (a C radix-sort dedup was tried and measured
@@ -113,6 +113,10 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.repro_chained_hybrid.argtypes = [
         _D, _I, _I, _D, ctypes.c_double, _D, _D, ctypes.c_double,
         ctypes.c_int64, ctypes.c_int64, _I]
+    lib.repro_affinity_hybrid.restype = None
+    lib.repro_affinity_hybrid.argtypes = [
+        _D, _I, _I, _D, ctypes.c_double, _D, _D, ctypes.c_double,
+        ctypes.c_int64, ctypes.c_int64, _I]
     return lib
 
 
@@ -187,3 +191,34 @@ def chained_hybrid(dist_t, prev_ids, head_banks, loads, h, penalty):
         _dptr(zeros), total, n, nb, _iptr(chosen))
     _loads_writeback(loads, buf)
     return chosen
+
+
+def affinity_hybrid(dist_t, offsets, banks, loads, h, penalty):
+    dt = np.ascontiguousarray(dist_t, dtype=np.float64)
+    offs = np.ascontiguousarray(offsets, dtype=np.int64)
+    bk = np.ascontiguousarray(banks, dtype=np.int64)
+    nb = loads.size
+    n = offs.size - 1
+    out = np.empty(n, dtype=np.int64)
+    if n == 0:
+        return out
+    # The loop indexes raw memory: refuse what would read out of bounds.
+    if dt.shape != (nb, nb):
+        raise ValueError(f"dist_t must be ({nb}, {nb}), got {dt.shape}")
+    if (offs[0] != 0 or offs[-1] != bk.size
+            or bool((offs[1:] < offs[:-1]).any())):
+        raise ValueError("offsets must rise from 0 to banks.size")
+    if bk.size and (int(bk.min()) < 0 or int(bk.max()) >= nb):
+        raise ValueError(f"affinity banks must lie in [0, {nb})")
+    pen = None
+    if penalty is not None:
+        pen = np.ascontiguousarray(penalty, dtype=np.float64)
+    acc = np.empty(nb, dtype=np.float64)
+    buf = _loads_buffer(loads)
+    total = float(buf.sum())
+    _lib.repro_affinity_hybrid(
+        _dptr(dt), _iptr(offs), _iptr(bk), _dptr(buf), float(h),
+        _dptr(pen) if pen is not None else None, _dptr(acc), total, n, nb,
+        _iptr(out))
+    _loads_writeback(loads, buf)
+    return out

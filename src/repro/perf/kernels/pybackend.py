@@ -41,6 +41,7 @@ __all__ = [
     "NAME",
     "hybrid_select_batch",
     "chained_hybrid",
+    "affinity_hybrid",
     "first_unique",
     "first_unique_counts",
     "consecutive_dedup",
@@ -325,6 +326,48 @@ def chained_hybrid(dist_t: np.ndarray, prev_ids: np.ndarray,
             loads[b] += 1.0
             total += 1.0
     return chosen
+
+
+def _affinity_hop_sums(alloc_ids: np.ndarray, banks: np.ndarray,
+                       dist_t: np.ndarray, n: int) -> np.ndarray:
+    """Summed hop distance from every candidate bank to each allocation's
+    affinity banks: ``out[i, b] = sum(dist_t[banks[j], b] for j where
+    alloc_ids[j] == i)``.
+
+    Distances and occurrence counts are exact small integers, so folding
+    the per-entry row scatter (an ``np.add.at`` in
+    :func:`repro.perf.reference.affinity_hop_sums_reference`) into a
+    bank-occurrence histogram times the hop table is bit-exact.
+    """
+    nb = dist_t.shape[0]
+    # Weighted bincount emits float64 directly: each hit adds exactly
+    # 1.0, so the histogram carries the same small integers the int64
+    # variant would — minus the full-size astype copy before the matmul.
+    occ = np.bincount(alloc_ids * nb + banks,
+                      weights=np.ones(alloc_ids.size), minlength=n * nb)
+    return occ.reshape(n, nb) @ dist_t
+
+
+def affinity_hybrid(dist_t: np.ndarray, offsets: np.ndarray,
+                    banks: np.ndarray, loads: np.ndarray, h: float,
+                    penalty: Optional[np.ndarray]) -> np.ndarray:
+    """Eq. 4 where allocation ``i`` scores every bank by its mean hops to
+    ``banks[offsets[i]:offsets[i + 1]]`` (a zero row when the group is
+    empty).
+
+    Builds the dense ``(n, nb)`` mean-hop matrix — histogram times the
+    transposed hop table ``dist_t``, one division by each group's size —
+    and runs :func:`hybrid_select_batch` over it.  The C backend scores
+    the same rows one allocation at a time without the matrix.
+
+    Mutates ``loads`` in place; returns the chosen banks.
+    """
+    counts = np.diff(offsets)
+    n = counts.size
+    alloc_ids = np.repeat(np.arange(n, dtype=np.int64), counts)
+    mean_hops = _affinity_hop_sums(alloc_ids, banks, dist_t, n)
+    mean_hops /= np.maximum(counts, 1).astype(np.float64)[:, None]
+    return hybrid_select_batch(mean_hops, loads, h, penalty)
 
 
 # ----------------------------------------------------------------------

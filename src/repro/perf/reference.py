@@ -36,6 +36,7 @@ __all__ = [
     "iot_banks_reference",
     "register_heap_footprint_reference",
     "affinity_hop_sums_reference",
+    "affinity_hybrid_reference",
     "hybrid_select_batch_reference",
     "chained_hybrid_reference",
     "first_unique_reference",
@@ -181,6 +182,21 @@ def hybrid_select_batch_reference(self, mean_hops, load, mesh) -> np.ndarray:
     for b, c in zip(*np.unique(out, return_counts=True)):
         load.record(int(b), float(c))
     return out
+
+
+def affinity_hybrid_reference(self, alloc_ids: np.ndarray,
+                              banks: np.ndarray, n: int) -> np.ndarray:
+    """Original dense Eq. 4 select of ``malloc_irregular_batch`` (now
+    ``AffinityAllocator._affinity_hybrid``): the full ``(n, nb)``
+    mean-hop matrix from the ``np.add.at`` scatter, then the scalar
+    select loop."""
+    mean_hops = affinity_hop_sums_reference(
+        alloc_ids, banks, self.mesh.hops_table(), n)
+    counts = np.bincount(alloc_ids, minlength=n).astype(np.float64)
+    counts[counts == 0] = 1.0
+    mean_hops /= counts[:, None]
+    return hybrid_select_batch_reference(self.policy, mean_hops, self.load,
+                                         self.mesh)
 
 
 def chained_hybrid_reference(self, prev_ids: np.ndarray,
@@ -419,6 +435,13 @@ def reference_impls():
                 "reference_impls() is clean-run only")
         return hybrid_select_batch_reference(self, mean_hops, load, mesh)
 
+    def _affinity_hybrid_compat(self, alloc_ids, banks, n, mask=None):
+        if mask is not None:
+            raise NotImplementedError(
+                "reference affinity path predates fault masks; "
+                "reference_impls() is clean-run only")
+        return affinity_hybrid_reference(self, alloc_ids, banks, n)
+
     def _chained_hybrid_compat(self, prev_ids, head_banks, n, nb, mask=None):
         if mask is not None:
             raise NotImplementedError(
@@ -440,7 +463,8 @@ def reference_impls():
          iot_mod.InterleaveOverrideTable.banks),
         (machine_mod.Machine, "_register_heap_footprint",
          machine_mod.Machine._register_heap_footprint),
-        (runtime_mod, "_affinity_hop_sums", runtime_mod._affinity_hop_sums),
+        (runtime_mod.AffinityAllocator, "_affinity_hybrid",
+         runtime_mod.AffinityAllocator._affinity_hybrid),
         (policy_mod.HybridPolicy, "select_batch",
          policy_mod.HybridPolicy.select_batch),
         (runtime_mod.AffinityAllocator, "_chained_hybrid",
@@ -461,7 +485,8 @@ def reference_impls():
         iot_mod.InterleaveOverrideTable.banks = _iot_banks_compat
         machine_mod.Machine._register_heap_footprint = \
             register_heap_footprint_reference
-        runtime_mod._affinity_hop_sums = affinity_hop_sums_reference
+        runtime_mod.AffinityAllocator._affinity_hybrid = \
+            _affinity_hybrid_compat
         policy_mod.HybridPolicy.select_batch = _select_batch_compat
         runtime_mod.AffinityAllocator._chained_hybrid = _chained_hybrid_compat
         executor_mod._first_unique = first_unique_reference

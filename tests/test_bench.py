@@ -92,13 +92,13 @@ class TestFig12Bench:
     def figure(self, monkeypatch):
         from repro.core import runtime
         from repro.harness import experiments, runner
-        from repro.perf import reference
 
         state = {"diverge": False}
+        shipped = runtime.AffinityAllocator._affinity_hybrid
 
         def _fig12(scale, seed):
-            in_reference = (runtime._affinity_hop_sums
-                            is reference.affinity_hop_sums_reference)
+            in_reference = (runtime.AffinityAllocator._affinity_hybrid
+                            is not shipped)
             return _Rows([("pr_push", 2.0 + (state["diverge"]
                                              and in_reference))])
 

@@ -18,10 +18,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.arch.mesh import Mesh
+from repro.arch.mesh import Mesh, TopologyError
+from repro.core.runtime import _affinity_groups
 from repro.nsc import executor
 from repro.perf import kernels
 from repro.perf.kernels import cbackend, pybackend
+from repro.perf.reference import affinity_hop_sums_reference
 
 
 # ----------------------------------------------------------------------
@@ -78,6 +80,16 @@ def oracle_select(mean_hops, loads, h, penalty):
         loads[b] += 1.0
         total += 1.0
     return out, loads
+
+
+def oracle_affinity(dist, alloc_ids, banks, n, loads, h, penalty):
+    """The original dense path of malloc_irregular_batch: the np.add.at
+    hop sums, one division by each row's count, then the scalar loop."""
+    mean_hops = affinity_hop_sums_reference(alloc_ids, banks, dist, n)
+    counts = np.bincount(alloc_ids, minlength=n).astype(np.float64)
+    counts[counts == 0] = 1.0
+    mean_hops /= counts[:, None]
+    return oracle_select(mean_hops, loads, h, penalty)
 
 
 def oracle_chained(dist_t, prev_ids, head_banks, loads, h, penalty):
@@ -144,13 +156,15 @@ def _draw_mean_hops(data, n, nb):
     return rng.uniform(0.0, 14.0, size=(n, nb))
 
 
-def _draw_loads(data, nb):
-    kind = data.draw(st.sampled_from(["zero", "small", "skewed"]))
+def _draw_loads(data, nb, kinds=("zero", "small", "skewed")):
+    kind = data.draw(st.sampled_from(kinds))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     if kind == "zero":
         return np.zeros(nb, dtype=np.float64)
     if kind == "small":
         return rng.integers(0, 50, size=nb).astype(np.float64)
+    if kind == "fractional":
+        return rng.integers(0, 50, size=nb) + rng.uniform(0.0, 1.0, nb)
     loads = rng.integers(0, 10, size=nb).astype(np.float64)
     loads[int(rng.integers(0, nb))] += float(rng.integers(5_000, 20_000))
     return loads
@@ -286,6 +300,86 @@ class TestChainedHybridEquivalence:
 
 
 # ----------------------------------------------------------------------
+# affinity_hybrid (CSR-grouped affinity banks)
+# ----------------------------------------------------------------------
+def _hop_mesh(data):
+    # 15 banks is not a multiple of the C loop's four-column block.
+    mesh = Mesh(*data.draw(st.sampled_from([(4, 4), (5, 3), (8, 8)])))
+    # A dead link swaps the Manhattan table for the BFS one.
+    if data.draw(st.booleans()):
+        a, b = data.draw(st.sampled_from(mesh.undirected_interior_links()))
+        try:
+            mesh.remove_link_between(a, b)
+        except TopologyError:
+            pass
+    return mesh
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestAffinityHybridEquivalence:
+    @settings(max_examples=40, deadline=None)
+    @given(h=H_VALUES, n=st.integers(1, 150), data=st.data())
+    def test_matches_oracle(self, backend, h, n, data):
+        mod = _module(backend)
+        mesh = _hop_mesh(data)
+        nb = mesh.num_tiles
+        dist = mesh.hops_table()
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # Up to 32 affinity addresses per allocation on average; ids are
+        # drawn unsorted (or sorted, as Linked CSR emits them), and some
+        # allocations get no entry at all.
+        k = data.draw(st.integers(0, 32 * n))
+        alloc_ids = rng.integers(0, n, size=k)
+        if data.draw(st.booleans()):
+            alloc_ids.sort()
+        banks = rng.integers(0, nb, size=k)
+        loads = _draw_loads(data, nb, ("zero", "small", "skewed",
+                                       "fractional"))
+        penalty = _draw_penalty(data, nb)
+        want_out, want_loads = oracle_affinity(
+            dist, alloc_ids, banks, n, loads, h, penalty)
+        offsets, grouped = _affinity_groups(alloc_ids, banks, n)
+        got_loads = loads.copy()
+        got = mod.affinity_hybrid(dist.T.astype(np.float64), offsets,
+                                  grouped, got_loads, h, penalty)
+        assert np.array_equal(got, want_out)
+        assert np.array_equal(got_loads, want_loads)
+
+    def test_no_entries_scores_zero_rows(self, backend):
+        mod = _module(backend)
+        mesh = Mesh(8, 8)
+        empty = np.empty(0, dtype=np.int64)
+        offsets, grouped = _affinity_groups(empty, empty, 40)
+        loads = np.zeros(64, dtype=np.float64)
+        want_out, want_loads = oracle_affinity(
+            mesh.hops_table(), empty, empty, 40, loads, 5.0, None)
+        got = mod.affinity_hybrid(mesh.hops_table().T.astype(np.float64),
+                                  offsets, grouped, loads, 5.0, None)
+        assert np.array_equal(got, want_out)
+        assert np.array_equal(loads, want_loads)
+
+
+class TestAffinityGroups:
+    def test_groups_follow_alloc_ids(self):
+        alloc_ids = np.array([2, 0, 2, 1, 0], dtype=np.int64)
+        banks = np.array([10, 11, 12, 13, 14], dtype=np.int64)
+        offsets, grouped = _affinity_groups(alloc_ids, banks, 4)
+        assert offsets.tolist() == [0, 2, 3, 5, 5]
+        assert grouped.tolist() == [11, 14, 13, 10, 12]
+
+    @pytest.mark.parametrize("alloc_ids", [[0, 3], [-1, 0]])
+    def test_out_of_range_ids_rejected(self, alloc_ids):
+        ids = np.array(alloc_ids, dtype=np.int64)
+        with pytest.raises(ValueError, match="alloc_ids"):
+            _affinity_groups(ids, np.zeros(2, dtype=np.int64), 3)
+
+    def test_size_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="same size"):
+            _affinity_groups(np.zeros(2, dtype=np.int64),
+                             np.zeros(3, dtype=np.int64), 3)
+
+
+# ----------------------------------------------------------------------
 # Skew fallback + chunk boundaries (python table path specifics)
 # ----------------------------------------------------------------------
 class TestDivisionTableInternals:
@@ -409,10 +503,11 @@ class TestBackendRegistry:
         assert info["kernels"] in ("python", "c")
         assert (info["cc"] is not None) == (info["kernels"] == "c")
 
-    def test_registry_surface_is_the_two_eq4_loops(self):
+    def test_registry_surface_is_the_three_eq4_loops(self):
         # The dedup/accounting kernels have one implementation; only the
         # sequential Eq. 4 loops vary by backend.
-        surface = {"hybrid_select_batch", "chained_hybrid"}
+        surface = {"hybrid_select_batch", "chained_hybrid",
+                   "affinity_hybrid"}
         for name in kernels.available_backends():
             mod = _module(name)
             assert surface <= set(vars(mod))

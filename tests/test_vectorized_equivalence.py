@@ -14,11 +14,11 @@ from repro.arch.iot import InterleaveOverrideTable, IotEntry
 from repro.arch.mesh import Mesh, TopologyError
 from repro.arch.noc import MessageClass, TrafficAccountant, pair_channel_loads
 from repro.config import DEFAULT_CONFIG
-from repro.core.runtime import _affinity_hop_sums
 from repro.machine import Machine
 from repro.nsc.executor import (_consecutive_dedup, _first_unique,
                                 _first_unique_counts, _pair_key, _shrink_key)
 from repro.perf import reference as ref
+from repro.perf.kernels.pybackend import _affinity_hop_sums
 
 # Small meshes keep the per-pair reference loops fast under hypothesis.
 meshes = st.sampled_from([(2, 2), (3, 2), (4, 4), (5, 3)])
@@ -226,7 +226,8 @@ class TestAffinityHopSumsEquivalence:
         alloc_ids = rng.integers(0, n, size=k)
         banks = rng.integers(0, mesh.num_tiles, size=k)
         dist = mesh.hops_table()
-        got = _affinity_hop_sums(alloc_ids, banks, dist, n)
+        got = _affinity_hop_sums(alloc_ids, banks,
+                                 dist.T.astype(np.float64), n)
         want = ref.affinity_hop_sums_reference(alloc_ids, banks, dist, n)
         assert np.array_equal(got, want)
 
