@@ -29,7 +29,10 @@ passes make the disciplines checkable:
   flow into the key (the stale-cache class of bug: adding a
   ``run_figures`` kwarg without extending the digest).  Parameters that
   legitimately do not affect results (``use_cache``, ``cache_dir``,
-  ``crash``, ...) are allowlisted.
+  ``crash``, ...) are allowlisted.  At ``cached_graph``/``cached_arrays``
+  call sites, every parameter or local of the enclosing function that
+  the builder (a lambda or nested def) reads must appear in the key
+  arguments.
 
 Findings anchor to real ``file:line`` sites.  A finding can be
 suppressed in place with ``# afflint: allow(CODE)`` on the same line —
@@ -93,6 +96,11 @@ _ORDER_INSENSITIVE = frozenset({
 
 #: Callables that materialize their argument's order into a sequence.
 _ORDER_MATERIALIZING = frozenset({"list", "tuple", "enumerate", "reversed"})
+
+#: Cache helpers called as ``helper(kind, builder, **key_params)``.
+_BUILDER_CACHES = frozenset({"cached_graph", "cached_arrays"})
+#: Their keyword arguments that are not key parameters.
+_BUILDER_NON_KEY = frozenset({"builder", "names"})
 
 _PRAGMA_RE = re.compile(r"#\s*afflint:\s*allow\(([A-Z0-9,\s]+)\)")
 
@@ -634,6 +642,79 @@ def _check_grd002(tree: ast.Module, ctx: _ModuleContext,
                  "fold the parameter (or a digest of it) into the "
                  "key-field dict, or allowlist it if it provably cannot "
                  "change results", detail=fn.name)
+
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            _check_builder_calls(fn, ctx, report)
+
+
+def _names(node: ast.AST) -> Set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def _scope_bindings(scope: ast.AST) -> Set[str]:
+    """Parameters and locals bound directly in a function or lambda."""
+    args = scope.args
+    bound = {a.arg for a in (*args.posonlyargs, *args.args,
+                             *args.kwonlyargs, args.vararg, args.kwarg)
+             if a is not None}
+    for node in _scope_nodes(scope):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.alias):
+            bound.add(node.asname or node.name.split(".")[0])
+    return bound
+
+
+def _builder_reads(builder: ast.AST, fn: ast.AST) -> Set[str]:
+    """Free names a builder reads: a lambda, or a def nested in ``fn``."""
+    scope: Optional[ast.AST] = None
+    if isinstance(builder, ast.Lambda):
+        scope = builder
+    elif isinstance(builder, ast.Name):
+        scope = next((node for node in _scope_nodes(fn)
+                      if isinstance(node, (ast.FunctionDef,
+                                           ast.AsyncFunctionDef))
+                      and node.name == builder.id), None)
+    if scope is None:  # not analysable here (a global, a partial, ...)
+        return set()
+    reads = {n.id for n in ast.walk(scope)
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return reads - _scope_bindings(scope)
+
+
+def _check_builder_calls(fn: ast.AST, ctx: _ModuleContext,
+                         report: DiagnosticReport) -> None:
+    """GRD002 at ``cached_graph``/``cached_arrays`` calls made in ``fn``:
+    what the builder reads from ``fn`` must be keyed."""
+    bound = _scope_bindings(fn)
+    for call in _scope_nodes(fn):
+        if not (isinstance(call, ast.Call)
+                and _dotted(call.func) is not None
+                and _dotted(call.func).rsplit(".", 1)[-1]
+                in _BUILDER_CACHES):
+            continue
+        helper = _dotted(call.func).rsplit(".", 1)[-1]
+        builder = call.args[1] if len(call.args) > 1 else next(
+            (kw.value for kw in call.keywords if kw.arg == "builder"), None)
+        if builder is None:
+            continue
+        keyed: Set[str] = set()
+        for arg in call.args[2:]:
+            keyed |= _names(arg)
+        for kw in call.keywords:
+            if kw.arg not in _BUILDER_NON_KEY:
+                keyed |= _names(kw.value)
+        for name in sorted((_builder_reads(builder, fn) & bound) - keyed):
+            _add(report, ctx, "GRD002", Severity.ERROR, call,
+                 f"the builder passed to {helper}() in {fn.name}() reads "
+                 f"{name!r}, which is not among the key arguments; two "
+                 "calls differing only in it would share one cache entry",
+                 f"pass {name} (or what it is derived from) as a key "
+                 f"argument of {helper}()", detail=fn.name)
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,12 @@ of that recomputation, the same co-locate-vs-recompute tradeoff the
 source paper optimizes in hardware.
 
 Keys are SHA-256 digests of a canonical JSON encoding of
-``(kind, generator version, parameters)``; values are ``.npz`` blobs
-(graph arrays) or ``.json`` blobs (experiment metric summaries).  The
+``(kind, generator version, numpy version, parameters)``; values are
+uncompressed ``.npz`` blobs (graph arrays and seeded workload inputs)
+or ``.json`` blobs (experiment metric summaries).  The numpy version is
+keyed because cached arrays are ``Generator`` draws, and numpy does not
+promise the same streams across versions (NEP 19): a cache filled under
+another numpy must miss, not serve inputs a fresh run would not draw.  The
 cache is safe under concurrent writers: every write goes to a tempfile in
 the cache directory followed by an atomic :func:`os.replace`, so readers
 only ever see complete entries and the last concurrent writer of one key
@@ -42,7 +46,7 @@ import os
 import tempfile
 from collections import OrderedDict
 from pathlib import Path
-from typing import Callable, Dict, Optional
+from typing import Callable, Collection, Dict, Optional
 
 import numpy as np
 
@@ -53,6 +57,7 @@ __all__ = [
     "get_cache",
     "configure",
     "cache_key",
+    "cached_arrays",
     "cached_graph",
     "cached_json",
 ]
@@ -66,7 +71,7 @@ DEFAULT_MAX_BYTES = 2 << 30  # 2 GiB
 #: In-process memo over the hottest ``.npz`` entries.  Keys are content
 #: addresses, so one key can only ever name one payload — serving from
 #: memory is exactly as correct as re-reading the file, minus the
-#: zipfile + zlib decompress the profile charges every graph reload.
+#: zipfile read the profile charges every reload.
 DEFAULT_MEM_BYTES = 256 << 20  # 256 MiB
 
 
@@ -91,10 +96,11 @@ def _canonical(obj):
 
 
 def cache_key(kind: str, **params) -> str:
-    """SHA-256 content address of ``(kind, GENERATOR_VERSION, params)``."""
+    """SHA-256 content address of ``(kind, GENERATOR_VERSION, numpy
+    version, params)``."""
     payload = json.dumps(
         {"kind": kind, "version": GENERATOR_VERSION,
-         "params": _canonical(params)},
+         "numpy": np.__version__, "params": _canonical(params)},
         sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -230,11 +236,20 @@ class ArtifactCache:
         self._mem_store(key, {name: a.copy() for name, a in out.items()})
         return out
 
+    def drop_arrays(self, key: str) -> None:
+        """Forget an ``.npz`` entry, on disk and in the memo."""
+        old = self._mem.pop(key, None)
+        if old is not None:
+            self._mem_bytes -= sum(a.nbytes for a in old.values())
+        self._drop(self.path_for(key, ".npz"))
+
     def put_arrays(self, key: str, arrays: Dict[str, np.ndarray]) -> None:
         if not self.enabled:
             return
         path = self.path_for(key, ".npz")
-        self._atomic_write(path, lambda fh: np.savez_compressed(fh, **arrays))
+        # Uncompressed: zlib dominated every load (and every cold write)
+        # for a few MB of disk per entry; np.load reads either format.
+        self._atomic_write(path, lambda fh: np.savez(fh, **arrays))
         self.evict()
 
     # ----------------------------- json -------------------------------
@@ -348,30 +363,61 @@ def configure(root: Optional[os.PathLike] = None,
 # ----------------------------------------------------------------------
 # High-level helpers
 # ----------------------------------------------------------------------
-def cached_graph(kind: str, builder: Callable[[], "object"], **params):
-    """Memoize a CSR graph build on disk, keyed by its parameters.
+def cached_arrays(kind: str,
+                  builder: Callable[[], Dict[str, np.ndarray]], *,
+                  names: Optional[Collection[str]] = None,
+                  **params) -> Dict[str, np.ndarray]:
+    """Memoize a dict of arrays on disk, keyed by ``(kind, params)``.
 
-    ``builder`` must be deterministic in ``params``; on a hit the graph is
-    reconstructed from the stored ``index``/``edges``(/``weights``)
-    arrays without re-running the generator.
+    ``builder`` must be deterministic in ``params``.  A hit is served
+    from the in-process memo or the ``.npz`` entry; the arrays are the
+    exact dtypes and values the builder returned, so a hit reads what a
+    fresh build would give.  A missing or corrupt entry is rebuilt, and
+    so is one whose array names differ from ``names`` (the names the
+    builder returns; None accepts any).  With the cache disabled the
+    builder runs every time.
     """
-    from repro.graphs.csr import CSRGraph
-
     cache = get_cache()
     key = cache_key(kind, **params)
     arrays = cache.get_arrays(key)
-    if arrays is not None and "index" in arrays and "edges" in arrays:
-        try:
-            return CSRGraph(arrays["index"], arrays["edges"],
-                            arrays.get("weights"))
-        except ValueError:  # stale/corrupt payload: fall through to rebuild
-            cache._drop(cache.path_for(key, ".npz"))
-    graph = builder()
-    payload = {"index": graph.index, "edges": graph.edges}
-    if graph.weights is not None:
-        payload["weights"] = graph.weights
-    cache.put_arrays(key, payload)
-    return graph
+    if arrays is not None:
+        if names is None or set(arrays) == set(names):
+            return arrays
+        cache.drop_arrays(key)
+    arrays = builder()
+    if names is not None and set(arrays) != set(names):
+        raise ValueError(f"{kind} builder returned arrays {sorted(arrays)}, "
+                         f"expected {sorted(names)}")
+    cache.put_arrays(key, arrays)
+    return arrays
+
+
+def cached_graph(kind: str, builder: Callable[[], "object"], **params):
+    """Memoize a CSR graph build on disk, keyed by its parameters.
+
+    ``builder`` must be deterministic in ``params``; the graph is stored
+    as its ``index``/``edges``(/``weights``) arrays through
+    :func:`cached_arrays`.  A stored payload that does not form a valid
+    CSR graph is dropped and rebuilt.
+    """
+    from repro.graphs.csr import CSRGraph
+
+    def build() -> Dict[str, np.ndarray]:
+        graph = builder()
+        payload = {"index": graph.index, "edges": graph.edges}
+        if graph.weights is not None:
+            payload["weights"] = graph.weights
+        return payload
+
+    def graph(arrays: Dict[str, np.ndarray]) -> CSRGraph:
+        return CSRGraph(arrays["index"], arrays["edges"],
+                        arrays.get("weights"))
+
+    try:
+        return graph(cached_arrays(kind, build, **params))
+    except (KeyError, ValueError):  # stale/corrupt payload: rebuild it
+        get_cache().drop_arrays(cache_key(kind, **params))
+    return graph(cached_arrays(kind, build, **params))
 
 
 def cached_json(kind: str, builder: Callable[[], object], **params):

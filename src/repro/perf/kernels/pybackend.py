@@ -67,11 +67,19 @@ _CHUNK = 128
 _MAX_BAND = 4096
 
 
+#: Rows of the mean-hop matrix :func:`affinity_hybrid` holds at once
+#: (a multiple of ``_CHUNK``): 8192 x 64 banks x 8 B = 4 MiB, where the
+#: whole matrix of a paper-scale Linked CSR build is 337 MB.
+_BLOCK_CHUNKS = 64
+
+
 def _select_sequential(mean_hops: np.ndarray, loads: np.ndarray,
                        total: float, h: float,
                        penalty: Optional[np.ndarray],
-                       out: np.ndarray, start: int) -> None:
-    """The pre-PR-8 scalar loop, verbatim op order (exact oracle)."""
+                       out: np.ndarray, start: int) -> float:
+    """The original scalar loop, verbatim op order (exact oracle).
+
+    Returns the running total after the last row."""
     n, nb = mean_hops.shape
     score = np.empty(nb, dtype=np.float64)
     if penalty is not None:
@@ -101,6 +109,7 @@ def _select_sequential(mean_hops: np.ndarray, loads: np.ndarray,
             out[i] = b
             loads[b] += 1.0
             total += 1.0
+    return total
 
 
 def hybrid_select_batch(mean_hops: np.ndarray, loads: np.ndarray,
@@ -119,11 +128,21 @@ def hybrid_select_batch(mean_hops: np.ndarray, loads: np.ndarray,
     Returns the chosen bank per row, bit-identical to
     :func:`repro.perf.reference.hybrid_select_batch_reference`.
     """
+    out = np.empty(mean_hops.shape[0], dtype=np.int64)
+    _select_rows(mean_hops, loads, float(loads.sum()), h, penalty, out)
+    return out
+
+
+def _select_rows(mean_hops: np.ndarray, loads: np.ndarray, total: float,
+                 h: float, penalty: Optional[np.ndarray],
+                 out: np.ndarray) -> float:
+    """:func:`hybrid_select_batch` from a given running ``total`` (the
+    scalar loop's ``total``, which equals ``loads.sum()`` only while the
+    loads are integers); fills ``out`` and returns the new total, so a
+    batch can continue in a later call with the same bits."""
     n, nb = mean_hops.shape
-    out = np.empty(n, dtype=np.int64)
     if n == 0:
-        return out
-    total = float(loads.sum())
+        return total
 
     if h == 0:
         # Min-Hop: scores never read the loads, so the whole batch
@@ -133,7 +152,7 @@ def hybrid_select_batch(mean_hops: np.ndarray, loads: np.ndarray,
         else:
             out[:] = mean_hops.argmin(axis=1)
         np.add.at(loads, out, 1.0)
-        return out
+        return total + n
 
     # The division table needs the running divisors t_i = (total0 + i)
     # / nb to carry the exact bits of `total += 1.0` and the loads to
@@ -143,8 +162,8 @@ def hybrid_select_batch(mean_hops: np.ndarray, loads: np.ndarray,
     if not (h > 0 and np.isfinite(h) and total == np.floor(total)
             and total + n < 2.0 ** 52
             and bool(np.all(loads == np.floor(loads)))):
-        _select_sequential(mean_hops, loads, total, h, penalty, out, 0)
-        return out
+        return _select_sequential(mean_hops, loads, total, h, penalty,
+                                  out, 0)
 
     i = 0
     # The scalar loop scores by hops alone until the first allocation
@@ -166,8 +185,8 @@ def hybrid_select_batch(mean_hops: np.ndarray, loads: np.ndarray,
         band = int(loads_i.max()) - lmin + k + 1
         if band > _MAX_BAND:
             loads[:] = loads_i
-            _select_sequential(mean_hops, loads, total, h, penalty, out, i)
-            return out
+            return _select_sequential(mean_hops, loads, total, h, penalty,
+                                      out, i)
         # table[j, L - lmin] is the load term a bank holding L
         # allocations scores at step i + j — the same divide / -1.0 /
         # *h chain as the scalar body, rounded per element exactly like
@@ -198,7 +217,7 @@ def hybrid_select_batch(mean_hops: np.ndarray, loads: np.ndarray,
         total += float(k)
         i += k
     loads[:] = loads_i
-    return out
+    return total
 
 
 def chained_hybrid(dist_t: np.ndarray, prev_ids: np.ndarray,
@@ -355,19 +374,31 @@ def affinity_hybrid(dist_t: np.ndarray, offsets: np.ndarray,
     ``banks[offsets[i]:offsets[i + 1]]`` (a zero row when the group is
     empty).
 
-    Builds the dense ``(n, nb)`` mean-hop matrix — histogram times the
-    transposed hop table ``dist_t``, one division by each group's size —
-    and runs :func:`hybrid_select_batch` over it.  The C backend scores
-    the same rows one allocation at a time without the matrix.
+    Builds the mean-hop rows — histogram times the transposed hop table
+    ``dist_t``, one division by each group's size — one block of
+    ``_BLOCK_CHUNKS * _CHUNK`` allocations at a time, and runs Eq. 4
+    over each block in order with ``loads`` and the running total
+    carried, so no ``(n, nb)`` matrix is ever held and the bits are
+    those of one pass over all rows.  The C backend scores the rows one
+    allocation at a time.
 
     Mutates ``loads`` in place; returns the chosen banks.
     """
     counts = np.diff(offsets)
     n = counts.size
-    alloc_ids = np.repeat(np.arange(n, dtype=np.int64), counts)
-    mean_hops = _affinity_hop_sums(alloc_ids, banks, dist_t, n)
-    mean_hops /= np.maximum(counts, 1).astype(np.float64)[:, None]
-    return hybrid_select_batch(mean_hops, loads, h, penalty)
+    out = np.empty(n, dtype=np.int64)
+    total = float(loads.sum())
+    block = _BLOCK_CHUNKS * _CHUNK
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        sizes = counts[lo:hi]
+        alloc_ids = np.repeat(np.arange(hi - lo, dtype=np.int64), sizes)
+        mean_hops = _affinity_hop_sums(
+            alloc_ids, banks[offsets[lo]:offsets[hi]], dist_t, hi - lo)
+        mean_hops /= np.maximum(sizes, 1).astype(np.float64)[:, None]
+        total = _select_rows(mean_hops, loads, total, h, penalty,
+                             out[lo:hi])
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,11 @@ related systems show break allocators and not-so-near-data machines:
   (paged) arrays, sized to force pool expansions, with epochs touching
   every array — deep range-table pressure on the IOT.
 
+The Zipf inputs of ``hash_join_skew`` and ``spmv_gather`` depend only on
+their sizes, skew and seed, so they are drawn once per parameter set
+through the artifact cache (:func:`repro.cache.cached_arrays`) and every
+arm and pass reads the same stored draw.
+
 Each declares :meth:`layout_plan` so the afflint pre-flight covers it,
 and registration makes all four reachable from experiments, bench,
 chaos, trace, and interfere by name.
@@ -31,6 +36,7 @@ from typing import Dict, List
 
 import numpy as np
 
+from repro.cache import cached_arrays
 from repro.config import DEFAULT_CONFIG, SystemConfig
 from repro.nsc.engine import EngineMode
 from repro.perf.model import RunResult
@@ -84,9 +90,18 @@ class SkewedHashJoin(Workload):
         build_h = ctx.alloc(8, nb_, "build-keys")
         probe_h = ctx.alloc(8, np_, "probe-keys")
 
-        rng = np.random.default_rng(seed)
-        build_idx = _zipf_indices(rng, p["zipf_a"], nb_, buckets)
-        probe_idx = _zipf_indices(rng, p["zipf_a"], np_, buckets)
+        zipf_a = p["zipf_a"]
+
+        def draw() -> Dict[str, np.ndarray]:
+            rng = np.random.default_rng(seed)
+            return {"build": _zipf_indices(rng, zipf_a, nb_, buckets),
+                    "probe": _zipf_indices(rng, zipf_a, np_, buckets)}
+
+        keys = cached_arrays("hash_join_skew_keys", draw,
+                             names=("build", "probe"), seed=seed,
+                             zipf_a=zipf_a, build_keys=nb_, probe_keys=np_,
+                             buckets=buckets)
+        build_idx, probe_idx = keys["build"], keys["probe"]
 
         epoch = 0
         for chunk in np.array_split(np.arange(nb_, dtype=np.int64), epochs):
@@ -155,10 +170,20 @@ class SpmvGather(Workload):
         y_h = ctx.alloc(8, n, "y", align_to=x_h if aff else None)
         col_h = ctx.alloc(4, nnz, "col-idx")
 
-        rng = np.random.default_rng(seed)
-        cols = _zipf_indices(rng, p["zipf_a"], nnz, n)
+        zipf_a = p["zipf_a"]
+
+        def draw() -> Dict[str, np.ndarray]:
+            # xv comes from the same generator after cols: both are one
+            # entry, or a cached cols would shift xv's draw.
+            rng = np.random.default_rng(seed)
+            cols = _zipf_indices(rng, zipf_a, nnz, n)
+            return {"cols": cols, "xv": rng.random(n)}
+
+        inputs = cached_arrays("spmv_gather_inputs", draw,
+                               names=("cols", "xv"), seed=seed,
+                               zipf_a=zipf_a, nnz=nnz, n=n)
+        cols, xv = inputs["cols"], inputs["xv"]
         rows = np.repeat(np.arange(n, dtype=np.int64), p["nnz_per_row"])
-        xv = rng.random(n)
 
         epoch = 0
         for chunk in np.array_split(np.arange(nnz, dtype=np.int64), epochs):

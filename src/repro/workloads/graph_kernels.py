@@ -56,7 +56,8 @@ def default_graph(scale: float = 1.0, seed: int = 0, weighted: bool = False,
     if not symmetrize:
         return build()  # kronecker() itself is cached
     return cached_graph("default_graph_sym", build,
-                        kscale=kscale, seed=seed, weighted=weighted)
+                        kscale=kscale, seed=seed, weighted=weighted,
+                        symmetrize=symmetrize)
 
 
 class GraphSetup:

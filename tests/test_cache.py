@@ -1,6 +1,8 @@
 """The content-addressed artifact cache: hits, misses, eviction,
-corruption recovery, concurrent writers, and the bypass escape hatch."""
+corruption recovery, concurrent writers, the bypass escape hatch, and
+the zoo's seeded inputs giving the same run in every cache state."""
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -9,9 +11,12 @@ import numpy as np
 import pytest
 
 from repro import cache as cache_mod
-from repro.cache import ArtifactCache, cache_key, cached_graph
+from repro.cache import ArtifactCache, cache_key, cached_arrays, cached_graph
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import kronecker, powerlaw
+from repro.nsc.engine import EngineMode
+from repro.workloads import adversarial
+from repro.workloads.base import run_workload
 
 
 @pytest.fixture
@@ -39,6 +44,13 @@ class TestKeying:
         with pytest.raises(TypeError):
             cache_key("g", fn=lambda: None)
 
+    def test_key_separates_numpy_versions(self, monkeypatch):
+        # Cached arrays are Generator draws, whose streams numpy does not
+        # promise across versions: another numpy must miss.
+        key = cache_key("kronecker", scale=12, seed=0)
+        monkeypatch.setattr(np, "__version__", "0.0.0")
+        assert cache_key("kronecker", scale=12, seed=0) != key
+
 
 class TestHitMiss:
     def test_npz_roundtrip(self, cache):
@@ -58,6 +70,18 @@ class TestHitMiss:
         assert cache.get_json(key) is None
         cache.put_json(key, {"rows": [[1, 2.5, "x"]]})
         assert cache.get_json(key) == {"rows": [[1, 2.5, "x"]]}
+
+    def test_entries_are_written_uncompressed(self, cache):
+        key = cache_key("t", x=5)
+        cache.put_arrays(key, {"a": np.zeros(1 << 12)})
+        # A stored (uncompressed) zip member is at least the array's size.
+        assert cache.path_for(key, ".npz").stat().st_size > (1 << 15)
+
+    def test_compressed_entries_still_load(self, cache):
+        key = cache_key("t", x=6)
+        cache.root.mkdir(parents=True, exist_ok=True)
+        np.savez_compressed(cache.path_for(key, ".npz"), a=np.arange(7))
+        assert (cache.get_arrays(key)["a"] == np.arange(7)).all()
 
     def test_loaded_arrays_are_fresh_copies(self, cache):
         key = cache_key("t", x=2)
@@ -122,6 +146,23 @@ class TestCorruptionRecovery:
         g = cached_graph("g", lambda: CSRGraph(np.array([0, 1]),
                                                np.array([0])), n=5)
         assert g.num_vertices == 1  # rebuilt from the builder
+
+    def test_cached_arrays_rebuilds_on_other_names(self, cache, monkeypatch):
+        monkeypatch.setattr(cache_mod, "_CACHE", cache)
+        key = cache_key("z", n=1)
+        cache.put_arrays(key, {"old": np.arange(3)})
+        cache.get_arrays(key)  # also in the memo now
+        out = cached_arrays("z", lambda: {"new": np.arange(4)},
+                            names=("new",), n=1)
+        assert list(out) == ["new"]
+        cache._mem_clear()
+        assert list(cache.get_arrays(key)) == ["new"]  # entry rewritten
+
+    def test_cached_arrays_rejects_builder_names(self, cache, monkeypatch):
+        monkeypatch.setattr(cache_mod, "_CACHE", cache)
+        with pytest.raises(ValueError, match="expected"):
+            cached_arrays("z", lambda: {"a": np.arange(2)},
+                          names=("a", "b"), n=2)
 
 
 class TestConcurrentWriters:
@@ -193,6 +234,94 @@ class TestGeneratorIntegration:
         a = powerlaw(1024, 4, seed=1)
         b = powerlaw(1024, 4, seed=2)
         assert not np.array_equal(a.edges, b.edges)
+
+
+def _run_json(result) -> str:
+    """Everything a run reports, as JSON bytes."""
+    return json.dumps({
+        "label": result.label, "cycles": result.cycles,
+        "phase_cycles": result.phase_cycles,
+        "phase_resources": result.phase_resources,
+        "flit_hops_by_class": result.flit_hops_by_class,
+        "total_flit_hops": result.total_flit_hops,
+        "l3_miss_pct": result.l3_miss_pct,
+        "noc_utilization": result.noc_utilization,
+        "energy_pj": result.energy_pj, "counters": result.counters,
+        "value": result.value}, sort_keys=True)
+
+
+def _stats_digest(result) -> str:
+    """Digest of a run's simulated statistics."""
+    blob = json.dumps({"cycles": result.cycles,
+                       "phase_cycles": result.phase_cycles,
+                       "flit_hops_by_class": result.flit_hops_by_class,
+                       "counters": result.counters}, sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name,names,draws", [
+    ("hash_join_skew", {"build", "probe"}, 2),
+    ("spmv_gather", {"cols", "xv"}, 1),
+])
+class TestZooInputsAcrossCacheStates:
+    """The zoo's Zipf inputs come through the cache; every cache state
+    must give the run a fresh draw would give."""
+
+    SCALE = 0.05
+
+    @pytest.fixture
+    def zipf_calls(self, monkeypatch):
+        calls = []
+        draw = adversarial._zipf_indices
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(adversarial, "_zipf_indices", counted)
+        return calls
+
+    def _run(self, name, mode=EngineMode.AFF_ALLOC):
+        r = run_workload(name, mode, scale=self.SCALE, seed=3)
+        return r.value, _stats_digest(r), _run_json(r)
+
+    def test_same_run_in_every_state(self, name, names, draws, tmp_path,
+                                     monkeypatch, zipf_calls):
+        cache = ArtifactCache(root=tmp_path, enabled=True)
+        monkeypatch.setattr(cache_mod, "_CACHE", cache)
+        with cache.disabled():
+            want = self._run(name)
+        assert len(zipf_calls) == draws
+        assert list(tmp_path.iterdir()) == []
+
+        cold = self._run(name)                 # drawn, then written
+        assert len(zipf_calls) == 2 * draws
+        (entry,) = [p for p in tmp_path.iterdir() if p.suffix == ".npz"]
+        size = entry.stat().st_size
+        cache._mem_clear()
+        disk = self._run(name)                 # loaded from the file
+        memo = self._run(name)                 # served from the memo
+        assert len(zipf_calls) == 2 * draws
+        assert cache._mem
+
+        entry.write_bytes(entry.read_bytes()[:size // 2])
+        cache._mem_clear()
+        truncated = self._run(name)            # corrupt entry: redrawn
+        assert len(zipf_calls) == 3 * draws
+        assert entry.stat().st_size == size    # ... and rewritten
+        cache._mem_clear()
+        assert set(cache.get_arrays(entry.stem)) == names
+
+        for got in (cold, disk, memo, truncated):
+            assert got == want
+
+    def test_two_arms_draw_once(self, name, names, draws, tmp_path,
+                                monkeypatch, zipf_calls):
+        monkeypatch.setattr(cache_mod, "_CACHE",
+                            ArtifactCache(root=tmp_path, enabled=True))
+        self._run(name, EngineMode.AFF_ALLOC)
+        self._run(name, EngineMode.NEAR_L3)
+        assert len(zipf_calls) == draws
 
 
 def _writer_proc(root: str, key: str, worker: int) -> None:

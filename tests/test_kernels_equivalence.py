@@ -336,12 +336,19 @@ class TestAffinityHybridEquivalence:
         loads = _draw_loads(data, nb, ("zero", "small", "skewed",
                                        "fractional"))
         penalty = _draw_penalty(data, nb)
+        # The python backend scores rows in blocks of _BLOCK_CHUNKS *
+        # _CHUNK; small blocks make most cases cross block boundaries.
+        chunk, block_chunks = data.draw(st.sampled_from(
+            [(pybackend._CHUNK, pybackend._BLOCK_CHUNKS), (8, 1), (4, 3)]))
         want_out, want_loads = oracle_affinity(
             dist, alloc_ids, banks, n, loads, h, penalty)
         offsets, grouped = _affinity_groups(alloc_ids, banks, n)
         got_loads = loads.copy()
-        got = mod.affinity_hybrid(dist.T.astype(np.float64), offsets,
-                                  grouped, got_loads, h, penalty)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pybackend, "_CHUNK", chunk)
+            mp.setattr(pybackend, "_BLOCK_CHUNKS", block_chunks)
+            got = mod.affinity_hybrid(dist.T.astype(np.float64), offsets,
+                                      grouped, got_loads, h, penalty)
         assert np.array_equal(got, want_out)
         assert np.array_equal(got_loads, want_loads)
 
@@ -391,6 +398,27 @@ class TestDivisionTableInternals:
         want_out, want_loads = oracle_select(mean_hops, loads, 5.0, None)
         got_loads = loads.copy()
         got = pybackend.hybrid_select_batch(mean_hops, got_loads, 5.0, None)
+        assert np.array_equal(got, want_out)
+        assert np.array_equal(got_loads, want_loads)
+
+    def test_split_batch_carries_the_running_total(self):
+        # affinity_hybrid continues a batch block by block; with
+        # fractional loads the scalar loop's running total drifts from
+        # loads.sum(), so the total must be carried, not recomputed.
+        rng = np.random.default_rng(0)
+        loads = rng.integers(0, 50, size=16) + rng.uniform(0, 1, 16)
+        mean_hops = rng.uniform(0, 10, size=(300, 16))
+        want_out, want_loads = oracle_select(mean_hops, loads, 5.0, None)
+        want_total = float(loads.sum())
+        for _ in range(300):
+            want_total += 1.0
+        got_loads = loads.copy()
+        got = np.empty(300, dtype=np.int64)
+        total = float(loads.sum())
+        for lo, hi in ((0, 128), (128, 300)):
+            total = pybackend._select_rows(mean_hops[lo:hi], got_loads,
+                                           total, 5.0, None, got[lo:hi])
+        assert total == want_total != float(got_loads.sum())
         assert np.array_equal(got, want_out)
         assert np.array_equal(got_loads, want_loads)
 

@@ -176,6 +176,41 @@ class TestGrd002:
                "    return cache_key('x', fid=fid)\n")
         assert codes(src) == []
 
+    def test_builder_reads_unkeyed_parameter(self):
+        src = ("from repro.cache import cached_graph\n"
+               "def graph(n, seed, sym):\n"
+               "    return cached_graph('g', lambda: make(n, seed, sym),\n"
+               "                        n=n, seed=seed)\n")
+        assert codes(src) == ["GRD002"]
+
+    def test_nested_builder_reads_unkeyed_local(self):
+        src = ("from repro.cache import cached_arrays\n"
+               "def inputs(n, seed):\n"
+               "    m = 2 * n\n"
+               "    def draw():\n"
+               "        return {'a': rng(seed).random(m)}\n"
+               "    return cached_arrays('i', draw, names=('a',), seed=seed)\n")
+        assert codes(src) == ["GRD002"]
+
+    def test_keyed_builder_is_clean(self):
+        src = ("from repro.cache import cached_arrays\n"
+               "def inputs(n, seed, p):\n"
+               "    m = 2 * n\n"
+               "    def draw():\n"
+               "        x = rng(seed).random(m) * p['k']\n"
+               "        return {'a': x}\n"
+               "    return cached_arrays('i', draw, names=('a',), seed=seed,\n"
+               "                         m=m, k=p['k'])\n")
+        assert codes(src) == []
+
+    def test_names_argument_is_not_a_key(self):
+        src = ("from repro.cache import cached_arrays\n"
+               "def inputs(seed, names):\n"
+               "    def draw():\n"
+               "        return dict.fromkeys(names, rng(seed).random(4))\n"
+               "    return cached_arrays('i', draw, names=names, seed=seed)\n")
+        assert codes(src) == ["GRD002"]
+
 
 class TestFixtures:
     def test_each_fixture_triggers_exactly_its_expected_codes(self):
@@ -202,7 +237,8 @@ class TestFixtures:
         for name, line in [("set_iteration.py", 24),
                            ("unsorted_glob.py", 23),
                            ("unguarded_feature.py", 23),
-                           ("digest_gap.py", 21)]:
+                           ("digest_gap.py", 21),
+                           ("builder_gap.py", 39)]:
             assert (name, line) not in flagged, (name, line)
 
 
