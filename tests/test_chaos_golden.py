@@ -126,6 +126,13 @@ class TestCanonicalGolden:
                 "log": canonical_report.log.to_json}[part]()
         assert hashlib.sha256(text.encode()).hexdigest() == digest, part
 
+    def test_saved_log_bytes_pinned(self, canonical_report, tmp_path):
+        path = tmp_path / "log.json"
+        canonical_report.log.save(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "1bd6a31f962fc9eee4f590dcc51826df"
+            "8c4eb01b4fc3bbec169df0239f4ef119")
+
     def test_degradation_is_graceful_not_free(self, canonical_report):
         for workload in WORKLOADS:
             row = _row(canonical_report, workload)
