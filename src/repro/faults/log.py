@@ -31,11 +31,10 @@ action               meaning
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass
-from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Union
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, List
+
+from repro.serial import Serial, checked, one_of
 
 if TYPE_CHECKING:
     from repro.analysis.diagnostics import DiagnosticReport
@@ -56,31 +55,15 @@ HANDLED_ACTIONS = frozenset({
 
 
 @dataclass(frozen=True)
-class FaultRecord:
+class FaultRecord(Serial):
     """One log line: who, what, and how it was handled."""
 
     task: str      # workload/figure the record belongs to ("" = global)
     kind: str      # FaultKind value string ("bank-fail", ...)
     target: str    # kind-specific target ("17", "9-10", "256", ...)
-    action: str    # see module docstring table
+    action: str = checked(one_of(ACTIONS))  # see module docstring table
     detail: str = ""
     count: float = 0.0  # kind-specific magnitude (bytes moved, cycles, ...)
-
-    def __post_init__(self) -> None:
-        if self.action not in ACTIONS:
-            raise ValueError(f"unknown fault action {self.action!r}")
-
-    def to_dict(self) -> Dict:
-        return {"task": self.task, "kind": self.kind, "target": self.target,
-                "action": self.action, "detail": self.detail,
-                "count": self.count}
-
-    @classmethod
-    def from_dict(cls, d: Dict) -> "FaultRecord":
-        return cls(task=str(d.get("task", "")), kind=str(d["kind"]),
-                   target=str(d["target"]), action=str(d["action"]),
-                   detail=str(d.get("detail", "")),
-                   count=float(d.get("count", 0.0)))
 
     def render(self) -> str:
         where = f"[{self.task}] " if self.task else ""
@@ -88,25 +71,21 @@ class FaultRecord:
         return f"{where}{self.kind} {self.target}: {self.action}{tail}"
 
 
-class FaultEventLog:
-    """Append-only ordered record list with value equality."""
+@dataclass
+class FaultEventLog(Serial):
+    """Append-only ordered record list with value equality.  Saved as a
+    bare JSON list of records, keys in field order."""
 
-    def __init__(self, records: Optional[List[FaultRecord]] = None) -> None:
-        self.records: List[FaultRecord] = list(records) if records else []
+    records: List[FaultRecord] = field(default_factory=list)
+
+    _json_root = "records"
+    _json_sorted = False
 
     def add(self, record: FaultRecord) -> None:
         self.records.append(record)
 
-    def extend(self, other: "FaultEventLog") -> None:
-        self.records.extend(other.records)
-
     def __len__(self) -> int:
         return len(self.records)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FaultEventLog):
-            return NotImplemented
-        return self.records == other.records
 
     # ------------------------------------------------------------------
     def count(self, action: str) -> int:
@@ -120,25 +99,6 @@ class FaultEventLog:
         return sum(1 for r in self.records if r.action in HANDLED_ACTIONS)
 
     # ------------------------------------------------------------------
-    def to_json(self) -> str:
-        return json.dumps([r.to_dict() for r in self.records], indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultEventLog":
-        records = json.loads(text)
-        if not isinstance(records, list) \
-                or not all(isinstance(d, dict) for d in records):
-            raise ValueError("not a fault event log: expected a JSON list "
-                             "of record objects")
-        return cls([FaultRecord.from_dict(d) for d in records])
-
-    def save(self, path: Union[str, os.PathLike]) -> None:
-        Path(path).write_text(self.to_json() + "\n")
-
-    @classmethod
-    def load(cls, path: Union[str, os.PathLike]) -> "FaultEventLog":
-        return cls.from_json(Path(path).read_text())
-
     def render(self) -> str:
         if not self.records:
             return "(no fault events)"

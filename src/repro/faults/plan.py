@@ -29,16 +29,13 @@ bank must fall back to host execution instead.
 from __future__ import annotations
 
 import enum
-import hashlib
-import json
 from dataclasses import dataclass
-from pathlib import Path
-import os
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.config import DEFAULT_CONFIG, SystemConfig
+from repro.serial import Serial, checked, non_negative, one_of
 
 __all__ = ["FaultKind", "FaultEvent", "FaultPlan"]
 
@@ -52,20 +49,14 @@ class FaultKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class FaultEvent:
+class FaultEvent(Serial):
     """One typed fault; immutable so plans can live in sets/dict keys."""
 
     kind: FaultKind
-    target: int
-    param: int = 0
-    phase: str = "run"
+    target: int = checked(non_negative)
+    param: int = checked(non_negative, default=0)
+    phase: str = checked(one_of(("boot", "run")), default="run")
     rehome: bool = True
-
-    def __post_init__(self) -> None:
-        if self.phase not in ("boot", "run"):
-            raise ValueError(f"phase must be 'boot' or 'run', got {self.phase!r}")
-        if self.target < 0:
-            raise ValueError(f"target must be non-negative, got {self.target}")
 
     def describe(self) -> str:
         k = self.kind
@@ -81,26 +72,14 @@ class FaultEvent:
             return f"allocation ordinal {self.target} fails"
         return f"worker for task ordinal {self.target} crashes x{self.param}"
 
-    def to_dict(self) -> Dict:
-        return {"kind": self.kind.value, "target": self.target,
-                "param": self.param, "phase": self.phase,
-                "rehome": self.rehome}
-
-    @classmethod
-    def from_dict(cls, d: Dict) -> "FaultEvent":
-        return cls(kind=FaultKind(d["kind"]), target=int(d["target"]),
-                   param=int(d.get("param", 0)),
-                   phase=str(d.get("phase", "run")),
-                   rehome=bool(d.get("rehome", True)))
-
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(Serial):
     """An ordered, immutable set of faults to inject into one run."""
 
     events: Tuple[FaultEvent, ...] = ()
-    seed: int = 0
-    rate: float = 0.0
+    seed: int = checked(non_negative, default=0)
+    rate: float = checked(non_negative, default=0.0)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -128,38 +107,6 @@ class FaultPlan:
             name = task_names[ev.target % len(task_names)]
             budget[name] = budget.get(name, 0) + max(1, ev.param)
         return budget
-
-    # ------------------------------------------------------------------
-    # Serialization (tests pin canonical plans as JSON)
-    # ------------------------------------------------------------------
-    def to_json(self) -> str:
-        return json.dumps({
-            "seed": self.seed,
-            "rate": self.rate,
-            "events": [e.to_dict() for e in self.events],
-        }, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        d = json.loads(text)
-        if not isinstance(d, dict) or not set(d) <= {"seed", "rate", "events"}:
-            raise ValueError("not a fault plan: expected a JSON object "
-                             "with keys events, rate, seed")
-        return cls(events=tuple(FaultEvent.from_dict(e)
-                                for e in d.get("events", [])),
-                   seed=int(d.get("seed", 0)),
-                   rate=float(d.get("rate", 0.0)))
-
-    def save(self, path: Union[str, os.PathLike]) -> None:
-        Path(path).write_text(self.to_json() + "\n")
-
-    @classmethod
-    def load(cls, path: Union[str, os.PathLike]) -> "FaultPlan":
-        return cls.from_json(Path(path).read_text())
-
-    def digest(self) -> str:
-        """Stable 12-hex fingerprint, used to extend run cache keys."""
-        return hashlib.sha256(self.to_json().encode()).hexdigest()[:12]
 
     # ------------------------------------------------------------------
     @classmethod

@@ -175,7 +175,8 @@ class InterferenceSession(Session):
         return spec is not None and not spec.is_empty
 
     def new_state(self, machine: "Machine") -> InterferenceState:
-        return InterferenceState(self.spec, machine, self.task)
+        return InterferenceState(self.spec.check(machine.config), machine,
+                                 self.task)
 
 
 def interfere_session(plan: HostTrafficPlan, task: str = ""

@@ -23,7 +23,6 @@ import argparse
 import functools
 import json
 import types
-from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -113,7 +112,7 @@ def run_trace(targets: Sequence[str], mode: str = "AFF_ALLOC",
             pid += 1
     trace = chrome_trace(runs, other_data={
         "targets": list(targets), "mode": mode, "scale": scale,
-        "seed": seed, "trace_config": asdict(cfg)})
+        "seed": seed, "trace_config": cfg.to_dict()})
     return {"trace": trace, "metrics": metrics, "states": states}
 
 

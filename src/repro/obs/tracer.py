@@ -23,14 +23,13 @@ byte-identical.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, ContextManager, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import (MetricsRegistry, publish_alloc_stats,
                                publish_fault_state, publish_relayout_state,
                                publish_run)
+from repro.serial import Serial
 from repro.session import Session, scoped
 
 __all__ = ["SPAN_CATEGORIES", "TraceConfig", "TraceEvent", "TraceSession",
@@ -42,7 +41,7 @@ SPAN_CATEGORIES: Tuple[str, ...] = (
 
 
 @dataclass(frozen=True)
-class TraceConfig:
+class TraceConfig(Serial):
     """Tracing knobs; frozen so it can key the artifact cache."""
 
     #: Attach instant arguments (bank ids, sizes, ...) to events.
@@ -50,11 +49,6 @@ class TraceConfig:
     #: Hard cap on buffered instants per machine; overflow is counted,
     #: never raised (tracing must not perturb the run).
     max_events: int = 200_000
-
-    def digest(self) -> str:
-        """Short stable digest for cache keys (mirror of RelayoutConfig)."""
-        blob = json.dumps(asdict(self), sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
 @dataclass

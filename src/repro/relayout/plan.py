@@ -12,19 +12,10 @@ same plan, byte for byte — and afflint replays them offline
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, replace
-from pathlib import Path
-import os
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+
+from repro.serial import Serial
 
 if TYPE_CHECKING:
     from repro.analysis.diagnostics import DiagnosticReport
@@ -41,7 +32,7 @@ class MigrationKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Migration:
+class Migration(Serial):
     """One migration decision, with its outcome.
 
     ``applied=False`` records a decision the engine could not carry out
@@ -65,32 +56,17 @@ class Migration:
         return (f"{self.kind.value} {self.target} @ {self.epoch} "
                 f"[{state}, {self.moved_bytes:,.0f} B]{extra}")
 
-    def to_dict(self) -> Dict:
-        return {"kind": self.kind.value, "target": self.target,
-                "epoch": self.epoch, "task": self.task,
-                "src_banks": list(self.src_banks),
-                "dst_banks": list(self.dst_banks),
-                "moved_bytes": self.moved_bytes,
-                "applied": self.applied, "detail": self.detail}
-
-    @classmethod
-    def from_dict(cls, d: Dict) -> "Migration":
-        return cls(kind=MigrationKind(d["kind"]), target=d["target"],
-                   epoch=d["epoch"], task=d.get("task", ""),
-                   src_banks=tuple(int(b) for b in d.get("src_banks", ())),
-                   dst_banks=tuple(int(b) for b in d.get("dst_banks", ())),
-                   moved_bytes=float(d.get("moved_bytes", 0.0)),
-                   applied=bool(d.get("applied", True)),
-                   detail=d.get("detail", ""))
-
 
 @dataclass(frozen=True)
-class MigrationPlan:
-    """Ordered record of one run's migrations plus policy metadata."""
+class MigrationPlan(Serial):
+    """Ordered record of one run's migrations plus policy metadata.  Its
+    ``to_json`` ends in a newline."""
 
     migrations: Tuple[Migration, ...] = ()
     seed: int = 0
     max_per_epoch: int = 0
+
+    _json_newline = "\n"
 
     @classmethod
     def empty(cls, seed: int = 0, max_per_epoch: int = 0) -> "MigrationPlan":
@@ -102,9 +78,6 @@ class MigrationPlan:
 
     def applied(self) -> Tuple[Migration, ...]:
         return tuple(m for m in self.migrations if m.applied)
-
-    def by_kind(self, kind: MigrationKind) -> Tuple[Migration, ...]:
-        return tuple(m for m in self.migrations if m.kind is kind)
 
     def applied_count(self) -> int:
         return len(self.applied())
@@ -119,33 +92,6 @@ class MigrationPlan:
 
     def merged_with(self, other: "MigrationPlan") -> "MigrationPlan":
         return replace(self, migrations=self.migrations + other.migrations)
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict:
-        return {"migrations": [m.to_dict() for m in self.migrations],
-                "seed": self.seed, "max_per_epoch": self.max_per_epoch}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, blob: str) -> "MigrationPlan":
-        d = json.loads(blob)
-        if not isinstance(d, dict) \
-                or not set(d) <= {"migrations", "seed", "max_per_epoch"}:
-            raise ValueError("not a migration plan: expected a JSON object "
-                             "with keys max_per_epoch, migrations, seed")
-        return cls(migrations=tuple(Migration.from_dict(m)
-                                    for m in d.get("migrations", ())),
-                   seed=int(d.get("seed", 0)),
-                   max_per_epoch=int(d.get("max_per_epoch", 0)))
-
-    def save(self, path: Union[str, os.PathLike]) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: Union[str, os.PathLike]) -> "MigrationPlan":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
     # ------------------------------------------------------------------
     def to_diagnostics(self, num_banks: Optional[int] = None,

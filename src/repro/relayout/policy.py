@@ -23,18 +23,17 @@ Decision rules (paper framing: keep forwarding distance near zero):
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.relayout.plan import MigrationKind
+from repro.serial import Serial
 
 __all__ = ["ArrayDrift", "Decision", "RelayoutConfig", "Telemetry", "decide"]
 
 
 @dataclass(frozen=True)
-class RelayoutConfig:
+class RelayoutConfig(Serial):
     """Tuning knobs for the online re-layout engine (all deterministic).
 
     Costs live here rather than on :class:`repro.config.SystemConfig`
@@ -57,11 +56,6 @@ class RelayoutConfig:
     stall_cycles: float = 200.0
     rehome_budget: int = 0             # advisory REHOME decisions allowed
     seed: int = 0
-
-    def digest(self) -> str:
-        """Short stable hash for cache keys and run fingerprints."""
-        blob = json.dumps(asdict(self), sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
 @dataclass(frozen=True)
