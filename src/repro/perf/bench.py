@@ -6,8 +6,8 @@ with environment metadata:
 * ``fig12`` runs the figure twice, through the shipped code and through
   the pre-vectorization originals in :mod:`repro.perf.reference`, so its
   JSON carries a *measured* before/after speedup.  The two legs must
-  produce equal rows, or the bench aborts.  It also times the artifact
-  cache cold and warm.
+  produce equal rows, or the bench aborts.  It also times one cold
+  run through the artifact cache (compute and store).
 * ``fig12_full`` times the shipped code alone at paper scale.
 
 Layer-by-layer and throughput measurement lives in the benchmark of
@@ -123,20 +123,16 @@ def _bench_fig12(sizes: dict) -> Dict[str, dict]:
 
     metrics = {"fig12_end_to_end": _metric(sec, 1, params, ref)}
 
-    # Artifact-cache behaviour: cold compute-and-store vs warm reload.
+    # Artifact-cache behaviour: one cold compute-and-store.
     old_root = cache.get_cache().root
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tmp:
         try:
             t0 = time.perf_counter()
             runner._run_one("fig12", scale, seed, True, tmp)
             cold = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            runner._run_one("fig12", scale, seed, True, tmp)
-            warm = time.perf_counter() - t0
         finally:
             cache.configure(root=old_root)
     metrics["fig12_cache_cold"] = _metric(cold, 1, params)
-    metrics["fig12_cache_warm"] = _metric(warm, 1, params)
     return metrics
 
 

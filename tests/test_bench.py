@@ -108,8 +108,7 @@ class TestFig12Bench:
 
     def test_metrics_and_params(self, figure):
         metrics = bench._bench_fig12({**bench._SMOKE, "fig12_seed": 3})
-        assert list(metrics) == ["fig12_end_to_end", "fig12_cache_cold",
-                                 "fig12_cache_warm"]
+        assert list(metrics) == ["fig12_end_to_end", "fig12_cache_cold"]
         for m in metrics.values():
             assert m["params"] == {"scale": bench._SMOKE["fig12_scale"],
                                    "seed": 3}
