@@ -63,7 +63,7 @@ def load_or_usage_error(parser: argparse.ArgumentParser,
     usage error (exit 2), never a traceback."""
     try:
         return load(path)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         parser.error(f"cannot load {what} {path}: {exc}")
 
 
