@@ -41,7 +41,7 @@ import time
 
 from repro.cache import CacheConfigError, get_cache
 from repro.harness import runner
-from repro.harness.cliutil import add_seed_argument
+from repro.harness.cliutil import add_scale_argument, add_seed_argument
 from repro.nsc.engine import EngineMode
 from repro.workloads import WORKLOADS, run_workload
 
@@ -78,8 +78,7 @@ def main(argv=None) -> int:
                              "abl_*, table1..table4), a comma-separated list "
                              "of ids, or 'run' for a single workload")
     parser.add_argument("workload", nargs="?", help="workload name for 'run'")
-    parser.add_argument("--scale", type=float, default=0.12,
-                        help="fraction of Table 3 input sizes (default 0.12)")
+    add_scale_argument(parser, 0.12, "fraction of Table 3 input sizes")
     add_seed_argument(parser, help_suffix="threaded through experiments")
     parser.add_argument("--jobs", "-j", type=int, default=1,
                         help="worker processes for experiments (default 1)")

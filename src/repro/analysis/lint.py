@@ -295,6 +295,8 @@ def _collect_fixture_paths(paths: List[str]) -> List[Path]:
 
 
 def cli(argv: Optional[List[str]] = None) -> int:
+    from repro.harness.cliutil import (add_scale_argument, add_seed_argument,
+                                       load_or_usage_error)
     parser = argparse.ArgumentParser(
         prog="python -m repro lint",
         description="afflint: static affinity/layout analysis.")
@@ -326,9 +328,7 @@ def cli(argv: Optional[List[str]] = None) -> int:
                         help="output encoding (default text); json is "
                              "the stable afflint-diagnostics/1 schema, "
                              "github emits workflow-command annotations")
-    parser.add_argument("--scale", type=float, default=0.12,
-                        help="workload scale for plan linting "
-                             "(default 0.12)")
+    add_scale_argument(parser, 0.12, "workload scale for plan linting")
     parser.add_argument("--expect-findings", action="store_true",
                         help="invert the exit code: succeed only if "
                              "findings were reported (CI fixture check)")
@@ -342,7 +342,6 @@ def cli(argv: Optional[List[str]] = None) -> int:
                              "from python -m repro autoplace --save-plan) "
                              "into RLY diagnostics; exits nonzero on "
                              "unsafe migrations (RLY001/RLY004)")
-    from repro.harness.cliutil import add_seed_argument, load_or_usage_error
     add_seed_argument(parser, help_suffix="accepted for CLI uniformity; "
                                           "layout linting is "
                                           "seed-independent")

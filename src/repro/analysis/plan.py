@@ -13,9 +13,7 @@ without allocating a byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-from repro.analysis.diagnostics import LayoutError
+from typing import List, Optional
 
 __all__ = ["PlannedArray", "IrregularDemand", "LayoutPlan", "ResolvedTarget"]
 
@@ -71,15 +69,6 @@ class LayoutPlan:
         dem = IrregularDemand(size, count, label)
         self.irregular.append(dem)
         return dem
-
-    def by_name(self) -> Dict[str, PlannedArray]:
-        out: Dict[str, PlannedArray] = {}
-        for pa in self.arrays:
-            if pa.name in out:
-                raise LayoutError(f"duplicate planned array {pa.name!r} "
-                                  f"in plan {self.name!r}")
-            out[pa.name] = pa
-        return out
 
 
 @dataclass

@@ -9,14 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "align_down",
     "align_up",
     "alignment_shift",
     "is_power_of_two",
-    "line_index",
     "lines_spanned",
     "AddressRange",
 ]
@@ -43,11 +40,6 @@ def align_up(addr: int, granule: int) -> int:
     if granule <= 0:
         raise ValueError("granule must be positive")
     return -(-addr // granule) * granule
-
-
-def line_index(addr, line_bytes: int = 64):
-    """Cache-line index of byte address(es); vectorized."""
-    return np.asarray(addr) // line_bytes
 
 
 def lines_spanned(addr: int, size: int, line_bytes: int = 64) -> int:

@@ -67,10 +67,6 @@ class DramModel:
             channels, weights=counts * bytes_each, minlength=len(self.controller_tiles)
         )
 
-    @property
-    def channel_bytes(self) -> np.ndarray:
-        return self._channel_bytes.copy()
-
     def bottleneck_cycles(self) -> float:
         """Cycles needed by the most-loaded channel to move its bytes."""
         if self._channel_bytes.size == 0:

@@ -184,11 +184,6 @@ class InterleaveOverrideTable:
             self._remap = np.arange(self.num_banks, dtype=np.int64)
         self._remap[self._remap == bank] = replacement
 
-    @property
-    def bank_remap(self) -> Optional[np.ndarray]:
-        """The active remap vector (read-only view), or None when healthy."""
-        return None if self._remap is None else self._remap.copy()
-
     def remap_banks(self, banks: np.ndarray) -> np.ndarray:
         """Apply the active bank remap to explicit bank ids.
 

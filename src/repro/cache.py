@@ -59,7 +59,6 @@ __all__ = [
     "cache_key",
     "cached_arrays",
     "cached_graph",
-    "cached_json",
 ]
 
 #: Bump whenever a generator/experiment changes its output for the same
@@ -418,15 +417,3 @@ def cached_graph(kind: str, builder: Callable[[], "object"], **params):
     except (KeyError, ValueError):  # stale/corrupt payload: rebuild it
         get_cache().drop_arrays(cache_key(kind, **params))
     return graph(cached_arrays(kind, build, **params))
-
-
-def cached_json(kind: str, builder: Callable[[], object], **params):
-    """Memoize a JSON-serializable computation (metric summaries)."""
-    cache = get_cache()
-    key = cache_key(kind, **params)
-    hit = cache.get_json(key)
-    if hit is not None:
-        return hit
-    obj = builder()
-    cache.put_json(key, obj)
-    return obj

@@ -27,7 +27,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.analysis.diagnostics import DoubleFreeError
-from repro.arch.address import align_up, is_power_of_two
+from repro.arch.address import align_up
 from repro.arch.mesh import Mesh
 from repro.core.api import AffineArray
 from repro.vm.pools import PoolManager
@@ -265,10 +265,6 @@ class PoolSpace:
             else:
                 merged.append((s, n))
         self._free = merged
-
-    @property
-    def free_slots(self) -> int:
-        return sum(n for _, n in self._free)
 
     def slot_vaddr(self, slot: int) -> int:
         return self.pool.slot_vaddr(slot)

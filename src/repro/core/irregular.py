@@ -129,6 +129,3 @@ class SlotPool:
             lo, hi = int(bounds[b]), int(bounds[b + 1])
             if hi > lo:
                 self._free[b].extend(grouped[lo:hi])
-
-    def free_count(self, bank: int) -> int:
-        return len(self._free[bank])

@@ -20,7 +20,7 @@ behaviour is deterministic and testable).
 from __future__ import annotations
 
 import abc
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -192,11 +192,19 @@ class HybridPolicy(BankSelectPolicy):
         variant folds the fault mask into an additive 0/inf penalty
         row, leaving the healthy path untouched.
         """
-        loads = load.loads  # private working copy
-        out = _kernels.get_backend().hybrid_select_batch(
-            mean_hops, loads, self.h, self._penalty_row(mask))
-        load.record_many(np.bincount(out, minlength=load.num_banks))
-        return out
+        return self.run_kernel("hybrid_select_batch", load, mean_hops,
+                               mask=mask)
+
+    def run_kernel(self, kernel: str, load: LoadTracker, *inputs: np.ndarray,
+                   mask: Optional[np.ndarray] = None) -> np.ndarray:
+        """Run the active backend's Eq. 4 loop ``kernel`` over ``inputs``
+        and a private working copy of ``load``'s loads, commit the chosen
+        banks to ``load`` and return them.  The fault mask, if any, rides
+        along as the additive 0/inf penalty row."""
+        chosen = getattr(_kernels.get_backend(), kernel)(
+            *inputs, load.loads, self.h, self._penalty_row(mask))
+        load.record_many(np.bincount(chosen, minlength=load.num_banks))
+        return chosen
 
 
 class MinHopPolicy(HybridPolicy):

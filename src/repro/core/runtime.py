@@ -15,7 +15,6 @@ from the owning pool, exactly as §5.1 describes).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -41,7 +40,6 @@ from repro.core.irregular import SlotPool
 from repro.core.load import LoadTracker
 from repro.core.policy import BankSelectPolicy, HybridPolicy
 from repro.machine import Machine
-from repro.perf import kernels as _kernels
 
 __all__ = ["AffinityAllocator", "AllocStats"]
 
@@ -572,13 +570,10 @@ class AffinityAllocator:
         if isinstance(self.policy, HybridPolicy):
             chosen = self._chained_hybrid(prev_ids, head_banks, n, nb,
                                           mask=mask)
-        elif mask is not None:
-            chosen = self.policy.select_batch(np.zeros((n, nb)), self.load,
-                                              self.mesh, mask=mask)
         else:
             # Affinity-oblivious policies ignore the chain structure.
             chosen = self.policy.select_batch(np.zeros((n, nb)), self.load,
-                                              self.mesh)
+                                              self.mesh, mask=mask)
         try:
             vaddrs = self._slot_pool(intrlv).alloc_many_on_banks(chosen)
         except PoolExhaustedError:
@@ -607,12 +602,8 @@ class AffinityAllocator:
         """
         offsets, banks = _affinity_groups(alloc_ids, banks, n)
         dist_t = self.mesh.hops_table().T.astype(np.float64)
-        loads = self.load.loads  # working copy
-        chosen = _kernels.get_backend().affinity_hybrid(
-            dist_t, offsets, banks, loads, self.policy.h,
-            BankSelectPolicy._penalty_row(mask))
-        self.load.record_many(np.bincount(chosen, minlength=loads.size))
-        return chosen
+        return self.policy.run_kernel("affinity_hybrid", self.load, dist_t,
+                                      offsets, banks, mask=mask)
 
     def _chained_hybrid(self, prev_ids: np.ndarray, head_banks: np.ndarray,
                         n: int, nb: int,
@@ -628,12 +619,8 @@ class AffinityAllocator:
         0/inf penalty row, leaving the healthy path untouched.
         """
         dist_t = self.mesh.hops_table().T.astype(np.float64)
-        loads = self.load.loads  # working copy
-        chosen = _kernels.get_backend().chained_hybrid(
-            dist_t, prev_ids, head_banks, loads, self.policy.h,
-            BankSelectPolicy._penalty_row(mask))
-        self.load.record_many(np.bincount(chosen, minlength=nb))
-        return chosen
+        return self.policy.run_kernel("chained_hybrid", self.load, dist_t,
+                                      prev_ids, head_banks, mask=mask)
 
     # ------------------------------------------------------------------
     # Unified malloc_aff / free_aff (paper signatures)
@@ -755,6 +742,3 @@ class AffinityAllocator:
     # ------------------------------------------------------------------
     def record_of(self, vaddr: int) -> Optional[_AffineRecord]:
         return self._records.get(vaddr)
-
-    def live_irregular(self) -> float:
-        return self.load.total

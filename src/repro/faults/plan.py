@@ -35,7 +35,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.config import DEFAULT_CONFIG, SystemConfig
-from repro.serial import Serial, checked, non_negative, one_of
+from repro.serial import Serial, checked, non_negative, one_of, probability
 
 __all__ = ["FaultKind", "FaultEvent", "FaultPlan"]
 
@@ -79,7 +79,8 @@ class FaultPlan(Serial):
 
     events: Tuple[FaultEvent, ...] = ()
     seed: int = checked(non_negative, default=0)
-    rate: float = checked(non_negative, default=0.0)
+    #: Per-resource fault probability of a generated plan.
+    rate: float = checked(probability, default=0.0)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -126,8 +127,7 @@ class FaultPlan(Serial):
         # that plan-only consumers (the harness) don't otherwise need.
         from repro.arch.mesh import Mesh
 
-        if rate < 0.0:
-            raise ValueError("fault rate must be non-negative")
+        cls(seed=seed, rate=float(rate))  # range checks before any draw
         rng = np.random.default_rng(seed)
         events: List[FaultEvent] = []
 

@@ -114,7 +114,3 @@ class CSRGraph:
         return CSRGraph.from_edge_list(self.num_vertices, self.edges,
                                        self.sources(), self.weights,
                                        remove_self_loops=False)
-
-    def degree_histogram(self, bins: int = 32) -> np.ndarray:
-        deg = self.out_degrees()
-        return np.histogram(deg, bins=bins)[0]

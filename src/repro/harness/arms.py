@@ -27,8 +27,9 @@ from repro.analysis.interference import verify_host_injection
 from repro.config import DEFAULT_CONFIG
 from repro.faults.log import FaultEventLog, FaultRecord
 from repro.faults.plan import FaultKind, FaultPlan
-from repro.harness.cliutil import (EXIT_FAILURE, EXIT_OK, add_seed_argument,
-                                   fan_out, load_or_usage_error)
+from repro.harness.cliutil import (EXIT_FAILURE, EXIT_OK, add_scale_argument,
+                                   add_seed_argument, fan_out,
+                                   load_or_usage_error)
 from repro.harness.report import ascii_table, ratio, run_metrics, section
 from repro.interfere.plan import HostTrafficPlan
 from repro.nsc.engine import EngineMode
@@ -104,11 +105,12 @@ def _factor(text: str) -> float:
     return value
 
 
-def _scale(text: str) -> float:
+def _rate(text: str) -> float:
+    """A probability: a finite float in [0, 1]."""
     value = _factor(text)
-    if value > 0:
+    if value <= 1:
         return value
-    raise argparse.ArgumentTypeError(f"scale must be > 0, got {text!r}")
+    raise argparse.ArgumentTypeError(f"rate must be in [0, 1], got {text!r}")
 
 
 def _sweep(text: str) -> Tuple[float, ...]:
@@ -135,9 +137,7 @@ def _parser(name: str, description: str, noun: str,
                             choices=["IN_CORE", "NEAR_L3", "AFF_ALLOC"],
                             help="engine mode for the runs "
                                  "(default AFF_ALLOC)")
-    parser.add_argument("--scale", type=_scale, default=scale,
-                        help="workload scale, finite and > 0 "
-                             f"(default {scale})")
+    add_scale_argument(parser, scale)
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes (default 1)")
     parser.add_argument("--save-report", type=Path, default=None,
@@ -309,7 +309,7 @@ def chaos_cli(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--interfere", type=Path, default=None,
                         help="JSON host-traffic plan to contend the faulted "
                              "arms with (see 'interfere --save-plan')")
-    parser.add_argument("--rate", type=_factor, default=0.05,
+    parser.add_argument("--rate", type=_rate, default=0.05,
                         help="generated plans' per-resource fault rate")
     parser.add_argument("--save-log", type=Path, default=None,
                         help="write the fault event log JSON here")

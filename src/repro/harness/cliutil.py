@@ -7,7 +7,8 @@ Every subcommand follows the same contract (documented in README):
   unhandled fault, trace mismatch, lint finding, ...),
 * exit ``2`` for usage errors (argparse's own convention),
 * accept ``--seed`` so invocations stay uniform across subcommands,
-  even where the underlying computation is seed-independent;
+  even where the underlying computation is seed-independent, and take
+  ``--scale`` through one validated type (finite and > 0);
 * fan multi-task work out through :func:`fan_out`, which merges results
   in task order so ``--jobs 1`` and ``--jobs N`` write identical bytes.
 """
@@ -15,6 +16,7 @@ Every subcommand follows the same contract (documented in README):
 from __future__ import annotations
 
 import argparse
+import math
 from concurrent import futures
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple, TypeVar)
@@ -22,7 +24,8 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
 from repro.analysis.diagnostics import WorkerCrashError
 
 __all__ = ["EXIT_OK", "EXIT_FAILURE", "EXIT_USAGE", "MAX_RESTARTS",
-           "add_seed_argument", "fan_out", "load_or_usage_error"]
+           "add_scale_argument", "add_seed_argument", "fan_out",
+           "load_or_usage_error"]
 
 T = TypeVar("T")
 
@@ -54,6 +57,26 @@ def add_seed_argument(parser: argparse.ArgumentParser,
     if help_suffix:
         text += f"; {help_suffix}"
     parser.add_argument("--seed", type=_seed, default=default, help=text)
+
+
+def _scale(text: str) -> float:
+    """A finite float > 0 (a workload scale of 0 or below, NaN or inf
+    has no input size)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"scale must be a finite number > 0, got {text!r}")
+    return value
+
+
+def add_scale_argument(parser: argparse.ArgumentParser, default: float,
+                       what: str = "workload scale") -> None:
+    """Attach the uniform, validated ``--scale`` option to *parser*."""
+    parser.add_argument("--scale", type=_scale, default=default,
+                        help=f"{what}, finite and > 0 (default {default})")
 
 
 def load_or_usage_error(parser: argparse.ArgumentParser,

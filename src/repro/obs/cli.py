@@ -26,8 +26,8 @@ import types
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.harness.cliutil import (EXIT_FAILURE, EXIT_OK, add_seed_argument,
-                                   fan_out)
+from repro.harness.cliutil import (EXIT_FAILURE, EXIT_OK, add_scale_argument,
+                                   add_seed_argument, fan_out)
 from repro.obs.export import (channel_labels, chrome_trace, diff_traces,
                               metrics_csv_lines, top_entries,
                               validate_chrome_trace)
@@ -175,8 +175,7 @@ def cli(argv: Optional[List[str]] = None) -> int:
                         choices=["IN_CORE", "NEAR_L3", "AFF_ALLOC"],
                         help="engine mode for plain workload targets "
                              "(default AFF_ALLOC)")
-    parser.add_argument("--scale", type=float, default=0.05,
-                        help="workload scale (default 0.05)")
+    add_scale_argument(parser, 0.05)
     add_seed_argument(parser)
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes (default 1)")
@@ -237,7 +236,10 @@ def cli(argv: Optional[List[str]] = None) -> int:
         kwargs["include_args"] = False
     if args.max_events is not None:
         kwargs["max_events"] = args.max_events
-    cfg = TraceConfig(**kwargs)
+    try:
+        cfg = TraceConfig(**kwargs)
+    except ValueError as exc:
+        parser.error(f"bad trace config: {exc}")
 
     payload = run_trace(targets, mode=args.mode, scale=args.scale,
                         seed=args.seed, jobs=args.jobs, cfg=cfg,

@@ -29,7 +29,7 @@ from typing import Any, ContextManager, Dict, List, Optional, Tuple
 from repro.obs.metrics import (MetricsRegistry, publish_alloc_stats,
                                publish_fault_state, publish_relayout_state,
                                publish_run)
-from repro.serial import Serial
+from repro.serial import Serial, checked, non_negative
 from repro.session import Session, scoped
 
 __all__ = ["SPAN_CATEGORIES", "TraceConfig", "TraceEvent", "TraceSession",
@@ -48,7 +48,7 @@ class TraceConfig(Serial):
     include_args: bool = True
     #: Hard cap on buffered instants per machine; overflow is counted,
     #: never raised (tracing must not perturb the run).
-    max_events: int = 200_000
+    max_events: int = checked(non_negative, default=200_000)
 
 
 @dataclass

@@ -31,8 +31,10 @@ The backend surface:
     ``banks[offsets[i]:offsets[i + 1]]`` (CSR groups); the C loop builds
     each mean-hop row as it reaches it, with no ``(n, nb)`` matrix.
 
-The executor's dedup/accounting kernels have one implementation and
-live in :mod:`repro.perf.kernels.pybackend`.
+Both backends run :func:`repro.perf.kernels.inputs.check_inputs` before
+their loops, so a malformed batch raises :class:`ValueError` with
+``loads`` untouched.  The executor's dedup/accounting kernels have one
+implementation and live in :mod:`repro.perf.kernels.pybackend`.
 """
 
 from __future__ import annotations

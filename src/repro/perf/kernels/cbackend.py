@@ -37,6 +37,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.perf.kernels.inputs import check_inputs
+
 NAME = "c"
 
 _SOURCE = Path(__file__).with_name("_ckernels.c")
@@ -127,98 +129,58 @@ if _lib is not None:
 AVAILABLE = _lib is not None
 
 
-def _dptr(a: np.ndarray):
-    return a.ctypes.data_as(_D)
+def _ptr(a: np.ndarray):
+    return a.ctypes.data_as(_D if a.dtype == np.float64 else _I)
 
 
-def _iptr(a: np.ndarray):
-    return a.ctypes.data_as(_I)
+def _f64(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64)
 
 
-def _loads_buffer(loads: np.ndarray) -> np.ndarray:
-    """A float64 C-contiguous view/copy the C loop can mutate.
-
-    Callers normally hand over a fresh float64 copy already; anything
-    else gets staged through a buffer that :func:`_loads_writeback`
-    copies back, preserving the mutate-in-place contract."""
-    if loads.dtype == np.float64 and loads.flags.c_contiguous:
-        return loads
-    return np.ascontiguousarray(loads, dtype=np.float64)
+def _i64(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.int64)
 
 
-def _loads_writeback(loads: np.ndarray, buf: np.ndarray) -> None:
+def _run(kernel, n: int, arrays, loads: np.ndarray, h: float,
+         penalty: Optional[np.ndarray], scratch=()) -> np.ndarray:
+    """The staging every C loop shares: ``kernel(*arrays, loads, h,
+    penalty, *scratch, total, n, nb, out)`` over checked, contiguous
+    inputs.
+
+    ``loads`` is staged through a float64 C-contiguous buffer when it is
+    not one already and copied back after the loop, preserving the
+    mutate-in-place contract; ``total`` is numpy's pairwise sum of it.
+    Returns ``out``, the chosen bank per step."""
+    out = np.empty(n, dtype=np.int64)
+    if n == 0:
+        return out
+    pen = None if penalty is None else _f64(penalty)
+    buf = (loads if loads.dtype == np.float64 and loads.flags.c_contiguous
+           else _f64(loads))
+    kernel(*map(_ptr, arrays), _ptr(buf), float(h),
+           None if pen is None else _ptr(pen), *map(_ptr, scratch),
+           float(buf.sum()), n, buf.size, _ptr(out))
     if buf is not loads:
         loads[...] = buf
+    return out
 
 
 def hybrid_select_batch(mean_hops, loads, h, penalty):
-    mh = np.ascontiguousarray(mean_hops, dtype=np.float64)
-    n, nb = mh.shape
-    out = np.empty(n, dtype=np.int64)
-    if n == 0:
-        return out
-    pen = None
-    if penalty is not None:
-        pen = np.ascontiguousarray(penalty, dtype=np.float64)
-    buf = _loads_buffer(loads)
-    total = float(buf.sum())
-    _lib.repro_hybrid_select_batch(
-        _dptr(mh), _dptr(buf), float(h),
-        _dptr(pen) if pen is not None else None,
-        total, n, nb, _iptr(out))
-    _loads_writeback(loads, buf)
-    return out
+    mh = _f64(mean_hops)
+    check_inputs(loads, penalty, mean_hops=mh)
+    return _run(_lib.repro_hybrid_select_batch, mh.shape[0], (mh,),
+                loads, h, penalty)
 
 
 def chained_hybrid(dist_t, prev_ids, head_banks, loads, h, penalty):
-    dt = np.ascontiguousarray(dist_t, dtype=np.float64)
-    prev = np.ascontiguousarray(prev_ids, dtype=np.int64)
-    heads = np.ascontiguousarray(head_banks, dtype=np.int64)
-    n = prev.size
-    nb = loads.size
-    chosen = np.empty(n, dtype=np.int64)
-    if n == 0:
-        return chosen
-    pen = None
-    if penalty is not None:
-        pen = np.ascontiguousarray(penalty, dtype=np.float64)
-    zeros = np.zeros(nb, dtype=np.float64)
-    buf = _loads_buffer(loads)
-    total = float(buf.sum())
-    _lib.repro_chained_hybrid(
-        _dptr(dt), _iptr(prev), _iptr(heads), _dptr(buf),
-        float(h), _dptr(pen) if pen is not None else None,
-        _dptr(zeros), total, n, nb, _iptr(chosen))
-    _loads_writeback(loads, buf)
-    return chosen
+    dt, prev, heads = _f64(dist_t), _i64(prev_ids), _i64(head_banks)
+    check_inputs(loads, penalty, dist_t=dt, prev_ids=prev, head_banks=heads)
+    return _run(_lib.repro_chained_hybrid, prev.size, (dt, prev, heads),
+                loads, h, penalty, (np.zeros(loads.size),))
 
 
 def affinity_hybrid(dist_t, offsets, banks, loads, h, penalty):
-    dt = np.ascontiguousarray(dist_t, dtype=np.float64)
-    offs = np.ascontiguousarray(offsets, dtype=np.int64)
-    bk = np.ascontiguousarray(banks, dtype=np.int64)
-    nb = loads.size
-    n = offs.size - 1
-    out = np.empty(n, dtype=np.int64)
-    if n == 0:
-        return out
-    # The loop indexes raw memory: refuse what would read out of bounds.
-    if dt.shape != (nb, nb):
-        raise ValueError(f"dist_t must be ({nb}, {nb}), got {dt.shape}")
-    if (offs[0] != 0 or offs[-1] != bk.size
-            or bool((offs[1:] < offs[:-1]).any())):
-        raise ValueError("offsets must rise from 0 to banks.size")
-    if bk.size and (int(bk.min()) < 0 or int(bk.max()) >= nb):
-        raise ValueError(f"affinity banks must lie in [0, {nb})")
-    pen = None
-    if penalty is not None:
-        pen = np.ascontiguousarray(penalty, dtype=np.float64)
-    acc = np.empty(nb, dtype=np.float64)
-    buf = _loads_buffer(loads)
-    total = float(buf.sum())
-    _lib.repro_affinity_hybrid(
-        _dptr(dt), _iptr(offs), _iptr(bk), _dptr(buf), float(h),
-        _dptr(pen) if pen is not None else None, _dptr(acc), total, n, nb,
-        _iptr(out))
-    _loads_writeback(loads, buf)
-    return out
+    dt, offs, bk = _f64(dist_t), _i64(offsets), _i64(banks)
+    check_inputs(loads, penalty, dist_t=dt, offsets=offs, banks=bk)
+    return _run(_lib.repro_affinity_hybrid, offs.size - 1, (dt, offs, bk),
+                loads, h, penalty, (np.empty(loads.size),))

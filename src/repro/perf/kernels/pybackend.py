@@ -1,54 +1,43 @@
 """Numpy-only kernel backend (always available; the default oracle).
 
-The interesting piece is :func:`hybrid_select_batch`.  Eq. 4's loop is
-sequential by construction — each choice bumps the chosen bank's load,
-shifting the balance term every later step sees — so PR 3 left it as
-~3 µs/iteration of numpy dispatch and it became fig12's Amdahl wall.
+Eq. 4's loop is sequential by construction — each choice bumps the
+chosen bank's load, shifting the balance term every later step sees.
+All three Eq. 4 kernels run it through one function, :func:`_eq4`,
+which differs per kernel only in the hop row each step reads.
 
-The rewrite here is *incremental scoring through a division table*,
-and it is exact, not approximate.  Loads only ever change by ``+= 1.0``
-inside the loop, so while they stay integer-valued the load term
+:func:`_eq4` scores *incrementally through a division table*, and it is
+exact, not approximate.  Loads only ever change by ``+= 1.0`` inside
+the loop, so while they stay integer-valued the load term
 ``fl(fl(fl(L / t_i) - 1) * h)`` can only take ``band × K`` distinct
 values per chunk of K steps: one per (integer load value L, step
-divisor ``t_i = (total0 + i) / nb``) pair.  Precompute that table with
+divisor ``t_i = (total0 + i) / nb``) pair.  That table is built with
 three vectorized ufunc passes in the *same in-place op order* as the
-scalar loop — every table element then carries the identical IEEE-754
-bit pattern the scalar chain would produce, because elementwise ufunc
-loops round each intermediate exactly like the scalar ops do.  Each
-step of the chunk collapses to a gather of the current loads' column
-(``np.take``), one add of the row's hop vector (plus the optional
-penalty row, in the same order), and an ``argmin`` — three numpy
-dispatches instead of six, with no data-dependent speculation to
-mispredict.
+scalar loop, so every element carries the bits the scalar chain would
+produce.  Each step then collapses to a gather of the current loads'
+column, one add of the hop row (plus the optional penalty row, in the
+same order) and an ``argmin``.
 
 Exactness needs ``total`` and the loads to stay integer-valued
-(< 2**52) so ``total0 + i`` and the band indices carry no rounding;
-the irregular-allocation trackers only ever add 1.0, but the guards
-are checked and the original sequential loop kept as the fallback for
-anything else (fractional loads, ``h < 0``, a load band wider than
-``_MAX_BAND``).  See DESIGN §12 for the full argument.
+(< 2**52) so ``total0 + i`` and the band indices carry no rounding.
+The guards are checked, and anything else (fractional loads, ``h <
+0``, a load band wider than ``_MAX_BAND``) finishes on the original
+scalar loop.  See DESIGN §12 for the full argument.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from repro.perf.kernels.inputs import check_inputs
+
 NAME = "python"
 
-__all__ = [
-    "NAME",
-    "hybrid_select_batch",
-    "chained_hybrid",
-    "affinity_hybrid",
-    "first_unique",
-    "first_unique_counts",
-    "consecutive_dedup",
-    "migration_pairs",
-    "credit_roundtrips",
-    "shrink_key",
-]
+__all__ = ["NAME", "hybrid_select_batch", "chained_hybrid",
+           "affinity_hybrid", "first_unique", "first_unique_counts",
+           "consecutive_dedup", "migration_pairs", "credit_roundtrips",
+           "shrink_key"]
 
 
 # ----------------------------------------------------------------------
@@ -73,47 +62,110 @@ _MAX_BAND = 4096
 _BLOCK_CHUNKS = 64
 
 
-def _select_sequential(mean_hops: np.ndarray, loads: np.ndarray,
-                       total: float, h: float,
-                       penalty: Optional[np.ndarray],
-                       out: np.ndarray, start: int) -> float:
-    """The original scalar loop, verbatim op order (exact oracle).
+def _eq4(n: int, hops_of: Callable[[int], np.ndarray], loads: np.ndarray,
+         total: float, h: float, penalty: Optional[np.ndarray],
+         out: np.ndarray) -> float:
+    """Sequential Eq. 4 over ``n`` steps; step ``i`` scores the hop row
+    ``hops_of(i)`` (plus ``penalty``, when given) against the running
+    loads.  Fills ``out``, mutates ``loads`` in place exactly as the
+    scalar loop would and returns the running total after the last
+    step, so a batch can continue in a later call with the same bits.
 
-    Returns the running total after the last row."""
-    n, nb = mean_hops.shape
+    ``hops_of(i)`` is called once per step, in step order, after every
+    earlier choice is in ``out``."""
+    nb = loads.size
+    i = 0
+    # The division table needs the running divisors t_i = (total0 + i)
+    # / nb to carry the exact bits of `total += 1.0` and the loads to
+    # index an integer band; that holds only for integer values below
+    # 2**52 and h > 0 (h < 0 flips the scalar loop onto its hops-only
+    # branch).  Anything else takes the scalar loop below unchanged.
+    if (h > 0 and np.isfinite(h) and total == np.floor(total)
+            and total + n < 2.0 ** 52
+            and bool(np.all(loads == np.floor(loads)))):
+        # The scalar loop scores by hops alone until the first
+        # allocation lands (total == 0); replay that before any table.
+        while total == 0.0 and i < n:
+            row = hops_of(i)
+            if penalty is not None:
+                row = row + penalty
+            b = int(row.argmin())
+            out[i] = b
+            loads[b] += 1.0
+            total += 1.0
+            i += 1
+        loads_i = loads.astype(np.int64)
+        while i < n:
+            k = min(_CHUNK, n - i)
+            lmin = int(loads_i.min())
+            band = int(loads_i.max()) - lmin + k + 1
+            if band > _MAX_BAND:
+                break  # skewed load band: finish on the scalar loop
+            # table[j, L - lmin] is the load term a bank holding L
+            # allocations scores at step i + j — the same divide / -1.0
+            # / *h chain as the scalar body, rounded per element exactly
+            # like the scalar ops, so the gathered values are
+            # bit-identical.
+            t_col = (total + np.arange(k, dtype=np.float64)) / nb
+            table = np.divide(
+                np.arange(lmin, lmin + band, dtype=np.float64)[None, :],
+                t_col[:, None])
+            table -= 1.0
+            table *= h
+            idx = loads_i - lmin
+            for j in range(k):
+                row = table[j][idx]
+                row += hops_of(i + j)
+                if penalty is not None:
+                    row += penalty
+                b = int(row.argmin())
+                out[i + j] = b
+                idx[b] += 1
+            np.add(idx, lmin, out=loads_i)
+            total += float(k)
+            i += k
+        loads[:] = loads_i
+
+    # The original scalar loop, verbatim op order (the exact oracle).
     score = np.empty(nb, dtype=np.float64)
-    if penalty is not None:
-        for i in range(start, n):
-            if h > 0 and total > 0:
-                np.divide(loads, total / nb, out=score)
-                score -= 1.0
-                score *= h
-                score += mean_hops[i]
+    for i in range(i, n):
+        hops = hops_of(i)
+        if h > 0 and total > 0:
+            np.divide(loads, total / nb, out=score)
+            score -= 1.0
+            score *= h
+            score += hops
+            if penalty is not None:
                 score += penalty
-                b = int(score.argmin())
-            else:
-                b = int((mean_hops[i] + penalty).argmin())
-            out[i] = b
-            loads[b] += 1.0
-            total += 1.0
-    else:
-        for i in range(start, n):
-            if h > 0 and total > 0:
-                np.divide(loads, total / nb, out=score)
-                score -= 1.0
-                score *= h
-                score += mean_hops[i]
-                b = int(score.argmin())
-            else:
-                b = int(mean_hops[i].argmin())
-            out[i] = b
-            loads[b] += 1.0
-            total += 1.0
+            b = int(score.argmin())
+        elif penalty is not None:
+            b = int((hops + penalty).argmin())
+        else:
+            b = int(hops.argmin())
+        out[i] = b
+        loads[b] += 1.0
+        total += 1.0
     return total
 
 
-def hybrid_select_batch(mean_hops: np.ndarray, loads: np.ndarray,
-                        h: float,
+def _select_rows(mean_hops: np.ndarray, loads: np.ndarray, total: float,
+                 h: float, penalty: Optional[np.ndarray],
+                 out: np.ndarray) -> float:
+    """:func:`_eq4` over the rows of ``mean_hops`` from a given running
+    ``total`` (the scalar loop's ``total``, which equals ``loads.sum()``
+    only while the loads are integers); returns the new total."""
+    n = mean_hops.shape[0]
+    if h == 0 and n:
+        # Min-Hop: scores never read the loads, so the whole batch
+        # collapses to one row-wise argmin (first-index ties preserved).
+        out[:] = (mean_hops if penalty is None
+                  else mean_hops + penalty).argmin(axis=1)
+        np.add.at(loads, out, 1.0)
+        return total + n
+    return _eq4(n, mean_hops.__getitem__, loads, total, h, penalty, out)
+
+
+def hybrid_select_batch(mean_hops: np.ndarray, loads: np.ndarray, h: float,
                         penalty: Optional[np.ndarray]) -> np.ndarray:
     """Sequential Eq. 4 over a batch (see module docstring).
 
@@ -126,98 +178,11 @@ def hybrid_select_batch(mean_hops: np.ndarray, loads: np.ndarray,
             failed) for the chaos-degraded path, or None.
 
     Returns the chosen bank per row, bit-identical to
-    :func:`repro.perf.reference.hybrid_select_batch_reference`.
-    """
+    :func:`repro.perf.reference.hybrid_select_batch_reference`."""
+    check_inputs(loads, penalty, mean_hops=mean_hops)
     out = np.empty(mean_hops.shape[0], dtype=np.int64)
     _select_rows(mean_hops, loads, float(loads.sum()), h, penalty, out)
     return out
-
-
-def _select_rows(mean_hops: np.ndarray, loads: np.ndarray, total: float,
-                 h: float, penalty: Optional[np.ndarray],
-                 out: np.ndarray) -> float:
-    """:func:`hybrid_select_batch` from a given running ``total`` (the
-    scalar loop's ``total``, which equals ``loads.sum()`` only while the
-    loads are integers); fills ``out`` and returns the new total, so a
-    batch can continue in a later call with the same bits."""
-    n, nb = mean_hops.shape
-    if n == 0:
-        return total
-
-    if h == 0:
-        # Min-Hop: scores never read the loads, so the whole batch
-        # collapses to one row-wise argmin (first-index ties preserved).
-        if penalty is not None:
-            out[:] = (mean_hops + penalty).argmin(axis=1)
-        else:
-            out[:] = mean_hops.argmin(axis=1)
-        np.add.at(loads, out, 1.0)
-        return total + n
-
-    # The division table needs the running divisors t_i = (total0 + i)
-    # / nb to carry the exact bits of `total += 1.0` and the loads to
-    # index an integer band; that holds only for integer values below
-    # 2**52 and h > 0 (h < 0 flips the scalar loop onto its hops-only
-    # branch).  Anything else takes the original loop unchanged.
-    if not (h > 0 and np.isfinite(h) and total == np.floor(total)
-            and total + n < 2.0 ** 52
-            and bool(np.all(loads == np.floor(loads)))):
-        return _select_sequential(mean_hops, loads, total, h, penalty,
-                                  out, 0)
-
-    i = 0
-    # The scalar loop scores by hops alone until the first allocation
-    # lands (total == 0); replay that step before building tables.
-    while total == 0.0 and i < n:
-        if penalty is not None:
-            b = int((mean_hops[i] + penalty).argmin())
-        else:
-            b = int(mean_hops[i].argmin())
-        out[i] = b
-        loads[b] += 1.0
-        total += 1.0
-        i += 1
-
-    loads_i = loads.astype(np.int64)
-    while i < n:
-        k = min(_CHUNK, n - i)
-        lmin = int(loads_i.min())
-        band = int(loads_i.max()) - lmin + k + 1
-        if band > _MAX_BAND:
-            loads[:] = loads_i
-            return _select_sequential(mean_hops, loads, total, h, penalty,
-                                      out, i)
-        # table[j, L - lmin] is the load term a bank holding L
-        # allocations scores at step i + j — the same divide / -1.0 /
-        # *h chain as the scalar body, rounded per element exactly like
-        # the scalar ops, so the gathered values are bit-identical.
-        t_col = (total + np.arange(k, dtype=np.float64)) / nb
-        table = np.divide(
-            np.arange(lmin, lmin + band, dtype=np.float64)[None, :],
-            t_col[:, None])
-        table -= 1.0
-        table *= h
-        idx = loads_i - lmin
-        if penalty is not None:
-            for j in range(k):
-                row = table[j][idx]
-                row += mean_hops[i + j]
-                row += penalty
-                b = int(row.argmin())
-                out[i + j] = b
-                idx[b] += 1
-        else:
-            for j in range(k):
-                row = table[j][idx]
-                row += mean_hops[i + j]
-                b = int(row.argmin())
-                out[i + j] = b
-                idx[b] += 1
-        np.add(idx, lmin, out=loads_i)
-        total += float(k)
-        i += k
-    loads[:] = loads_i
-    return total
 
 
 def chained_hybrid(dist_t: np.ndarray, prev_ids: np.ndarray,
@@ -226,124 +191,27 @@ def chained_hybrid(dist_t: np.ndarray, prev_ids: np.ndarray,
     """Eq. 4 where allocation ``i``'s affinity is the bank chosen for
     ``prev_ids[i]`` earlier in the same batch (or ``head_banks[i]``).
 
-    The hop row depends on earlier in-batch choices, but those are
-    always resolved by the time step ``i`` runs, so the same division
-    table as :func:`hybrid_select_batch` applies — only the hop vector
-    added per step changes.  ``dist_t`` is the *transposed* hop table
-    (``dist_t[j] == dist[:, j]``, C-contiguous) so each step reads a
-    contiguous row instead of a strided column.
+    Those choices are resolved by the time step ``i`` runs, so only
+    the hop row :func:`_eq4` reads changes: a row of the *transposed*
+    hop table ``dist_t`` (``dist_t[j] == dist[:, j]``, C-contiguous),
+    or a zero row when the allocation has no affinity.
 
     Mutates ``loads`` in place; returns the chosen banks.
     """
+    check_inputs(loads, penalty, dist_t=dist_t, prev_ids=prev_ids,
+                 head_banks=head_banks)
     n = prev_ids.size
-    nb = loads.size
     chosen = np.empty(n, dtype=np.int64)
-    zeros = np.zeros(nb, dtype=np.float64)
-    total = float(loads.sum())
-    if (h > 0 and np.isfinite(h) and total == np.floor(total)
-            and total + n < 2.0 ** 52
-            and bool(np.all(loads == np.floor(loads)))):
-        i = 0
-        # Hops-only scoring until the first allocation lands.
-        while total == 0.0 and i < n:
-            p = prev_ids[i]
-            if p >= 0:
-                hops_row = dist_t[chosen[p]]
-            elif head_banks[i] >= 0:
-                hops_row = dist_t[head_banks[i]]
-            else:
-                hops_row = zeros
-            if penalty is not None:
-                b = int((hops_row + penalty).argmin())
-            else:
-                b = int(hops_row.argmin())
-            chosen[i] = b
-            loads[b] += 1.0
-            total += 1.0
-            i += 1
-        loads_i = loads.astype(np.int64)
-        ok = True
-        while i < n:
-            k = min(_CHUNK, n - i)
-            lmin = int(loads_i.min())
-            band = int(loads_i.max()) - lmin + k + 1
-            if band > _MAX_BAND:
-                ok = False
-                break
-            t_col = (total + np.arange(k, dtype=np.float64)) / nb
-            table = np.divide(
-                np.arange(lmin, lmin + band, dtype=np.float64)[None, :],
-                t_col[:, None])
-            table -= 1.0
-            table *= h
-            idx = loads_i - lmin
-            for j in range(k):
-                p = prev_ids[i + j]
-                if p >= 0:
-                    hops_row = dist_t[chosen[p]]
-                elif head_banks[i + j] >= 0:
-                    hops_row = dist_t[head_banks[i + j]]
-                else:
-                    hops_row = zeros
-                row = table[j][idx]
-                row += hops_row
-                if penalty is not None:
-                    row += penalty
-                b = int(row.argmin())
-                chosen[i + j] = b
-                idx[b] += 1
-            np.add(idx, lmin, out=loads_i)
-            total += float(k)
-            i += k
-        loads[:] = loads_i
-        if ok:
-            return chosen
-        # Skewed load band: finish on the scalar body below.
-        n_start = i
-    else:
-        n_start = 0
-    score = np.empty(nb, dtype=np.float64)
-    if penalty is not None:
-        for i in range(n_start, n):
-            p = prev_ids[i]
-            if p >= 0:
-                hops_row = dist_t[chosen[p]]
-            elif head_banks[i] >= 0:
-                hops_row = dist_t[head_banks[i]]
-            else:
-                hops_row = zeros
-            if h > 0 and total > 0:
-                np.divide(loads, total / nb, out=score)
-                score -= 1.0
-                score *= h
-                score += hops_row
-                score += penalty
-                b = int(score.argmin())
-            else:
-                b = int((hops_row + penalty).argmin())
-            chosen[i] = b
-            loads[b] += 1.0
-            total += 1.0
-    else:
-        for i in range(n_start, n):
-            p = prev_ids[i]
-            if p >= 0:
-                hops_row = dist_t[chosen[p]]
-            elif head_banks[i] >= 0:
-                hops_row = dist_t[head_banks[i]]
-            else:
-                hops_row = zeros
-            if h > 0 and total > 0:
-                np.divide(loads, total / nb, out=score)
-                score -= 1.0
-                score *= h
-                score += hops_row
-                b = int(score.argmin())
-            else:
-                b = int(hops_row.argmin())
-            chosen[i] = b
-            loads[b] += 1.0
-            total += 1.0
+    zeros = np.zeros(loads.size, dtype=np.float64)
+    prev, heads = prev_ids.tolist(), head_banks.tolist()
+
+    def hops_of(i: int) -> np.ndarray:
+        p = prev[i]
+        if p >= 0:
+            return dist_t[chosen[p]]
+        return dist_t[heads[i]] if heads[i] >= 0 else zeros
+
+    _eq4(n, hops_of, loads, float(loads.sum()), h, penalty, chosen)
     return chosen
 
 
@@ -384,6 +252,8 @@ def affinity_hybrid(dist_t: np.ndarray, offsets: np.ndarray,
 
     Mutates ``loads`` in place; returns the chosen banks.
     """
+    check_inputs(loads, penalty, dist_t=dist_t, offsets=offsets,
+                 banks=banks)
     counts = np.diff(offsets)
     n = counts.size
     out = np.empty(n, dtype=np.int64)

@@ -17,7 +17,7 @@ messages go, which this model captures exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -86,9 +86,6 @@ class PerfModel:
         t_serial = float(phase.core_serial_cycles.max()) if phase.core_serial_cycles.size else 0.0
         return {"core": t_core, "bank": t_bank,
                 "link": t_link, "serial": t_serial}
-
-    def _phase_cycles(self, phase: PhaseStats) -> float:
-        return max(self._phase_resources(phase).values())
 
     # ------------------------------------------------------------------
     def evaluate(self, recorder: RunRecorder, *, label: str = "run",

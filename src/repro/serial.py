@@ -27,7 +27,7 @@ from typing import (Any, Callable, ClassVar, Collection, Dict, Optional,
                     Tuple, Type, TypeVar, Union)
 
 __all__ = ["PlanFieldError", "Serial", "checked", "in_range", "non_negative",
-           "non_empty", "one_of"]
+           "non_empty", "one_of", "probability"]
 
 #: A range check: the reason a value is out of range, or None.
 Check = Callable[[Any], Optional[str]]
@@ -60,6 +60,10 @@ def in_range(lo: float, hi: float = math.inf) -> Check:
 
 
 non_negative = in_range(0)
+
+
+def probability(value: Any) -> Optional[str]:
+    return None if 0 <= value <= 1 else f"must be in [0, 1], got {value!r}"
 
 
 def non_empty(value: Any) -> Optional[str]:

@@ -57,10 +57,6 @@ class InterleavePool:
     def backed_bytes(self) -> int:
         return self._backed
 
-    @property
-    def backed_end_vaddr(self) -> int:
-        return self.vbase + self._backed
-
     def contains(self, vaddr: int) -> bool:
         return self.vrange.contains(vaddr)
 
@@ -75,9 +71,6 @@ class InterleavePool:
 
     def slot_vaddr(self, slot: int) -> int:
         return self.vbase + slot * self.intrlv
-
-    def slots_backed(self) -> int:
-        return self._backed // self.intrlv
 
     # ------------------------------------------------------------------
     # Growth

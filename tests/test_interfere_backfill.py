@@ -10,8 +10,7 @@ Two subsystems the new engine leans on had untested corners:
 * the IOT's vectorized range table past its small-table comfort zone —
   more entries than the 8-entry migration table (the searchsorted
   lookup path), ``update_end`` growth, and the PR-8 Eq. 4 kernel's
-  ``_select_sequential`` fallback when the integer load band exceeds
-  ``_MAX_BAND``.
+  scalar fallback when the integer load band exceeds ``_MAX_BAND``.
 """
 
 import numpy as np
@@ -25,6 +24,7 @@ from repro.interfere.engine import InterferenceState
 from repro.interfere.plan import HostStream, HostStreamKind, HostTrafficPlan
 from repro.machine import Machine
 from repro.perf.stats import RunRecorder
+from tests.test_kernels_equivalence import oracle_select
 
 
 # ----------------------------------------------------------------------
@@ -154,7 +154,6 @@ class TestIotRangeTableGrowth:
 class TestHybridSelectWideBandFallback:
     def test_band_overflow_falls_back_bit_identically(self):
         from repro.perf.kernels.pybackend import (_MAX_BAND,
-                                                  _select_sequential,
                                                   hybrid_select_batch)
         rng = np.random.default_rng(0)
         nb = 16
@@ -169,16 +168,12 @@ class TestHybridSelectWideBandFallback:
 
         got_loads = loads.copy()
         got = hybrid_select_batch(mean_hops, got_loads, 5.0, None)
-        want = np.empty(n, dtype=np.int64)
-        want_loads = loads.copy()
-        _select_sequential(mean_hops, want_loads, float(loads.sum()),
-                           5.0, None, want, 0)
+        want, want_loads = oracle_select(mean_hops, loads, 5.0, None)
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(got_loads, want_loads)
 
     def test_wide_band_with_penalty_matches_oracle(self):
         from repro.perf.kernels.pybackend import (_MAX_BAND,
-                                                  _select_sequential,
                                                   hybrid_select_batch)
         rng = np.random.default_rng(1)
         nb = 8
@@ -191,10 +186,7 @@ class TestHybridSelectWideBandFallback:
 
         got_loads = loads.copy()
         got = hybrid_select_batch(mean_hops, got_loads, 3.0, penalty)
-        want = np.empty(n, dtype=np.int64)
-        want_loads = loads.copy()
-        _select_sequential(mean_hops, want_loads, float(loads.sum()),
-                           3.0, penalty, want, 0)
+        want, want_loads = oracle_select(mean_hops, loads, 3.0, penalty)
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(got_loads, want_loads)
         assert not np.any(got == 5)  # never picks the failed bank

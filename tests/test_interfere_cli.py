@@ -15,11 +15,14 @@ import json
 
 import pytest
 
+from repro.__main__ import main
+from repro.analysis.lint import cli as lint_cli
 from repro.harness.arms import autoplace_cli, chaos_cli, interfere_cli
 from repro.harness.cliutil import EXIT_FAILURE, EXIT_OK, EXIT_USAGE
 from repro.faults.log import FaultEventLog
 from repro.faults.plan import FaultPlan
 from repro.interfere.plan import HostTrafficPlan
+from repro.obs.cli import cli as trace_cli
 from repro.relayout.plan import MigrationPlan
 
 WORKLOAD_ARGS = ["vecadd", "--scale", "0.05", "--sweep", "1"]
@@ -115,7 +118,8 @@ class TestInterfereCli:
 
 
 CLIS = {"chaos": chaos_cli, "interfere": interfere_cli,
-        "autoplace": autoplace_cli}
+        "autoplace": autoplace_cli, "trace": trace_cli, "lint": lint_cli,
+        "run": lambda argv: main(["run", *argv])}
 
 
 @pytest.mark.parametrize("name, argv", [
@@ -128,6 +132,15 @@ CLIS = {"chaos": chaos_cli, "interfere": interfere_cli,
     ("interfere", ["vecadd", "--sweep", "1,abc"]),
     ("chaos", ["vecadd", "--rate", "-1"]),
     ("interfere", ["vecadd", "--intensity", "-1"]),
+    ("chaos", ["vecadd", "--rate", "2"]),
+    ("chaos", ["vecadd", "--rate", "1e18"]),
+    ("run", ["vecadd", "--scale", "nan"]),
+    ("run", ["vecadd", "--scale", "0"]),
+    ("run", ["vecadd", "--scale", "-1"]),
+    ("trace", ["vecadd", "--scale", "nan"]),
+    ("trace", ["vecadd", "--scale", "0"]),
+    ("trace", ["vecadd", "--max-events", "-1"]),
+    ("lint", ["--scale", "inf"]),
 ])
 def test_bad_numeric_flag_is_usage_error(name, argv):
     with pytest.raises(SystemExit) as exc:

@@ -435,6 +435,148 @@ class TestDivisionTableInternals:
 
 
 # ----------------------------------------------------------------------
+# Load-band overflow on the chained and CSR-grouped kernels
+# ----------------------------------------------------------------------
+def _band_overflow_inputs(kernel, later, near):
+    """A 16-bank batch whose hop rows all favour bank ``near``; with a
+    small ``h`` (or a penalty row that leaves only bank 0 healthy) Eq. 4
+    piles every choice onto bank 0, the already heaviest bank, and the
+    integer load band only widens.  ``later`` sizes bank 0's load so
+    that the first chunk's band just fits ``_MAX_BAND`` and the second
+    one overflows; otherwise the band overflows from the first step."""
+    mesh = Mesh(4, 4)
+    dist = mesh.hops_table().astype(np.float64)
+    n, nb = 2 * pybackend._CHUNK + 44, mesh.num_tiles
+    loads = np.zeros(nb, dtype=np.float64)
+    loads[0] = float(pybackend._MAX_BAND - pybackend._CHUNK - 1 if later
+                     else 3 * pybackend._MAX_BAND)
+    loads[5] = 2.0
+    if kernel == "chained":
+        prev_ids = np.arange(-1, n - 1, dtype=np.int64)
+        prev_ids[::7] = -1
+        head_banks = np.where(prev_ids < 0, near, -1).astype(np.int64)
+        return dist, (dist.T.copy(), prev_ids, head_banks), loads
+    alloc_ids = np.repeat(np.arange(n, dtype=np.int64), 2)
+    banks = np.full(2 * n, near, dtype=np.int64)
+    return dist, (alloc_ids, banks, n), loads
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("later", [False, True], ids=["first", "later"])
+@pytest.mark.parametrize("with_penalty", [False, True],
+                         ids=["healthy", "penalty"])
+@pytest.mark.parametrize("kernel", ["chained", "affinity"])
+def test_band_overflow_falls_back_exactly(backend, kernel, with_penalty,
+                                          later):
+    mod = _module(backend)
+    # With a penalty row the hops favour bank 15, so only the penalty
+    # keeps the choices on bank 0.
+    dist, inputs, loads = _band_overflow_inputs(kernel, later,
+                                                15 if with_penalty else 0)
+    penalty = None
+    if with_penalty:
+        penalty = np.full(loads.size, np.inf)
+        penalty[0] = 0.0
+    h = 0.01
+    got_loads = loads.copy()
+    if kernel == "chained":
+        want_out, want_loads = oracle_chained(*inputs, loads, h, penalty)
+        got = mod.chained_hybrid(*inputs, got_loads, h, penalty)
+    else:
+        alloc_ids, banks, n = inputs
+        want_out, want_loads = oracle_affinity(dist, alloc_ids, banks, n,
+                                               loads, h, penalty)
+        offsets, grouped = _affinity_groups(alloc_ids, banks, n)
+        got = mod.affinity_hybrid(dist.T.copy(), offsets, grouped,
+                                  got_loads, h, penalty)
+    # Every choice lands on bank 0, so the band widens by a chunk per
+    # chunk: with `later` the first chunk fits and the second overflows.
+    assert (want_out == 0).all()
+    first_band = int(loads.max() - loads.min()) + pybackend._CHUNK + 1
+    assert (first_band <= pybackend._MAX_BAND) == later
+    assert first_band + pybackend._CHUNK > pybackend._MAX_BAND
+    assert np.array_equal(got, want_out)
+    assert np.array_equal(got_loads, want_loads)
+
+
+# ----------------------------------------------------------------------
+# Malformed inputs: a ValueError before the loop, loads untouched
+# ----------------------------------------------------------------------
+_DIST_T = Mesh(2, 2).hops_table().T.astype(np.float64)
+_I = np.array
+
+MALFORMED = {
+    "select-loads-short": ("hybrid_select_batch",
+                           (np.zeros((3, 64)), np.arange(4.0), 5.0, None)),
+    "select-penalty-short": ("hybrid_select_batch",
+                             (np.zeros((3, 4)), np.arange(4.0), 5.0,
+                              np.zeros(2))),
+    "select-hops-1d": ("hybrid_select_batch",
+                       (np.zeros(4), np.arange(4.0), 5.0, None)),
+    "select-loads-2d": ("hybrid_select_batch",
+                        (np.zeros((3, 4)), np.zeros((1, 4)), 5.0, None)),
+    "chained-head-huge": ("chained_hybrid",
+                          (_DIST_T, _I([-1, -1]), _I([10**9, 5]),
+                           np.arange(4.0), 5.0, None)),
+    "chained-head-nb": ("chained_hybrid",
+                        (_DIST_T, _I([-1, -1]), _I([0, 4]),
+                         np.arange(4.0), 5.0, None)),
+    "chained-prev-forward": ("chained_hybrid",
+                             (_DIST_T, _I([1, -1]), _I([-1, -1]),
+                              np.arange(4.0), 5.0, None)),
+    "chained-prev-self": ("chained_hybrid",
+                          (_DIST_T, _I([-1, 1]), _I([0, -1]),
+                           np.arange(4.0), 5.0, None)),
+    "chained-heads-short": ("chained_hybrid",
+                            (_DIST_T, _I([-1, 0]), _I([0]),
+                             np.arange(4.0), 5.0, None)),
+    "chained-dist-shape": ("chained_hybrid",
+                           (np.zeros((3, 4)), _I([-1, 0]), _I([0, -1]),
+                            np.arange(4.0), 5.0, None)),
+    "chained-penalty-long": ("chained_hybrid",
+                             (_DIST_T, _I([-1, 0]), _I([0, -1]),
+                              np.arange(4.0), 5.0, np.zeros(5))),
+    "affinity-dist-shape": ("affinity_hybrid",
+                            (np.zeros((5, 5)), _I([0, 1]), _I([2]),
+                             np.arange(4.0), 5.0, None)),
+    "affinity-bank-nb": ("affinity_hybrid",
+                         (_DIST_T, _I([0, 1]), _I([4]),
+                          np.arange(4.0), 5.0, None)),
+    "affinity-bank-negative": ("affinity_hybrid",
+                               (_DIST_T, _I([0, 1]), _I([-1]),
+                                np.arange(4.0), 5.0, None)),
+    "affinity-offsets-start": ("affinity_hybrid",
+                               (_DIST_T, _I([1, 1]), _I([2]),
+                                np.arange(4.0), 5.0, None)),
+    "affinity-offsets-end": ("affinity_hybrid",
+                             (_DIST_T, _I([0, 2]), _I([2]),
+                              np.arange(4.0), 5.0, None)),
+    "affinity-offsets-falling": ("affinity_hybrid",
+                                 (_DIST_T, _I([0, 2, 1, 2]), _I([2, 3]),
+                                  np.arange(4.0), 5.0, None)),
+    "affinity-offsets-empty": ("affinity_hybrid",
+                               (_DIST_T, _I([], dtype=np.int64),
+                                _I([], dtype=np.int64),
+                                np.arange(4.0), 5.0, None)),
+    "affinity-penalty-short": ("affinity_hybrid",
+                               (_DIST_T, _I([0, 1]), _I([2]),
+                                np.arange(4.0), 5.0, np.zeros(3))),
+}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_raises_before_the_loop(backend, case):
+    kernel, args = MALFORMED[case]
+    args = tuple(a.copy() if isinstance(a, np.ndarray) else a for a in args)
+    loads = args[-3]
+    before = loads.copy()
+    with pytest.raises(ValueError):
+        getattr(_module(backend), kernel)(*args)
+    assert np.array_equal(loads, before)
+
+
+# ----------------------------------------------------------------------
 # Dedup kernels (np.unique semantics, integer-exact)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -128,7 +128,7 @@ WRONG_TYPE = {
 #: any list index.
 OUT_OF_RANGE = {
     "FaultPlan": {
-        ("seed",): [-1], ("rate",): [-0.5],
+        ("seed",): [-1], ("rate",): [-0.5, 1.5, 1e18],
         ("events", "*", "kind"): ["meteor"],
         ("events", "*", "target"): [-1],
         ("events", "*", "param"): [-5],
@@ -254,6 +254,14 @@ class TestFieldFuzz:
                                f'"intensity": {literal}', 1)
             with pytest.raises(PlanFieldError, match="^intensity: "):
                 HostTrafficPlan.from_json(bad)
+
+    def test_generate_checks_the_rate_before_drawing(self):
+        # A rate above 1 is no probability, and one past numpy's Poisson
+        # limit would fail inside the draws: both stop before the first.
+        for rate in (1.5, 1e18, -0.5):
+            with pytest.raises(PlanFieldError, match="^rate: "):
+                FaultPlan.generate(0, rate)
+        assert FaultPlan.generate(0, 1.0).rate == 1.0
 
     def test_json_int_in_float_field_loads_as_float(self):
         plan = FaultPlan.from_dict({"rate": 1, "events": []})
