@@ -17,7 +17,7 @@ two windows into one array are caught even through distinct handles.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Set
 
 from repro.analysis.diagnostics import (
     Diagnostic,

@@ -9,7 +9,7 @@ the paper's Fig 12 energy-efficiency bars.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 from repro.config import PerfParams

@@ -16,7 +16,7 @@ single-bank pathology on bin_tree (Fig 13).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 

@@ -60,6 +60,12 @@ class RoutingIncidence:
 #: invalidation hook at all).
 _INCIDENCE_CACHE: Dict[Tuple[int, int, FrozenSet[int]], RoutingIncidence] = {}
 
+#: Process-wide all-pairs distance tables of degraded meshes, keyed like
+#: :data:`_INCIDENCE_CACHE`.  A fault plan fixes its dead links per seed,
+#: so every run under one plan asks for the same table; the tables are
+#: read-only, so sharing one can never leak a write between meshes.
+_DISTANCE_CACHE: Dict[Tuple[int, int, FrozenSet[int]], np.ndarray] = {}
+
 
 class Mesh:
     """An ``width x height`` 2D mesh with X-Y routing.
@@ -212,12 +218,16 @@ class Mesh:
     def _distance_table(self) -> np.ndarray:
         """All-pairs hop distances over live links (degraded mode only)."""
         if self._dist_table is None:
-            n = self.num_tiles
-            table = np.empty((n, n), dtype=np.int64)
-            for s in range(n):
-                dist, _ = self._bfs_from(s)
-                table[s] = dist
-            table.setflags(write=False)
+            key = self.topology_key
+            table = _DISTANCE_CACHE.get(key)
+            if table is None:
+                n = self.num_tiles
+                table = np.empty((n, n), dtype=np.int64)
+                for s in range(n):
+                    dist, _ = self._bfs_from(s)
+                    table[s] = dist
+                table.setflags(write=False)
+                _DISTANCE_CACHE[key] = table
             self._dist_table = table
         return self._dist_table
 

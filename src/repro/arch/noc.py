@@ -23,8 +23,7 @@ Message classes follow the paper's figure legends:
 from __future__ import annotations
 
 import enum
-import math
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 

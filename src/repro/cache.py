@@ -57,6 +57,7 @@ __all__ = [
     "get_cache",
     "configure",
     "cache_key",
+    "array_ok",
     "cached_arrays",
     "cached_graph",
 ]
@@ -204,21 +205,23 @@ class ArtifactCache:
         self._mem_bytes = 0
 
     # ----------------------------- npz --------------------------------
-    def get_arrays(self, key: str) -> Optional[Dict[str, np.ndarray]]:
+    def get_arrays(self, key: str, memo: bool = True
+                   ) -> Optional[Dict[str, np.ndarray]]:
         """Load an ``.npz`` entry; any read error is a miss (and deletes).
 
         Recently read entries are served from an in-process memo (copies,
         so callers may mutate freely); keys are content addresses, so the
         memo can never go stale against the file it shadows.  Only reads
         populate the memo — the first load after a write still exercises
-        the on-disk entry, keeping corruption detectable."""
+        the on-disk entry, keeping corruption detectable.  ``memo=False``
+        reads the file and leaves the memo alone."""
         if not self.enabled:
             return None
-        memo = self._mem.get(key)
-        if memo is not None:
+        held = self._mem.get(key) if memo else None
+        if held is not None:
             self._mem.move_to_end(key)
             self.hits += 1
-            return {name: a.copy() for name, a in memo.items()}
+            return {name: a.copy() for name, a in held.items()}
         path = self.path_for(key, ".npz")
         try:
             with np.load(path, allow_pickle=False) as zf:
@@ -232,7 +235,8 @@ class ArtifactCache:
             return None
         self.hits += 1
         self._touch(path)
-        self._mem_store(key, {name: a.copy() for name, a in out.items()})
+        if memo:
+            self._mem_store(key, {name: a.copy() for name, a in out.items()})
         return out
 
     def drop_arrays(self, key: str) -> None:
@@ -365,6 +369,9 @@ def configure(root: Optional[os.PathLike] = None,
 def cached_arrays(kind: str,
                   builder: Callable[[], Dict[str, np.ndarray]], *,
                   names: Optional[Collection[str]] = None,
+                  check: Optional[Callable[[Dict[str, np.ndarray]], bool]]
+                  = None,
+                  memo: bool = True,
                   **params) -> Dict[str, np.ndarray]:
     """Memoize a dict of arrays on disk, keyed by ``(kind, params)``.
 
@@ -373,14 +380,18 @@ def cached_arrays(kind: str,
     exact dtypes and values the builder returned, so a hit reads what a
     fresh build would give.  A missing or corrupt entry is rebuilt, and
     so is one whose array names differ from ``names`` (the names the
-    builder returns; None accepts any).  With the cache disabled the
-    builder runs every time.
+    builder returns; None accepts any) or that ``check`` rejects (called
+    only on entries with the right names; see :func:`array_ok`).  With
+    the cache disabled the builder runs every time.  ``memo=False`` keeps
+    the entry out of the in-process memo, for entries a run reads once
+    and that would otherwise stay resident.
     """
     cache = get_cache()
     key = cache_key(kind, **params)
-    arrays = cache.get_arrays(key)
+    arrays = cache.get_arrays(key, memo=memo)
     if arrays is not None:
-        if names is None or set(arrays) == set(names):
+        if ((names is None or set(arrays) == set(names))
+                and (check is None or check(arrays))):
             return arrays
         cache.drop_arrays(key)
     arrays = builder()
@@ -389,6 +400,23 @@ def cached_arrays(kind: str,
                          f"expected {sorted(names)}")
     cache.put_arrays(key, arrays)
     return arrays
+
+
+def array_ok(a: np.ndarray, dtype, shape: Optional[tuple] = None,
+             lo=None, hi=None) -> bool:
+    """True when ``a`` has ``dtype`` and ``shape`` (None: any 1-D shape)
+    and every value lies in ``[lo, hi)`` (either bound None: unbounded).
+
+    The building block of :func:`cached_arrays` checks: a stored entry
+    that fails it is rebuilt, so that a stale or hand-written payload
+    can neither index out of range nor feed a run other numbers."""
+    if a.dtype != np.dtype(dtype) or (
+            a.ndim != 1 if shape is None else a.shape != tuple(shape)):
+        return False
+    if a.size == 0:
+        return True
+    return ((lo is None or bool(a.min() >= lo))
+            and (hi is None or bool(a.max() < hi)))
 
 
 def cached_graph(kind: str, builder: Callable[[], "object"], **params):

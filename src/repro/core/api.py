@@ -22,8 +22,8 @@ the array"), and answers address/bank queries for element indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 

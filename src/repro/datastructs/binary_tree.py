@@ -17,14 +17,14 @@ is a pointer-chase chain for the executor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.core.runtime import AffinityAllocator
 from repro.machine import Machine
 
-__all__ = ["BinaryTree"]
+__all__ = ["BinaryTree", "SHAPE_NAMES"]
 
 _NODE_BYTES = 64
 
@@ -54,6 +54,10 @@ def _cartesian_tree(prio: np.ndarray):
     return left, right, parent, root
 
 
+#: Arrays of a tree's shape (see :meth:`BinaryTree.shape`).
+SHAPE_NAMES = ("prio", "left", "right", "parent", "root")
+
+
 @dataclass
 class BinaryTree:
     """BST over unique integer keys, positions in key-sorted space."""
@@ -66,20 +70,37 @@ class BinaryTree:
     root: int
     node_vaddrs: np.ndarray   # vaddr at each position
 
-    @classmethod
-    def build(cls, machine: Machine, num_keys: int,
-              allocator: Optional[AffinityAllocator] = None,
-              seed: int = 0) -> "BinaryTree":
+    @staticmethod
+    def shape(num_keys: int, seed: int = 0) -> Dict[str, np.ndarray]:
+        """The tree shape of ``num_keys`` seeded random insertions.
+
+        Depends on ``(num_keys, seed)`` only, never on placement: the
+        arrays named in :data:`SHAPE_NAMES`, ``prio[k]`` being when key
+        ``k`` was inserted and ``root`` a one-element array."""
         rng = np.random.default_rng(seed)
         # Insertion sequence: a random permutation of 0..n-1 as keys.
         insert_keys = rng.permutation(num_keys)
         # Position space = key-sorted order; key k sits at position k.
-        # prio[k] = when key k was inserted.
         prio = np.empty(num_keys, dtype=np.int64)
         prio[insert_keys] = np.arange(num_keys)
         left, right, parent, root = _cartesian_tree(prio)
-        # Allocate in insertion order; each node's affinity predecessor is
-        # its parent's insertion index.
+        return {"prio": prio, "left": left, "right": right,
+                "parent": parent, "root": np.array([root], dtype=np.int64)}
+
+    @classmethod
+    def build(cls, machine: Machine, num_keys: int,
+              allocator: Optional[AffinityAllocator] = None,
+              seed: int = 0) -> "BinaryTree":
+        return cls.place(machine, cls.shape(num_keys, seed), allocator)
+
+    @classmethod
+    def place(cls, machine: Machine, shape: Dict[str, np.ndarray],
+              allocator: Optional[AffinityAllocator] = None
+              ) -> "BinaryTree":
+        """Allocate the nodes of ``shape`` in insertion order."""
+        prio, parent = shape["prio"], shape["parent"]
+        num_keys = prio.size
+        # Each node's affinity predecessor is its parent's insertion index.
         parent_time = np.where(parent >= 0, prio[np.maximum(parent, 0)], -1)
         prev_ids_by_time = np.full(num_keys, -1, dtype=np.int64)
         prev_ids_by_time[prio] = parent_time
@@ -90,7 +111,8 @@ class BinaryTree:
             vaddr_by_time = allocator.malloc_irregular_chained(
                 _NODE_BYTES, prev_ids_by_time)
         node_vaddrs = vaddr_by_time[prio]
-        return cls(machine, np.arange(num_keys), left, right, parent, root,
+        return cls(machine, np.arange(num_keys), shape["left"],
+                   shape["right"], parent, int(shape["root"][0]),
                    node_vaddrs)
 
     # ------------------------------------------------------------------
@@ -108,25 +130,26 @@ class BinaryTree:
     def contains(self, key: int) -> bool:
         return 0 <= key < self.num_keys
 
-    def lookup_trace(self, queries: np.ndarray, batch: int = 1 << 16
-                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Visited-node chains for a batch of lookups.
+    @staticmethod
+    def walk(shape: Dict[str, np.ndarray], queries: np.ndarray,
+             batch: int = 1 << 16) -> Tuple[np.ndarray, np.ndarray]:
+        """Node positions each lookup visits, in ``shape``.
 
         Keys are 0..n-1 at position = key, so a query key q descends by
         comparing against the position id.  Queries may be out of range
         (misses run to a leaf).
 
-        Returns (node vaddrs concatenated per query, chain ids, depths).
+        Returns (positions concatenated per query, int32; depths).
         """
+        left, right = shape["left"], shape["right"]
+        root = int(shape["root"][0])
         queries = np.asarray(queries, dtype=np.int64)
-        all_vaddrs: list = []
-        all_chain_ids: list = []
+        all_positions: list = []
         all_depths: list = []
-        chain_base = 0
         for lo in range(0, queries.size, batch):
             q = queries[lo:lo + batch]
             m = q.size
-            cur = np.full(m, self.root, dtype=np.int64)
+            cur = np.full(m, root, dtype=np.int64)
             alive = np.ones(m, dtype=bool)
             visited_cols: list = []
             depths = np.zeros(m, dtype=np.int64)
@@ -136,21 +159,26 @@ class BinaryTree:
                 depths += alive
                 go_left = q < cur
                 hit = q == cur
-                nxt = np.where(go_left, self.left[np.maximum(cur, 0)],
-                               self.right[np.maximum(cur, 0)])
+                nxt = np.where(go_left, left[np.maximum(cur, 0)],
+                               right[np.maximum(cur, 0)])
                 alive = alive & ~hit & (nxt != -1)
                 cur = np.where(alive, nxt, cur)
             mat = np.stack(visited_cols)           # (depth, m)
-            valid = mat >= 0
-            order_nodes = mat.T[valid.T]           # per-query sequences
-            counts = valid.sum(axis=0)
-            chain_ids = np.repeat(np.arange(m) + chain_base, counts)
-            all_vaddrs.append(self.node_vaddrs[order_nodes])
-            all_chain_ids.append(chain_ids)
+            all_positions.append(mat.T[mat.T >= 0].astype(np.int32))
             all_depths.append(depths)
-            chain_base += m
-        return (np.concatenate(all_vaddrs), np.concatenate(all_chain_ids),
-                np.concatenate(all_depths))
+        return np.concatenate(all_positions), np.concatenate(all_depths)
+
+    def lookup_trace(self, queries: np.ndarray, batch: int = 1 << 16
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Visited-node chains for a batch of lookups (see :meth:`walk`).
+
+        Returns (node vaddrs concatenated per query, chain ids, depths).
+        """
+        shape = {"left": self.left, "right": self.right,
+                 "root": np.array([self.root])}
+        positions, depths = self.walk(shape, queries, batch)
+        chain_ids = np.repeat(np.arange(depths.size, dtype=np.int64), depths)
+        return self.node_vaddrs[positions], chain_ids, depths
 
     def bank_histogram(self) -> np.ndarray:
         banks = self.machine.banks_of(self.node_vaddrs)

@@ -12,7 +12,7 @@ head array entry and each subsequent node near its predecessor — the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -20,9 +20,14 @@ from repro.core.api import AffineArray, ArrayHandle, alloc_plain_array
 from repro.core.runtime import AffinityAllocator
 from repro.machine import Machine
 
-__all__ = ["HashTable"]
+__all__ = ["HashTable", "SKELETON_NAMES", "walk_chain_ids"]
 
 _NODE_BYTES = 64
+
+
+#: Arrays of a table's skeleton (see :meth:`HashTable.skeleton`).
+SKELETON_NAMES = ("keys", "buckets", "chain_pos", "bucket_index",
+                  "bucket_nodes")
 
 
 @dataclass
@@ -37,10 +42,13 @@ class HashTable:
     node_vaddrs: np.ndarray     # vaddr per node (insertion order)
     heads: ArrayHandle          # bucket head-pointer array
 
-    @classmethod
-    def build(cls, machine: Machine, num_keys: int, num_buckets: int,
-              allocator: Optional[AffinityAllocator] = None,
-              seed: int = 0) -> "HashTable":
+    @staticmethod
+    def skeleton(num_keys: int, num_buckets: int,
+                 seed: int = 0) -> Dict[str, np.ndarray]:
+        """Keys and chains of a table, the arrays of :data:`SKELETON_NAMES`.
+
+        Depends on ``(num_keys, num_buckets, seed)`` only, never on
+        placement."""
         rng = np.random.default_rng(seed)
         # unique random keys
         keys = rng.permutation(num_keys * 8)[:num_keys].astype(np.int64)
@@ -57,8 +65,28 @@ class HashTable:
         bucket_index = np.zeros(num_buckets + 1, dtype=np.int64)
         np.add.at(bucket_index, buckets + 1, 1)
         np.cumsum(bucket_index, out=bucket_index)
-        bucket_nodes = order  # sorted stable by bucket = chain order
+        return {"keys": keys, "buckets": buckets, "chain_pos": chain_pos,
+                "bucket_index": bucket_index,
+                # sorted stable by bucket = chain order
+                "bucket_nodes": order}
 
+    @classmethod
+    def build(cls, machine: Machine, num_keys: int, num_buckets: int,
+              allocator: Optional[AffinityAllocator] = None,
+              seed: int = 0) -> "HashTable":
+        return cls.place(machine, cls.skeleton(num_keys, num_buckets, seed),
+                         allocator)
+
+    @classmethod
+    def place(cls, machine: Machine, skeleton: Dict[str, np.ndarray],
+              allocator: Optional[AffinityAllocator] = None
+              ) -> "HashTable":
+        """Allocate the bucket heads and the nodes of ``skeleton``."""
+        keys, buckets = skeleton["keys"], skeleton["buckets"]
+        chain_pos = skeleton["chain_pos"]
+        bucket_index = skeleton["bucket_index"]
+        bucket_nodes = skeleton["bucket_nodes"]
+        num_keys, num_buckets = keys.size, bucket_index.size - 1
         if allocator is None:
             heads = alloc_plain_array(machine, 8, num_buckets, "ht-heads")
             base = machine.malloc(num_keys * _NODE_BYTES)
@@ -91,31 +119,48 @@ class HashTable:
         ids = self.bucket_nodes[self.bucket_index[b]:self.bucket_index[b + 1]]
         return bool(np.any(self.keys[ids] == key))
 
+    @staticmethod
+    def probe_walk(skeleton: Dict[str, np.ndarray], probe_keys: np.ndarray
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nodes each probe walks in ``skeleton``, placement-free.
+
+        Returns (node ids concatenated per probe, int32; walk lengths;
+        hit mask).  A probe of an empty bucket walks no node.
+        """
+        keys, chain_pos = skeleton["keys"], skeleton["chain_pos"]
+        bucket_index = skeleton["bucket_index"]
+        probe_keys = np.asarray(probe_keys, dtype=np.int64)
+        b = probe_keys % (bucket_index.size - 1)
+        chain_len = bucket_index[b + 1] - bucket_index[b]
+        # hit position: locate the probe key among stored keys
+        sorted_keys = np.sort(keys)
+        key_order = np.argsort(keys, kind="stable")
+        pos = np.searchsorted(sorted_keys, probe_keys)
+        pos_c = np.minimum(pos, keys.size - 1)
+        hit = sorted_keys[pos_c] == probe_keys
+        hit_node = key_order[pos_c]
+        walk_len = np.where(hit, chain_pos[hit_node] + 1, chain_len)
+        total = int(walk_len.sum())
+        within = np.arange(total, dtype=np.int64) - np.repeat(
+            np.cumsum(walk_len) - walk_len, walk_len)
+        node_ids = skeleton["bucket_nodes"][
+            np.repeat(bucket_index[b], walk_len) + within]
+        return node_ids.astype(np.int32), walk_len, hit
+
     def probe_trace(self, probe_keys: np.ndarray
                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Chains walked by each probe.
+        """Chains walked by each probe (see :meth:`probe_walk`).
 
         Returns (node vaddrs concatenated per probe, chain ids, hit mask).
         Probes of empty buckets contribute no chain (head pointer is null).
         """
-        probe_keys = np.asarray(probe_keys, dtype=np.int64)
-        b = probe_keys % self.num_buckets
-        chain_len = self.bucket_index[b + 1] - self.bucket_index[b]
-        # hit position: locate the probe key among stored keys
-        sorted_keys = np.sort(self.keys)
-        key_order = np.argsort(self.keys, kind="stable")
-        pos = np.searchsorted(sorted_keys, probe_keys)
-        pos_c = np.minimum(pos, self.num_keys - 1)
-        hit = sorted_keys[pos_c] == probe_keys
-        hit_node = key_order[pos_c]
-        walk_len = np.where(hit, self.chain_pos[hit_node] + 1, chain_len)
-        total = int(walk_len.sum())
-        if total == 0:
-            return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), hit)
-        within = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(walk_len) - walk_len, walk_len)
-        node_ids = self.bucket_nodes[np.repeat(self.bucket_index[b], walk_len)
-                                     + within]
-        nonempty = walk_len > 0
-        chain_ids = np.repeat(np.cumsum(nonempty) - 1, walk_len)
-        return self.node_vaddrs[node_ids], chain_ids, hit
+        skeleton = {"keys": self.keys, "chain_pos": self.chain_pos,
+                    "bucket_index": self.bucket_index,
+                    "bucket_nodes": self.bucket_nodes}
+        node_ids, walk_len, hit = self.probe_walk(skeleton, probe_keys)
+        return self.node_vaddrs[node_ids], walk_chain_ids(walk_len), hit
+
+
+def walk_chain_ids(walk_len: np.ndarray) -> np.ndarray:
+    """Chain id of every walked node: probes that walk no node get none."""
+    return np.repeat(np.cumsum(walk_len > 0) - 1, walk_len)

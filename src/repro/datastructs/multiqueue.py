@@ -29,7 +29,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.api import AffineArray, ArrayHandle
+from repro.core.api import AffineArray
 from repro.core.runtime import AffinityAllocator
 from repro.machine import Machine
 

@@ -25,7 +25,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.core.api import AddressView, ArrayHandle
+from repro.core.api import AddressView
 from repro.core.irregular import SlotPool
 from repro.machine import Machine
 

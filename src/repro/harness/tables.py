@@ -7,9 +7,6 @@ specs), so drift between code and documentation is impossible.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import List, Sequence
-
 from repro.arch.iot import IotEntry
 from repro.config import DEFAULT_CONFIG, SystemConfig
 from repro.graphs.datasets import REAL_WORLD_GRAPHS

@@ -15,8 +15,6 @@ manager; workloads and the stream executor only ever see the facade.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.arch.dram import DramModel

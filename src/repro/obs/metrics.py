@@ -16,7 +16,7 @@ counters stay the source of truth; the registry is a read-side view.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple
 
 __all__ = ["Counter", "Gauge", "Histogram", "Metric", "MetricsRegistry",
            "DEFAULT_BUCKETS", "publish_alloc_stats", "publish_fault_state",

@@ -25,7 +25,6 @@ code is wrong — fix it, don't reroute through this module.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import List
 
 import numpy as np
 

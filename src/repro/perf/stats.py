@@ -13,12 +13,12 @@ A :class:`RunRecorder` accumulates, for one workload run:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.arch.noc import MessageClass, TrafficAccountant
+from repro.arch.noc import MessageClass
 from repro.machine import Machine
 
 __all__ = ["PhaseStats", "RunRecorder"]

@@ -18,7 +18,7 @@ Three region kinds cover every mapping the paper needs:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 

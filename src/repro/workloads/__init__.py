@@ -15,12 +15,13 @@ from repro.workloads.base import (
     make_context,
     run_workload,
 )
-from repro.workloads import vecadd as _vecadd
-from repro.workloads import affine_kernels as _affine
-from repro.workloads import graph_kernels as _graph
-from repro.workloads import pointer_kernels as _pointer
-from repro.workloads import phase_flip as _phase_flip
-from repro.workloads import adversarial as _adversarial
+# Imported for their ``@register`` side effect: each fills WORKLOADS.
+from repro.workloads import vecadd as _vecadd  # noqa: F401
+from repro.workloads import affine_kernels as _affine  # noqa: F401
+from repro.workloads import graph_kernels as _graph  # noqa: F401
+from repro.workloads import pointer_kernels as _pointer  # noqa: F401
+from repro.workloads import phase_flip as _phase_flip  # noqa: F401
+from repro.workloads import adversarial as _adversarial  # noqa: F401
 
 __all__ = [
     "EngineMode",

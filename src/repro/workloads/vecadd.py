@@ -14,7 +14,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.config import DEFAULT_CONFIG, SystemConfig
-from repro.core.api import AffineArray, ArrayHandle
+from repro.core.api import ArrayHandle
 from repro.nsc.engine import EngineMode
 from repro.perf.model import RunResult
 from repro.workloads.base import RunContext, Workload, make_context, register

@@ -1,6 +1,7 @@
 """The content-addressed artifact cache: hits, misses, eviction,
 corruption recovery, concurrent writers, the bypass escape hatch, and
-the zoo's seeded inputs giving the same run in every cache state."""
+the zoo's seeded inputs and the Table 3 kernels' skeletons giving the
+same run in every cache state."""
 
 import hashlib
 import json
@@ -11,11 +12,14 @@ import numpy as np
 import pytest
 
 from repro import cache as cache_mod
-from repro.cache import ArtifactCache, cache_key, cached_arrays, cached_graph
+from repro.cache import (ArtifactCache, array_ok, cache_key, cached_arrays,
+                         cached_graph)
+from repro.datastructs.binary_tree import BinaryTree
+from repro.datastructs.hash_table import HashTable
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import kronecker, powerlaw
 from repro.nsc.engine import EngineMode
-from repro.workloads import adversarial
+from repro.workloads import adversarial, graph_kernels
 from repro.workloads.base import run_workload
 
 
@@ -82,6 +86,14 @@ class TestHitMiss:
         cache.root.mkdir(parents=True, exist_ok=True)
         np.savez_compressed(cache.path_for(key, ".npz"), a=np.arange(7))
         assert (cache.get_arrays(key)["a"] == np.arange(7)).all()
+
+    def test_memo_opt_out_reads_the_file(self, cache):
+        cache.put_arrays("k", {"a": np.arange(4)})
+        for _ in range(2):
+            out = cache.get_arrays("k", memo=False)
+            np.testing.assert_array_equal(out["a"], np.arange(4))
+        assert not cache._mem
+        assert cache.hits == 2
 
     def test_loaded_arrays_are_fresh_copies(self, cache):
         key = cache_key("t", x=2)
@@ -157,6 +169,30 @@ class TestCorruptionRecovery:
         assert list(out) == ["new"]
         cache._mem_clear()
         assert list(cache.get_arrays(key)) == ["new"]  # entry rewritten
+
+    def test_cached_arrays_rebuilds_what_check_rejects(self, cache,
+                                                      monkeypatch):
+        monkeypatch.setattr(cache_mod, "_CACHE", cache)
+        key = cache_key("ids", n=4)
+        cache.put_arrays(key, {"ids": np.array([0, 1, 2, 9])})
+        out = cached_arrays(
+            "ids", lambda: {"ids": np.arange(4)}, names=("ids",),
+            check=lambda a: array_ok(a["ids"], np.int64, (4,), 0, 4), n=4)
+        np.testing.assert_array_equal(out["ids"], np.arange(4))
+        np.testing.assert_array_equal(cache.get_arrays(key)["ids"],
+                                      np.arange(4))
+
+    def test_array_ok(self):
+        a = np.array([0, 3, 1], dtype=np.int64)
+        assert array_ok(a, np.int64, (3,), 0, 4)
+        assert array_ok(a, np.int64)
+        assert array_ok(a[:0], np.int64, (0,), 0, 0)
+        assert not array_ok(a, np.int32)
+        assert not array_ok(a, np.int64, (4,))
+        assert not array_ok(a.reshape(1, 3), np.int64)
+        assert not array_ok(a, np.int64, (3,), 1)
+        assert not array_ok(a, np.int64, (3,), 0, 3)
+        assert not array_ok(np.array([np.nan]), np.float64, (1,), 0)
 
     def test_cached_arrays_rejects_builder_names(self, cache, monkeypatch):
         monkeypatch.setattr(cache_mod, "_CACHE", cache)
@@ -247,7 +283,7 @@ def _run_json(result) -> str:
         "l3_miss_pct": result.l3_miss_pct,
         "noc_utilization": result.noc_utilization,
         "energy_pj": result.energy_pj, "counters": result.counters,
-        "value": result.value}, sort_keys=True)
+        "value": np.asarray(result.value).tolist()}, sort_keys=True)
 
 
 def _stats_digest(result) -> str:
@@ -322,6 +358,163 @@ class TestZooInputsAcrossCacheStates:
         self._run(name, EngineMode.AFF_ALLOC)
         self._run(name, EngineMode.NEAR_L3)
         assert len(zipf_calls) == draws
+
+
+#: (kernel, names of its cached skeleton, the skeleton's node-id or value
+#: array, (owner, attribute) of the function that builds it, whether the
+#: in-process memo keeps it).
+SKELETONS = [
+    ("bin_tree", {"prio", "left", "right", "parent", "root", "positions",
+                  "depths"}, "positions", (BinaryTree, "shape"), False),
+    ("hash_join", {"keys", "buckets", "chain_pos", "bucket_index",
+                   "bucket_nodes", "probe_keys", "node_ids", "walk_len",
+                   "hit"}, "node_ids", (HashTable, "skeleton"), False),
+    ("sssp", {"frontiers", "sizes", "dist"}, "frontiers",
+     (graph_kernels, "_sssp_walk"), True),
+    ("pr_push", {"rank"}, "rank", (graph_kernels, "_pagerank_functional"),
+     True),
+]
+
+
+@pytest.mark.parametrize("name,names,node_array,built_by,memo", SKELETONS,
+                         ids=[k[0] for k in SKELETONS])
+class TestSkeletonsAcrossCacheStates:
+    """Table 3 kernels build their mode-independent skeletons once per
+    (params, seed) through the cache; every cache state, and every bad
+    entry at the key, must give the run a fresh build would give."""
+
+    SCALE = 0.05
+    SEED = 3
+
+    @pytest.fixture
+    def builds(self, monkeypatch, built_by):
+        owner, attr = built_by
+        build = getattr(owner, attr)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(attr)
+            return build(*args, **kwargs)
+
+        if isinstance(owner, type):
+            counted = staticmethod(counted)
+        monkeypatch.setattr(owner, attr, counted)
+        return calls
+
+    @pytest.fixture
+    def cache(self, tmp_path, monkeypatch):
+        cache = ArtifactCache(root=tmp_path, enabled=True)
+        monkeypatch.setattr(cache_mod, "_CACHE", cache)
+        return cache
+
+    def _run(self, name, mode=EngineMode.AFF_ALLOC, **kwargs):
+        return _run_json(run_workload(name, mode, scale=self.SCALE,
+                                      seed=self.SEED, **kwargs))
+
+    def _entry(self, cache, names):
+        """The skeleton's ``.npz`` entry (graphs have their own)."""
+        cache._mem_clear()
+        (entry,) = [p for p in cache.root.iterdir() if p.suffix == ".npz"
+                    and set(np.load(p).files) == names]
+        return entry
+
+    def test_same_run_in_every_state(self, name, names, node_array,
+                                     built_by, memo, builds, cache):
+        with cache.disabled():
+            want = self._run(name)
+        assert len(builds) == 1
+        cold = self._run(name)                 # built, then written
+        entry = self._entry(cache, names)
+        size = entry.stat().st_size
+        disk = self._run(name)                 # loaded from the file
+        again = self._run(name)                # from the memo, if kept
+        assert len(builds) == 2
+        assert (entry.stem in cache._mem) == memo
+
+        entry.write_bytes(entry.read_bytes()[:size // 2])
+        cache._mem_clear()
+        truncated = self._run(name)            # corrupt entry: rebuilt
+        assert len(builds) == 3
+        assert entry.stat().st_size == size    # ... and rewritten
+        for got in (cold, disk, again, truncated):
+            assert got == want
+
+    def test_three_modes_build_once(self, name, names, node_array,
+                                    built_by, memo, builds, cache):
+        for mode in EngineMode:
+            self._run(name, mode)
+        assert len(builds) == 1
+
+    def test_bad_entries_are_rebuilt(self, name, names, node_array,
+                                     built_by, memo, builds, cache):
+        with cache.disabled():
+            want = self._run(name)
+        self._run(name)
+        entry = self._entry(cache, names)
+        good = dict(np.load(entry))
+        nodes = good[node_array]
+        bad_payloads = {
+            "zero-byte": b"",
+            "truncated": entry.read_bytes()[:100],
+            "wrong names": {"other": nodes},
+            "wrong shape": {**good, node_array: nodes[:-1]},
+            "wrong dtype": {**good, node_array: nodes.astype(np.float32)},
+            "out of range": {**good, node_array: nodes + (1 << 20)},
+        }
+        for label, payload in bad_payloads.items():
+            if isinstance(payload, bytes):
+                entry.write_bytes(payload)
+            else:
+                with open(entry, "wb") as fh:
+                    np.savez(fh, **payload)
+            cache._mem_clear()
+            before = len(builds)
+            assert self._run(name) == want, label
+            assert len(builds) == before + 1, label
+            cache._mem_clear()
+            assert set(cache.get_arrays(entry.stem)) == names, label
+
+
+#: (statistics digest, value digest) prefixes of each mode's run at scale
+#: 0.05, seed 3.  Caching a skeleton must not move a simulated bit.
+PINNED_RUNS = {
+    "bin_tree": ("2b26ac0b2e08720e", "fd0bbdfd7a47e364", "9c6c8d386c9a5e16",
+                 "57edca8eb40c277b"),
+    "hash_join": ("80a8a98f9987442d", "1e87d8ecc3c72e7f", "9e9f377f94860a26",
+                  "86895f51ad724506"),
+    "sssp": ("ebae85fea71b3be7", "00fe5583cfd7f6c2", "1a12a249eca13445",
+             "828d81182ecd8f5d"),
+    "pr_push": ("261a4bc1db8979b5", "4977d03af50454d3", "ecab7362332e2485",
+                "aaf77e6a6e97d399"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_skeleton_runs_match_pinned_digests(name, tmp_path, monkeypatch):
+    monkeypatch.setattr(cache_mod, "_CACHE",
+                        ArtifactCache(root=tmp_path, enabled=True))
+    *stats, value = PINNED_RUNS[name]
+    modes = (EngineMode.IN_CORE, EngineMode.NEAR_L3, EngineMode.AFF_ALLOC)
+    for mode, want in zip(modes, stats):
+        r = run_workload(name, mode, scale=0.05, seed=3)
+        assert _stats_digest(r)[:16] == want, mode
+        got = hashlib.sha256(np.asarray(r.value).tobytes()).hexdigest()
+        assert got[:16] == value, mode
+
+
+@pytest.mark.parametrize("name,weighted", [("sssp", True),
+                                           ("pr_push", False)])
+def test_caller_graph_runs_like_the_default(name, weighted, tmp_path,
+                                            monkeypatch):
+    monkeypatch.setattr(cache_mod, "_CACHE",
+                        ArtifactCache(root=tmp_path, enabled=True))
+    scale, seed = 0.05, 3
+    g = graph_kernels.default_graph(scale, seed, weighted=weighted)
+    for mode in (EngineMode.AFF_ALLOC, EngineMode.IN_CORE):
+        want = _run_json(run_workload(name, mode, scale=scale, seed=seed))
+        got = _run_json(run_workload(name, mode, scale=scale, seed=seed,
+                                     graph=g))
+        assert got == want
 
 
 def _writer_proc(root: str, key: str, worker: int) -> None:

@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.api import AffineArray
-from repro.nsc.compiler import (AccessKind, CompileError, KernelBuilder,
-                                compile_kernel)
+from repro.nsc.compiler import CompileError, KernelBuilder, compile_kernel
 from repro.nsc.engine import EngineMode
 from repro.nsc.stream import DepKind, StreamKind
 from repro.workloads.base import make_context

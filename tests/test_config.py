@@ -4,8 +4,8 @@ import dataclasses
 
 import pytest
 
-from repro.config import (DEFAULT_CONFIG, CacheConfig, DramConfig, NocConfig,
-                          PerfParams, SystemConfig, config_for_mesh)
+from repro.config import (DEFAULT_CONFIG, NocConfig, PerfParams, SystemConfig,
+                          config_for_mesh)
 
 
 class TestTable2Defaults:

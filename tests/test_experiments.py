@@ -4,7 +4,6 @@ These run at tiny scales — the assertions are on *shape* (ordering,
 monotonicity, pathologies), which is what the reproduction claims.
 """
 
-import numpy as np
 import pytest
 
 from repro.harness import (ascii_table, fig4_vecadd_delta, fig6_chunk_remap,

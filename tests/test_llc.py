@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.arch.iot import InterleaveOverrideTable, IotEntry
+from repro.arch.iot import IotEntry
 from repro.arch.llc import LlcModel
 from repro.config import CacheConfig
 

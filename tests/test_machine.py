@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.config import DEFAULT_CONFIG
 from repro.machine import Machine
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.arch import mesh as mesh_mod
 from repro.arch.mesh import Mesh
 
 
@@ -152,6 +153,34 @@ class TestDegradedRouting:
         assert Mesh(8, 8).routing_incidence() is pristine
         # and the degraded mesh keeps its own entry on repeat lookups
         assert a.routing_incidence() is degraded
+
+    def test_distance_table_shared_per_dead_link_set(self, monkeypatch):
+        monkeypatch.setattr(mesh_mod, "_DISTANCE_CACHE", {})
+        calls = []
+        bfs = Mesh._bfs_from
+
+        def counted(self, src):
+            calls.append(src)
+            return bfs(self, src)
+
+        monkeypatch.setattr(Mesh, "_bfs_from", counted)
+        a, b = Mesh(8, 8), Mesh(8, 8)
+        for m in (a, b):
+            m.remove_link_between(9, 10)
+            m.remove_link_between(27, 35)
+        table = a.hops_table()
+        assert len(calls) == 64
+        # same dead links: one table, no second BFS sweep
+        assert b.hops_table() is table
+        assert len(calls) == 64
+        assert not table.flags.writeable
+        # one more dead link: its own table
+        b.remove_link_between(40, 41)
+        other = b.hops_table()
+        assert len(calls) == 128
+        assert other is not table
+        assert other[40, 41] == 3 and table[40, 41] == 1
+        assert a.hops_table() is table
 
     def test_link_loads_route_around_dead_link(self, mesh):
         fwd, rev = mesh._directed_pair_links(9, 10)

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.arch.mesh import Mesh
 from repro.arch.noc import MessageClass, TrafficAccountant
-from repro.config import DEFAULT_CONFIG, NocConfig
+from repro.config import NocConfig
 from repro.core.api import AffineArray
 from repro.core.irregular import SlotPool
 from repro.core.load import LoadTracker

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.arch.iot import InterleaveOverrideTable
-from repro.vm.layout import AddressSpace, LinearRegion, PagedRegion, VirtualLayout
+from repro.vm.layout import AddressSpace, LinearRegion, PagedRegion
 from repro.vm.pools import POOL_INTERLEAVES, InterleavePool, PoolManager
 
 
