@@ -120,6 +120,9 @@ class InterleaveOverrideTable:
         # on the (overwhelmingly common) healthy path, which therefore
         # executes the exact original instruction sequence.
         self._remap: Optional[np.ndarray] = None
+        # (table, its address) for the compiled resolver, or (None,
+        # None) when a value does not fit int64; see resolver_table().
+        self._table: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     @property
@@ -150,8 +153,17 @@ class InterleaveOverrideTable:
                 return
         raise KeyError(f"no IOT entry starting at {start:#x}")
 
-    def _rebuild(self) -> None:
+    def _changed(self) -> None:
+        """Drop what is derived from the entry tables and the remap."""
         self._granule = None
+        self._table = None
+
+    def __getstate__(self):
+        # The resolver table holds addresses of this process' arrays.
+        return {**self.__dict__, "_table": None}
+
+    def _rebuild(self) -> None:
+        self._changed()
         self._sorted_entries = sorted(self._entries, key=lambda e: e.start)
         self._starts = np.array([e.start for e in self._sorted_entries], dtype=np.int64)
         self._ends = np.array([e.end for e in self._sorted_entries], dtype=np.int64)
@@ -182,6 +194,7 @@ class InterleaveOverrideTable:
             raise ValueError("cannot re-home a bank onto itself")
         if self._remap is None:
             self._remap = np.arange(self.num_banks, dtype=np.int64)
+            self._changed()
         self._remap[self._remap == bank] = replacement
 
     def remap_banks(self, banks: np.ndarray) -> np.ndarray:
@@ -217,7 +230,7 @@ class InterleaveOverrideTable:
         for i, existing in enumerate(self._mig):
             if existing.start == entry.start:
                 self._mig[i] = entry
-                self._granule = None
+                self._changed()
                 return
             if entry.start < existing.end and existing.start < entry.end:
                 raise ValueError(
@@ -227,11 +240,11 @@ class InterleaveOverrideTable:
             raise RuntimeError(
                 f"migration table full ({self.migration_capacity} entries)")
         self._mig.append(entry)
-        self._granule = None
+        self._changed()
 
     def clear_migrations(self) -> None:
         self._mig.clear()
-        self._granule = None
+        self._changed()
 
     def granule_shift(self) -> int:
         """log2 of the bank-mapping granule: the largest power of two
@@ -273,6 +286,35 @@ class InterleaveOverrideTable:
         t = np.arange(self.num_banks, dtype=np.int64)
         t[a], t[b] = b, a
         self._remap = t[self._remap]
+        self._changed()
+
+    def resolver_table(self) -> Optional[int]:
+        """Address of the table the compiled resolver reads: bank
+        count, bank mask (-1 when the count is no power of two), entry
+        and migration counts, the remap vector's address (0 when
+        healthy), then ``(start, end, shift)`` per entry in start order
+        and ``(start, end, shift, offset)`` per migration in install
+        order.  None when a migration value does not fit int64 (the
+        numpy chain then raises on it).
+
+        Cached; every mutation of the entry tables or the remap drops
+        it, where it drops the granule."""
+        if self._table is None:
+            rows = [self.num_banks,
+                    -1 if self._bank_mask is None else self._bank_mask,
+                    len(self._sorted_entries), len(self._mig),
+                    0 if self._remap is None else self._remap.ctypes.data]
+            for e in self._sorted_entries:
+                rows += [e.start, e.end, int(e.intrlv).bit_length() - 1]
+            for m in self._mig:
+                rows += [m.start, m.end, m.shift, m.offset]
+            try:
+                table = np.array(rows, dtype=np.int64)
+            except OverflowError:
+                self._table = (None, None)
+            else:
+                self._table = (table, table.ctypes.data)
+        return self._table[1]
 
     def _apply_migrations(self, addrs: np.ndarray,
                           banks: np.ndarray) -> np.ndarray:

@@ -44,8 +44,8 @@ class LlcModel:
         self.num_banks = num_banks
         self.cache = cache
         self.iot = iot if iot is not None else InterleaveOverrideTable(num_banks, cache.iot_entries)
-        self._default_shift = int(cache.default_interleave).bit_length() - 1
-        if (1 << self._default_shift) != cache.default_interleave:
+        self.default_shift = int(cache.default_interleave).bit_length() - 1
+        if (1 << self.default_shift) != cache.default_interleave:
             raise ValueError("default_interleave must be a power of two")
         # Distinct resident lines per bank, tracked as sets of line ids in
         # chunked form: we only need footprint *bytes*, so a per-bank count
@@ -67,7 +67,7 @@ class LlcModel:
         detect touches of failed banks).
         """
         return self.iot.banks(np.asarray(paddrs, dtype=np.int64),
-                              self._default_shift, apply_remap=not raw)
+                              self.default_shift, apply_remap=not raw)
 
     def rehome_bank(self, bank: int, replacement: int) -> float:
         """Retire ``bank`` onto ``replacement`` (chaos bank failure).

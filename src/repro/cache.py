@@ -209,19 +209,22 @@ class ArtifactCache:
                    ) -> Optional[Dict[str, np.ndarray]]:
         """Load an ``.npz`` entry; any read error is a miss (and deletes).
 
-        Recently read entries are served from an in-process memo (copies,
-        so callers may mutate freely); keys are content addresses, so the
-        memo can never go stale against the file it shadows.  Only reads
-        populate the memo — the first load after a write still exercises
-        the on-disk entry, keeping corruption detectable.  ``memo=False``
-        reads the file and leaves the memo alone."""
+        Recently read entries are served from an in-process memo as
+        read-only views of one shared copy, so a hit costs no memory and
+        a caller that writes to one raises ``ValueError`` instead of
+        corrupting the memo (a caller that must write copies first).
+        Keys are content addresses, so the memo can never go stale
+        against the file it shadows.  Only reads populate the memo — the
+        first load after a write still exercises the on-disk entry,
+        keeping corruption detectable.  ``memo=False`` reads the file,
+        returns writeable arrays and leaves the memo alone."""
         if not self.enabled:
             return None
         held = self._mem.get(key) if memo else None
         if held is not None:
             self._mem.move_to_end(key)
             self.hits += 1
-            return {name: a.copy() for name, a in held.items()}
+            return {name: _read_only(a) for name, a in held.items()}
         path = self.path_for(key, ".npz")
         try:
             with np.load(path, allow_pickle=False) as zf:
@@ -236,7 +239,10 @@ class ArtifactCache:
         self.hits += 1
         self._touch(path)
         if memo:
-            self._mem_store(key, {name: a.copy() for name, a in out.items()})
+            for a in out.values():
+                a.flags.writeable = False
+            self._mem_store(key, out)
+            return {name: _read_only(a) for name, a in out.items()}
         return out
 
     def drop_arrays(self, key: str) -> None:
@@ -366,6 +372,13 @@ def configure(root: Optional[os.PathLike] = None,
 # ----------------------------------------------------------------------
 # High-level helpers
 # ----------------------------------------------------------------------
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A view of ``a`` that refuses writes."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 def cached_arrays(kind: str,
                   builder: Callable[[], Dict[str, np.ndarray]], *,
                   names: Optional[Collection[str]] = None,
@@ -385,6 +398,10 @@ def cached_arrays(kind: str,
     the cache disabled the builder runs every time.  ``memo=False`` keeps
     the entry out of the in-process memo, for entries a run reads once
     and that would otherwise stay resident.
+
+    The arrays are read-only views in every cache state (built, read
+    from disk or from the memo), so a caller that writes to one fails
+    the same way cold and warm; a caller that must write copies first.
     """
     cache = get_cache()
     key = cache_key(kind, **params)
@@ -392,14 +409,14 @@ def cached_arrays(kind: str,
     if arrays is not None:
         if ((names is None or set(arrays) == set(names))
                 and (check is None or check(arrays))):
-            return arrays
+            return {name: _read_only(a) for name, a in arrays.items()}
         cache.drop_arrays(key)
     arrays = builder()
     if names is not None and set(arrays) != set(names):
         raise ValueError(f"{kind} builder returned arrays {sorted(arrays)}, "
                          f"expected {sorted(names)}")
     cache.put_arrays(key, arrays)
-    return arrays
+    return {name: _read_only(a) for name, a in arrays.items()}
 
 
 def array_ok(a: np.ndarray, dtype, shape: Optional[tuple] = None,

@@ -131,7 +131,7 @@ class ArrayHandle:
 
     def banks(self, idx) -> np.ndarray:
         """Owning L3 bank of element index(es) — full HW mapping path."""
-        return self.machine.banks_of(self.addr_of(idx))
+        return self.machine.resolve(self, idx)[0]
 
     def bank_of_one(self, idx: int) -> int:
         return int(self.banks(np.asarray([idx]))[0])
@@ -170,14 +170,19 @@ class AddressView:
     def num_elem(self) -> int:
         return self._addrs.size
 
+    @property
+    def addrs(self) -> np.ndarray:
+        """The per-element virtual addresses."""
+        return self._addrs
+
     def addr_of(self, idx) -> np.ndarray:
         return self._addrs[np.asarray(idx, dtype=np.int64)]
 
     def banks(self, idx) -> np.ndarray:
-        return self.machine.banks_of(self.addr_of(idx))
+        return self.machine.resolve(self, idx)[0]
 
     def all_banks(self) -> np.ndarray:
-        return self.machine.banks_of(self._addrs)
+        return self.machine.resolve(self._addrs)[0]
 
     def __repr__(self) -> str:
         return f"AddressView({self.name or '?'}, n={self.num_elem})"

@@ -15,6 +15,8 @@ manager; workloads and the stream executor only ever see the facade.
 
 from __future__ import annotations
 
+from typing import Optional, Tuple
+
 import numpy as np
 
 from repro.arch.dram import DramModel
@@ -23,8 +25,9 @@ from repro.arch.iot import InterleaveOverrideTable
 from repro.arch.llc import LlcModel
 from repro.arch.mesh import Mesh
 from repro.arch.noc import TrafficAccountant
-from repro.arch.address import align_up, alignment_shift
+from repro.arch.address import align_up, alignment_shift, is_power_of_two
 from repro.config import DEFAULT_CONFIG, SystemConfig
+from repro.perf import kernels
 from repro.vm.layout import AddressSpace, LinearRegion, PagedRegion, VirtualLayout
 from repro.vm.pools import PoolManager
 
@@ -32,6 +35,12 @@ __all__ = ["Machine"]
 
 _RANDOM_HEAP_PBASE = 0x6000_0000_0000
 _RANDOM_HEAP_FRAMES = 1 << 26  # 256 GiB of frames to draw from
+
+#: ``(banks, lines, raw banks)`` of :meth:`Machine.resolve`.
+Resolved = Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]
+
+# Input kinds of the compiled resolver (``_ckernels.c``).
+_ADDRS, _STRIDED, _GATHER = 0, 1, 2
 
 
 class Machine:
@@ -199,10 +208,80 @@ class Machine:
     def translate(self, vaddrs) -> np.ndarray:
         return self.space.translate(vaddrs)
 
+    def resolve(self, where, idx=None, *, lines: bool = False,
+                raw: bool = False) -> Resolved:
+        """Owning L3 bank of each element: the full hardware path of
+        page translation, then the IOT's Eq. 1 hash, migration entries
+        and fault remap.  Also the physical cache line (``lines``) and
+        the pre-remap bank (``raw``, what the fault guard checks) when
+        asked.
+
+        ``where`` is an array of virtual addresses when ``idx`` is None;
+        otherwise a handle whose elements ``idx`` selects: an
+        :class:`~repro.core.api.ArrayHandle` (``vaddr + stride * i``,
+        bounds-checked) or an :class:`~repro.core.api.AddressView`
+        (entries of its address array).
+
+        The active kernel backend runs this as one compiled loop when it
+        has one (``resolve`` in :mod:`repro.perf.kernels.cbackend`);
+        otherwise, and whenever the loop rejects an element, the numpy
+        chain :meth:`_resolve_chain` runs, so a bad index or an unmapped
+        address raises the chain's own ``IndexError``/``RuntimeError``.
+
+        Returns ``(banks, lines, raw)``, None for what was not asked,
+        each shaped like ``np.atleast_1d`` of the addresses.
+        """
+        loop = getattr(kernels.get_backend(), "resolve", None)
+        if loop is not None:
+            out = self._resolve_compiled(loop, where, idx, lines, raw)
+            if out is not None:
+                return out
+        return self._resolve_chain(where, idx, lines=lines, raw=raw)
+
+    def _resolve_compiled(self, loop, where, idx, lines: bool,
+                          raw: bool) -> Optional[Resolved]:
+        """:meth:`resolve` through the backend's loop; None where the
+        numpy chain has to answer."""
+        from repro.core.api import ArrayHandle  # local: api imports us
+        iot = self.iot.resolver_table()
+        if iot is None:
+            return None
+        kind, base, stride, count, table = _ADDRS, 0, 0, 0, None
+        src = where if idx is None else idx
+        if isinstance(where, ArrayHandle):
+            kind, base = _STRIDED, int(where.vaddr)
+            stride, count = int(where.stride), int(where.num_elem)
+        elif idx is not None:  # an AddressView
+            kind, count = _GATHER, where.num_elem
+            table = np.ascontiguousarray(where.addrs)
+        src = np.atleast_1d(np.asarray(src, dtype=np.int64))
+        out = loop(self.space.resolver_table(), iot, self.llc.default_shift,
+                   self.config.cache.line_bytes, kind, src.ravel(), base,
+                   stride, count, table, lines, raw)
+        if out is None or src.ndim == 1:
+            return out
+        return tuple(None if a is None else a.reshape(src.shape)
+                     for a in out)
+
+    def _resolve_chain(self, where, idx=None, *, lines: bool = False,
+                       raw: bool = False) -> Resolved:
+        """:meth:`resolve` as the numpy chain: the python
+        implementation, and the oracle the compiled loop must match."""
+        addrs = where if idx is None else where.addr_of(idx)
+        paddrs = self.space.translate(addrs)
+        raw_banks = self.llc.banks_of(paddrs, raw=True) if raw else None
+        banks = self.llc.banks_of(paddrs)
+        line_ids = None
+        if lines:
+            line = self.config.cache.line_bytes
+            line_ids = (paddrs >> (line.bit_length() - 1)
+                        if is_power_of_two(line) else paddrs // line)
+        return banks, line_ids, raw_banks
+
     def banks_of(self, vaddrs) -> np.ndarray:
         """Virtual address(es) -> owning L3 bank id (the full HW path:
         page translation, then IOT-aware bank hash)."""
-        return self.llc.banks_of(self.space.translate(vaddrs))
+        return self.resolve(vaddrs)[0]
 
     def bank_of(self, vaddr: int) -> int:
         return int(self.banks_of(np.asarray([vaddr]))[0])

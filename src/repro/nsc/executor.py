@@ -157,12 +157,6 @@ class StreamExecutor:
         self.rec = recorder
         self.mode = mode
         self.line = machine.config.cache.line_bytes
-        # Power-of-two lines (every config) index with a shift; `>>` is
-        # floor division bit for bit on int64.
-        if self.line & (self.line - 1) == 0:
-            self._line_shift = self.line.bit_length() - 1
-        else:
-            self._line_shift = None
         self.perf = machine.config.perf
         self.l3_latency = float(machine.config.cache.access_latency)
         self.hop_latency = float(machine.config.noc.hop_latency)
@@ -192,24 +186,19 @@ class StreamExecutor:
     # ------------------------------------------------------------------
     # Small shared helpers
     # ------------------------------------------------------------------
-    def _banks_and_lines(self, handle, idx: np.ndarray):
-        return self._banks_and_lines_of(handle.addr_of(idx))
-
-    def _banks_and_lines_of(self, addrs: np.ndarray):
-        """(bank, physical line) of each virtual address."""
-        paddrs = self.machine.translate(addrs)
+    def _banks_and_lines(self, where, idx=None, lines: bool = True):
+        """(bank, physical line) of each element (:meth:`Machine.resolve`
+        of ``where`` and ``idx``); the line is None when not asked."""
         st = self.machine.faults
-        if st is not None and st.pending_touch and self.mode.offloads:
+        touch = (st is not None and bool(st.pending_touch)
+                 and self.mode.offloads)
+        banks, line_ids, raw = self.machine.resolve(where, idx, lines=lines,
+                                                    raw=touch)
+        if st is not None and touch:
             # Raw (pre-remap) banks still show the failed ids; the first
             # offloaded touch of each re-homed bank pays the retry storm.
-            st.check_first_touch(self.machine.llc.banks_of(paddrs, raw=True),
-                                 self.rec, self.machine.num_cores)
-        banks = self.machine.llc.banks_of(paddrs)
-        if self._line_shift is not None:
-            lines = paddrs >> self._line_shift
-        else:
-            lines = paddrs // self.line
-        return banks, lines
+            st.check_first_touch(raw, self.rec, self.machine.num_cores)
+        return banks, line_ids
 
     def _line_runs(self, cores: np.ndarray, streams):
         """Split an affine trace into line runs.
@@ -374,8 +363,8 @@ class StreamExecutor:
         st = self._faults()
         heads, lens, head_addrs = self._line_runs(cores, streams)
         cores = cores[heads]
-        in_bl = [self._banks_and_lines_of(a) for a in head_addrs[:len(ins)]]
-        out_bl = self._banks_and_lines_of(head_addrs[-1]) if out else None
+        in_bl = [self._banks_and_lines(a) for a in head_addrs[:len(ins)]]
+        out_bl = self._banks_and_lines(head_addrs[-1]) if out else None
 
         off = self._offloads(st, *(bl[0] for bl in in_bl),
                              out_bl[0] if out_bl else None)
@@ -513,8 +502,8 @@ class StreamExecutor:
         """
         cores = np.asarray(cores, dtype=np.int64)
         st = self._faults()
-        b_banks, _b_lines = self._banks_and_lines(base[0], np.asarray(base[1]))
-        t_banks, t_lines = self._banks_and_lines(target[0], np.asarray(target[1]))
+        b_banks, _ = self._banks_and_lines(*base, lines=False)
+        t_banks, t_lines = self._banks_and_lines(*target)
         off = self._offloads(st, b_banks, t_banks)
         tr = self.machine.tracer
         if tr is not None:
@@ -553,8 +542,8 @@ class StreamExecutor:
         """Push-style ``atomic_op(target[f(base[i])])`` — no value returns."""
         cores = np.asarray(cores, dtype=np.int64)
         st = self._faults()
-        b_banks, _ = self._banks_and_lines(base[0], np.asarray(base[1]))
-        t_banks, _t_lines = self._banks_and_lines(target[0], np.asarray(target[1]))
+        b_banks, _ = self._banks_and_lines(*base, lines=False)
+        t_banks, _ = self._banks_and_lines(*target, lines=False)
         off = self._offloads(st, b_banks, t_banks)
         tr = self.machine.tracer
         if tr is not None:
@@ -605,11 +594,8 @@ class StreamExecutor:
         if node_vaddrs.size == 0:
             return
         st = self._faults()
-        paddrs = self.machine.translate(node_vaddrs)
-        if st is not None and st.pending_touch and self.mode.offloads:
-            st.check_first_touch(self.machine.llc.banks_of(paddrs, raw=True),
-                                 self.rec, self.machine.num_cores)
-        banks = self.machine.llc.banks_of(paddrs)
+        banks, lines = self._banks_and_lines(node_vaddrs,
+                                             lines=not self.mode.offloads)
         cores = chain_cores[chain_ids]
         nchains = chain_cores.size
         all_cores = np.arange(self.machine.num_cores)
@@ -624,10 +610,8 @@ class StreamExecutor:
             # Every node is a dependent round trip core <-> bank, except
             # the hot top of the structure (tree roots, list heads) that
             # the private cache retains across chains.
-            if self._line_shift is not None:
-                lines = paddrs >> self._line_shift
-            else:
-                lines = paddrs // self.line
+            if lines is None:  # offloading mode, fallen back to the host
+                lines = self.machine.resolve(node_vaddrs, lines=True)[1]
             first, mult, miss_rate = self._capacity_filter(cores, lines)
             c, b = cores[first], banks[first]
             self.rec.traffic.record(c, b, 0, MessageClass.CONTROL,

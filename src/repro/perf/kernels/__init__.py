@@ -1,9 +1,10 @@
-"""The three sequential Eq. 4 loops, on one kernel path per platform.
+"""The sequential Eq. 4 loops and the address resolver, on one kernel
+path per platform.
 
-PR 3 vectorized the simulator's batch paths but left the Eq. 4
-bank-select loop sequential — every choice shifts the load the next
-choice sees — and DESIGN §7 called it the Amdahl wall of fig12.  This
-package runs that loop on one of two backends:
+The simulator's batch paths are vectorized, but the Eq. 4 bank-select
+loop is sequential — every choice shifts the load the next choice sees
+— and DESIGN §7 called it the Amdahl wall of fig12.  This package runs
+that loop on one of two backends:
 
 * ``c`` — the loops compiled from a shipped C source by the *system*
   compiler at first use (cached .so, loaded via ctypes,
@@ -30,6 +31,13 @@ The backend surface:
     Eq. 4 where allocation ``i``'s affinity banks are
     ``banks[offsets[i]:offsets[i + 1]]`` (CSR groups); the C loop builds
     each mean-hop row as it reaches it, with no ``(n, nb)`` matrix.
+``resolve(...)`` (``c`` only)
+    Element index or virtual address -> L3 bank, physical line and
+    pre-remap bank in one pass: :meth:`repro.machine.Machine.resolve`
+    calls it when the active backend has it.  Its python implementation
+    is the numpy chain ``Machine._resolve_chain``, which also answers
+    for every element the loop rejects, so errors carry the chain's
+    exception.
 
 Both backends run :func:`repro.perf.kernels.inputs.check_inputs` before
 their loops, so a malformed batch raises :class:`ValueError` with

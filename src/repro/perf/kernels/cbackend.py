@@ -11,18 +11,23 @@ tempdir, cc dying — just flips ``AVAILABLE`` off and the registry
 resolves to the python backend instead (bit-identical results, lower
 throughput; never silent numeric drift).
 
-Only the three sequential Eq. 4 loops live in C — they are the Amdahl
-wall DESIGN §12 profiles.  The executor's dedup kernels stay in
-:mod:`repro.perf.kernels.pybackend`, whose vectorized forms are
-already memory-bound (a C radix-sort dedup was tried and measured
+Two things live in C: the three sequential Eq. 4 loops — the Amdahl
+wall DESIGN §12 profiles — and the address resolver behind
+:meth:`repro.machine.Machine.resolve` (element or virtual address ->
+L3 bank and physical line), which replaces a chain of numpy passes
+with one pass per block of elements.  The executor's dedup kernels
+stay in :mod:`repro.perf.kernels.pybackend`, whose vectorized forms
+are already memory-bound (a C radix-sort dedup was tried and measured
 slower than numpy's stable argsort on the workload's real sparse
 keys, so it was dropped).
 
 Exactness: compiled with ``-ffp-contract=off -fno-fast-math`` so the
-C chain performs the same IEEE-754 binary64 roundings in the same
+Eq. 4 chain performs the same IEEE-754 binary64 roundings in the same
 order as the numpy scalar ops (x86-64 SSE2 doubles carry no excess
 precision), and the caller passes ``total`` from numpy's pairwise sum
-so even the one reduction in the contract keeps numpy's bits.
+so even the one reduction in the contract keeps numpy's bits.  The
+resolver is integer-only, and wraps, shifts and floors like numpy's
+int64 ops.
 """
 
 from __future__ import annotations
@@ -104,6 +109,7 @@ def _compile() -> Optional[ctypes.CDLL]:
 
 _D = ctypes.POINTER(ctypes.c_double)
 _I = ctypes.POINTER(ctypes.c_int64)
+_P = ctypes.c_void_p
 
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
@@ -119,6 +125,13 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.repro_affinity_hybrid.argtypes = [
         _D, _I, _I, _D, ctypes.c_double, _D, _D, ctypes.c_double,
         ctypes.c_int64, ctypes.c_int64, _I]
+    # Addresses go in as plain integers; the resolver's tables cache
+    # theirs.
+    lib.repro_resolve.restype = ctypes.c_int64
+    lib.repro_resolve.argtypes = [
+        _P, _P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _P,
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        _P, _P, _P, _P]
     return lib
 
 
@@ -184,3 +197,32 @@ def affinity_hybrid(dist_t, offsets, banks, loads, h, penalty):
     check_inputs(loads, penalty, dist_t=dt, offsets=offs, banks=bk)
     return _run(_lib.repro_affinity_hybrid, offs.size - 1, (dt, offs, bk),
                 loads, h, penalty, (np.empty(loads.size),))
+
+
+def resolve(space: int, iot: int, default_shift: int, line: int,
+            kind: int, src: np.ndarray, base: int = 0, stride: int = 0,
+            count: int = 0, table: Optional[np.ndarray] = None,
+            lines: bool = False, raw: bool = False):
+    """One pass of ``repro_resolve`` over the contiguous int64 ``src``:
+    ``(banks, lines, raw)`` with None for what was not asked, or None
+    when an element fails (the caller re-runs the numpy chain for its
+    exception).  ``space`` and ``iot`` are the tables' addresses
+    (:meth:`repro.vm.layout.AddressSpace.resolver_table`,
+    :meth:`repro.arch.iot.InterleaveOverrideTable.resolver_table`);
+    ``kind`` and the rest are as in ``_ckernels.c``."""
+    n = src.size
+    out = np.empty((1 + lines + raw, n), dtype=np.int64)
+    if n:
+        p = out.ctypes.data
+        row = 8 * n
+        bad = _lib.repro_resolve(
+            space, iot, default_shift, line, kind, src.ctypes.data, n,
+            base, stride, count,
+            table.ctypes.data if table is not None else None,
+            p, p + row if lines else None,
+            p + row * (1 + lines) if raw else None)
+        if bad >= 0:
+            return None
+    rows = iter(out)
+    return (next(rows), next(rows) if lines else None,
+            next(rows) if raw else None)

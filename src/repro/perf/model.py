@@ -17,15 +17,17 @@ messages go, which this model captures exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
 
 from repro.arch.energy import EnergyBreakdown
 from repro.arch.mesh import Mesh
 from repro.arch.noc import MessageClass, pair_channel_loads
-from repro.machine import Machine
 from repro.perf.stats import PhaseStats, RunRecorder
+
+if TYPE_CHECKING:
+    from repro.machine import Machine
 
 __all__ = ["PerfModel", "RunResult", "pair_link_loads"]
 

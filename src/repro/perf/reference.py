@@ -462,6 +462,7 @@ def reference_impls():
          iot_mod.InterleaveOverrideTable.banks),
         (machine_mod.Machine, "_register_heap_footprint",
          machine_mod.Machine._register_heap_footprint),
+        (machine_mod.Machine, "resolve", machine_mod.Machine.resolve),
         (runtime_mod.AffinityAllocator, "_affinity_hybrid",
          runtime_mod.AffinityAllocator._affinity_hybrid),
         (policy_mod.HybridPolicy, "select_batch",
@@ -484,6 +485,8 @@ def reference_impls():
         iot_mod.InterleaveOverrideTable.banks = _iot_banks_compat
         machine_mod.Machine._register_heap_footprint = \
             register_heap_footprint_reference
+        # The compiled resolver would bypass the two references above.
+        machine_mod.Machine.resolve = machine_mod.Machine._resolve_chain
         runtime_mod.AffinityAllocator._affinity_hybrid = \
             _affinity_hybrid_compat
         policy_mod.HybridPolicy.select_batch = _select_batch_compat

@@ -14,12 +14,14 @@ A :class:`RunRecorder` accumulates, for one workload run:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
 from repro.arch.noc import MessageClass
-from repro.machine import Machine
+
+if TYPE_CHECKING:
+    from repro.machine import Machine
 
 __all__ = ["PhaseStats", "RunRecorder"]
 

@@ -18,7 +18,7 @@ Three region kinds cover every mapping the paper needs:
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -125,6 +125,9 @@ class AddressSpace:
         # fancy-indexed add; only PagedRegions need a per-region call.
         self._deltas = np.empty(0, dtype=np.int64)
         self._paged_ids: List[int] = []
+        # (table, its address, the page tables it points at) for the
+        # compiled resolver; see resolver_table().
+        self._table: Optional[Tuple[np.ndarray, int, list]] = None
 
     def add(self, region) -> None:
         for r in self._regions:
@@ -139,6 +142,43 @@ class AddressSpace:
              for r in self._regions], dtype=np.int64)
         self._paged_ids = [i for i, r in enumerate(self._regions)
                            if not isinstance(r, LinearRegion)]
+        self._table = None
+
+    def __getstate__(self):
+        # The resolver table holds addresses of this process' arrays.
+        return {**self.__dict__, "_table": None}
+
+    def resolver_table(self) -> int:
+        """Address of the region table the compiled resolver reads: the
+        region count, then per region (in start order) its start, end,
+        ``pbase - vbase``, and for a paged region the address and length
+        of its page table, its page shift (-1 when the page size is no
+        power of two) and page size (four zeros for a linear region).
+
+        Cached.  Adding a region or growing a page table (which
+        reallocates it) rebuilds the table; a page mapped in place needs
+        nothing, since the table points at the live frames."""
+        t = self._table
+        if t is not None:
+            for region, frames in t[2]:
+                if region._frames is not frames:
+                    break
+            else:
+                return t[1]
+        rows = [len(self._regions)]
+        seen = []
+        for r, delta in zip(self._regions, self._deltas.tolist()):
+            rows += [r.vrange.start, r.vrange.end, delta]
+            if isinstance(r, LinearRegion):
+                rows += [0, 0, 0, 0]
+            else:
+                shift = -1 if r._page_shift is None else r._page_shift
+                rows += [r._frames.ctypes.data, r._frames.size, shift,
+                         r.page_size]
+                seen.append((r, r._frames))
+        table = np.array(rows, dtype=np.int64)
+        self._table = (table, table.ctypes.data, seen)
+        return self._table[1]
 
     def region_of(self, vaddr: int):
         idx = int(np.searchsorted(self._starts, vaddr, side="right")) - 1

@@ -39,6 +39,7 @@ import numpy as np
 from repro.cache import cached_arrays
 from repro.config import DEFAULT_CONFIG, SystemConfig
 from repro.nsc.engine import EngineMode
+from repro.nsc.stream import AffineIndex
 from repro.perf.model import RunResult
 from repro.workloads.base import Workload, make_context, register
 
@@ -55,6 +56,12 @@ def _zipf_indices(rng: np.random.Generator, a: float, size: int,
     """
     z = rng.zipf(a, size=size).astype(np.int64)
     return (z - 1) % modulo
+
+
+def _scan(chunk: np.ndarray) -> AffineIndex:
+    """The descriptor of a contiguous index range: iteration ``i`` of
+    the affine stream reads element ``chunk[0] + i``."""
+    return AffineIndex(int(chunk[0]) if chunk.size else 0)
 
 
 @register
@@ -106,7 +113,7 @@ class SkewedHashJoin(Workload):
         epoch = 0
         for chunk in np.array_split(np.arange(nb_, dtype=np.int64), epochs):
             cores = ctx.cores_of_positions(chunk, nb_)
-            ctx.executor.affine_kernel(cores, [(build_h, chunk)],
+            ctx.executor.affine_kernel(cores, [(build_h, _scan(chunk))],
                                        ops_per_elem=2.0)
             ctx.executor.indirect_atomic(cores, (build_h, chunk),
                                          (counts, build_idx[chunk]),
@@ -115,7 +122,7 @@ class SkewedHashJoin(Workload):
             epoch += 1
         for chunk in np.array_split(np.arange(np_, dtype=np.int64), epochs):
             cores = ctx.cores_of_positions(chunk, np_)
-            ctx.executor.affine_kernel(cores, [(probe_h, chunk)],
+            ctx.executor.affine_kernel(cores, [(probe_h, _scan(chunk))],
                                        ops_per_elem=2.0)
             ctx.executor.indirect_gather(cores, (probe_h, chunk),
                                          (counts, probe_idx[chunk]),
@@ -188,7 +195,7 @@ class SpmvGather(Workload):
         epoch = 0
         for chunk in np.array_split(np.arange(nnz, dtype=np.int64), epochs):
             cores = ctx.cores_of_positions(chunk, nnz)
-            ctx.executor.affine_kernel(cores, [(col_h, chunk)],
+            ctx.executor.affine_kernel(cores, [(col_h, _scan(chunk))],
                                        ops_per_elem=1.0)
             ctx.executor.indirect_gather(cores, (col_h, chunk),
                                          (x_h, cols[chunk]),
@@ -262,9 +269,8 @@ class AllocStorm(Workload):
                                          x=16 * (j % 3) if aff else 0))
             allocs += len(handles)
             for h in handles:
-                idx = np.arange(h.num_elem, dtype=np.int64)
                 cores = ctx.cores_for(h.num_elem)
-                ctx.executor.affine_kernel(cores, [(h, idx)],
+                ctx.executor.affine_kernel(cores, [(h, AffineIndex(0))],
                                            ops_per_elem=1.0)
                 touched += float(h.num_elem)
             if ctx.allocator is not None:

@@ -34,6 +34,7 @@ from repro.datastructs.linked_csr import LinkedCSR
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import kronecker
 from repro.nsc.engine import EngineMode
+from repro.nsc.stream import AffineIndex
 from repro.perf.model import RunResult
 from repro.workloads.base import RunContext, Workload, make_context, register
 
@@ -224,9 +225,10 @@ class PageRankPush(Workload):
                        node_bytes=p.get("node_bytes", 64))
         all_v = np.arange(g.num_vertices, dtype=np.int64)
         vcores = ctx.cores_for(g.num_vertices)
+        here = AffineIndex(0)
         # contrib[u] = rank[u] / deg[u]
-        ctx.executor.affine_kernel(vcores, [(s.prop("rank"), all_v)],
-                                   out=(s.prop("contrib"), all_v),
+        ctx.executor.affine_kernel(vcores, [(s.prop("rank"), here)],
+                                   out=(s.prop("contrib"), here),
                                    ops_per_elem=2.0, repeat=iters)
         _, ecores, dsts = s.scan_edges(all_v, repeat=iters)
         edge_idx = np.arange(g.num_edges, dtype=np.int64)
@@ -234,8 +236,8 @@ class PageRankPush(Workload):
                                      (s.prop("next"), dsts),
                                      ops_per_elem=1.0, repeat=iters)
         # rank = f(next); reset next
-        ctx.executor.affine_kernel(vcores, [(s.prop("next"), all_v)],
-                                   out=(s.prop("rank"), all_v),
+        ctx.executor.affine_kernel(vcores, [(s.prop("next"), here)],
+                                   out=(s.prop("rank"), here),
                                    ops_per_elem=3.0, repeat=iters)
         value = _pagerank(g, graph, scale, seed, iters)
         return ctx.finish(f"pr_push/{mode.value}", reuse_fraction=0.8,
@@ -267,16 +269,17 @@ class PageRankPull(Workload):
                        node_bytes=p.get("node_bytes", 64))
         all_v = np.arange(gt.num_vertices, dtype=np.int64)
         vcores = ctx.cores_for(gt.num_vertices)
-        ctx.executor.affine_kernel(vcores, [(s.prop("rank"), all_v)],
-                                   out=(s.prop("contrib"), all_v),
+        here = AffineIndex(0)
+        ctx.executor.affine_kernel(vcores, [(s.prop("rank"), here)],
+                                   out=(s.prop("contrib"), here),
                                    ops_per_elem=2.0, repeat=iters)
         _, ecores, srcs = s.scan_edges(all_v, repeat=iters)
         edge_idx = np.arange(gt.num_edges, dtype=np.int64)
         ctx.executor.indirect_gather(ecores, (s.edge_base(), edge_idx),
                                      (s.prop("contrib"), srcs),
                                      ops_per_elem=1.0, repeat=iters)
-        ctx.executor.affine_kernel(vcores, [(s.prop("rank"), all_v)],
-                                   out=(s.prop("rank"), all_v),
+        ctx.executor.affine_kernel(vcores, [(s.prop("rank"), here)],
+                                   out=(s.prop("rank"), here),
                                    ops_per_elem=3.0, repeat=iters)
         value = _pagerank(g, graph, scale, seed, iters)
         return ctx.finish(f"pr_pull/{mode.value}", reuse_fraction=0.8,

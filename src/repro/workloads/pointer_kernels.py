@@ -33,6 +33,7 @@ from repro.datastructs.hash_table import (SKELETON_NAMES, HashTable,
                                           walk_chain_ids)
 from repro.datastructs.linked_list import LinkedListSet
 from repro.nsc.engine import EngineMode
+from repro.nsc.stream import AffineIndex
 from repro.perf.model import RunResult
 from repro.workloads.base import Workload, make_context, register
 
@@ -134,7 +135,8 @@ class HashJoin(Workload):
         probes_h = ctx.alloc(8, nq, "probe-keys")
         idx = np.arange(nq, dtype=np.int64)
         cores = ctx.cores_for(nq)
-        ctx.executor.affine_kernel(cores, [(probes_h, idx)], ops_per_elem=2.0)
+        ctx.executor.affine_kernel(cores, [(probes_h, AffineIndex(0))],
+                                   ops_per_elem=2.0)
         buckets = probe_keys % table.num_buckets
         ctx.executor.indirect_gather(cores, (probes_h, idx),
                                      (table.heads, buckets), ops_per_elem=1.0)

@@ -16,6 +16,7 @@ import numpy as np
 from repro.config import DEFAULT_CONFIG, SystemConfig
 from repro.core.api import ArrayHandle
 from repro.nsc.engine import EngineMode
+from repro.nsc.stream import AffineIndex
 from repro.perf.model import RunResult
 from repro.workloads.base import RunContext, Workload, make_context, register
 
@@ -26,10 +27,9 @@ _OPS = 1.0  # one add per element
 
 def _trace_vecadd(ctx: RunContext, a: ArrayHandle, b: ArrayHandle,
                   c: ArrayHandle, n: int, iters: int) -> None:
-    idx = np.arange(n, dtype=np.int64)
-    cores = ctx.cores_for(n)
-    ctx.executor.affine_kernel(cores, [(a, idx), (b, idx)], out=(c, idx),
-                               ops_per_elem=_OPS, repeat=iters)
+    here = AffineIndex(0)
+    ctx.executor.affine_kernel(ctx.cores_for(n), [(a, here), (b, here)],
+                               out=(c, here), ops_per_elem=_OPS, repeat=iters)
 
 
 def _functional_vecadd(n: int, seed: int):

@@ -95,12 +95,41 @@ class TestHitMiss:
         assert not cache._mem
         assert cache.hits == 2
 
-    def test_loaded_arrays_are_fresh_copies(self, cache):
+    def test_hits_are_read_only_views_of_the_memo(self, cache):
         key = cache_key("t", x=2)
         cache.put_arrays(key, {"a": np.arange(5)})
-        first = cache.get_arrays(key)["a"]
-        first[:] = -1  # mutating a hit must not poison later hits
+        for _ in range(2):  # the disk read that fills the memo, then a hit
+            got = cache.get_arrays(key)["a"]
+            assert not got.flags.writeable
+            assert np.shares_memory(got, cache._mem[key]["a"])
+            with pytest.raises(ValueError):
+                got[:] = -1  # a write must not poison later hits
         assert (cache.get_arrays(key)["a"] == np.arange(5)).all()
+        # Reads that bypass the memo own their arrays.
+        assert cache.get_arrays(key, memo=False)["a"].flags.writeable
+
+    @pytest.mark.parametrize("memo", [True, False])
+    def test_cached_arrays_are_read_only_in_every_state(self, cache,
+                                                         monkeypatch, memo):
+        # Built (cache disabled or cold), read from disk, hit in the
+        # memo: a write fails alike, so no caller passes cold and breaks
+        # warm.
+        monkeypatch.setattr(cache_mod, "_CACHE", cache)
+        built = np.arange(4)
+
+        def get():
+            return cached_arrays("ro", lambda: {"a": built}, memo=memo,
+                                 n=1)["a"]
+
+        with cache.disabled():
+            states = [get()]
+        states += [get() for _ in range(3)]  # cold, disk, memo/disk
+        for got in states:
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = -1
+            np.testing.assert_array_equal(got, np.arange(4))
+        assert built.flags.writeable  # the builder's own array is not touched
 
 
 class TestEviction:
@@ -475,8 +504,9 @@ class TestSkeletonsAcrossCacheStates:
             assert set(cache.get_arrays(entry.stem)) == names, label
 
 
-#: (statistics digest, value digest) prefixes of each mode's run at scale
-#: 0.05, seed 3.  Caching a skeleton must not move a simulated bit.
+#: (statistics digest, value digest) prefixes of each Table 3 kernel's
+#: In-Core, Near-L3 and Aff-Alloc runs at scale 0.05, seed 3.  Neither
+#: caching a skeleton nor a faster address path may move a simulated bit.
 PINNED_RUNS = {
     "bin_tree": ("2b26ac0b2e08720e", "fd0bbdfd7a47e364", "9c6c8d386c9a5e16",
                  "57edca8eb40c277b"),
@@ -486,6 +516,20 @@ PINNED_RUNS = {
              "828d81182ecd8f5d"),
     "pr_push": ("261a4bc1db8979b5", "4977d03af50454d3", "ecab7362332e2485",
                 "aaf77e6a6e97d399"),
+    "pr_pull": ("2210e326e08eeb0f", "4462c6b542f3a7a2", "007191d95df980b4",
+                "aaf77e6a6e97d399"),
+    "bfs": ("c3bf9d01f67fb958", "8e218acc1622b8e5", "1d8cda1410ae3650",
+            "91751b52db098b10"),
+    "link_list": ("54ae736bd53a37a0", "64db62fecd861ce8", "4c82733e4a74c721",
+                  "6c3c396ed6b5c36d"),
+    "pathfinder": ("726181aa519f0d57", "2fbcbc9ed928ba9f", "e13f65b73b66dd4a",
+                   "85fbe068d3cf99dd"),
+    "hotspot": ("7ca25bfa44877b17", "54e7222b19364bc2", "942c93224f3326aa",
+                "f634c7d535ddf299"),
+    "srad": ("ac47c84a976935cb", "aefc36ddba4f7a37", "9552e2d4c7276752",
+             "be87cd6edc6caf2a"),
+    "hotspot3D": ("0b42a8f0c5e6967a", "e8a4abf47e8f5853", "89f72e0a5734aacf",
+                  "6b67a70b9185b67d"),
 }
 
 

@@ -12,18 +12,25 @@ The C cases skip cleanly where no system C compiler exists; the python
 backend always runs.
 """
 
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.arch.iot import IotEntry, MigrationEntry
 from repro.arch.mesh import Mesh, TopologyError
+from repro.config import NocConfig, SystemConfig
+from repro.core.api import AddressView, ArrayHandle
 from repro.core.runtime import _affinity_groups
+from repro.machine import Machine
 from repro.nsc import executor
 from repro.perf import kernels
 from repro.perf.kernels import cbackend, pybackend
 from repro.perf.reference import affinity_hop_sums_reference
+from repro.vm.layout import VirtualLayout
 
 
 # ----------------------------------------------------------------------
@@ -625,6 +632,227 @@ class TestDedupEquivalence:
 
 
 # ----------------------------------------------------------------------
+# Address resolver: the compiled loop against the numpy chain
+# ----------------------------------------------------------------------
+def _draw_resolver_machine(data):
+    """A machine in a random address-mapping state: a linear or random
+    heap, a partly mapped paged segment, 0-8 IOT entries, migration
+    entries and a fault remap, all over the pages actually in use.
+
+    Returns the machine, its heap arrays as (vaddr, size) pairs and the
+    paged segment's range, partly mapped."""
+    width = data.draw(st.sampled_from([8, 3]), label="mesh width")
+    config = dataclasses.replace(
+        SystemConfig(), noc=dataclasses.replace(NocConfig(), width=width))
+    m = Machine(config, heap_mode=data.draw(
+        st.sampled_from(["linear", "random"])), seed=data.draw(
+            st.integers(0, 3)))
+    page = m.config.page_size
+    heap = [(m.malloc(size), size) for size in data.draw(
+        st.lists(st.integers(1, 6 * page), min_size=1, max_size=3))]
+    npages = data.draw(st.integers(1, 6))
+    pbase = m.paged_reserve(npages * page)
+    mapped = data.draw(st.lists(st.integers(0, npages - 1), unique=True,
+                                max_size=npages))
+    for k in mapped:
+        m.paged_map(pbase + k * page, VirtualLayout.PAGED_PBASE
+                    + data.draw(st.integers(0, 64)) * page)
+    vaddrs = [v + off for v, size in heap
+              for off in range(0, size, max(1, size // 8))]
+    vaddrs += [pbase + k * page + off for k in mapped
+               for off in (0, page // 2, page - 1)]
+    points = sorted(set(m.translate(np.asarray(vaddrs)).tolist()))
+    points += [p + 1 for p in points]
+    cuts = sorted(set(data.draw(st.lists(st.sampled_from(points),
+                                         max_size=16), label="iot cuts")))
+    for start, end in list(zip(cuts[::2], cuts[1::2]))[:8]:
+        m.iot.install(IotEntry(start, end, 1 << data.draw(
+            st.integers(0, 16))))
+    mig_cuts = sorted(set(data.draw(st.lists(
+        st.sampled_from(points), max_size=6), label="migration cuts")))
+    for start, end in zip(mig_cuts[::2], mig_cuts[1::2]):
+        m.iot.install_migration(MigrationEntry(
+            start, end, data.draw(st.integers(0, 70)),
+            data.draw(st.integers(0, 200))))
+    for _ in range(data.draw(st.integers(0, 2), label="remaps")):
+        a, b = data.draw(st.lists(st.integers(0, m.num_banks - 1),
+                                  min_size=2, max_size=2, unique=True))
+        if data.draw(st.booleans()):
+            m.iot.retire_bank(a, b)
+        else:
+            m.iot.swap_banks(a, b)
+    return m, heap, (pbase, npages * page)
+
+
+def _runs(data, rng, lo, hi, step=1):
+    """1-3 runs of values in [lo, hi): ascending by ``step`` (wrapping
+    at ``hi``; long enough to fill the compiled loop's blocks) or
+    random."""
+    out = []
+    for _ in range(data.draw(st.integers(1, 3), label="runs")):
+        size = data.draw(st.sampled_from([1, 30, 700, 1500]))
+        if data.draw(st.booleans(), label="ascending"):
+            start = int(rng.integers(0, hi - lo))
+            out.append(lo + (start + step * np.arange(size)) % (hi - lo))
+        else:
+            out.append(rng.integers(lo, hi, size))
+    return np.concatenate(out).astype(np.int64)
+
+
+def _draw_request(data, m, heap, paged):
+    """(where, idx) for one of the three input kinds, now and then with
+    an element the chain rejects: an index out of range, an address in
+    no region or on an unmapped page."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    kind = data.draw(st.sampled_from(["handle", "view", "addrs"]))
+    if kind == "handle":
+        v, size = data.draw(st.sampled_from(heap))
+        stride = data.draw(st.sampled_from([1, 8, 24]))
+        n = max(1, size // stride)
+        where, idx = ArrayHandle(m, v, 1, n, stride), _runs(data, rng, 0, n)
+        below, above = -1, n
+    else:
+        spans = heap + ([paged] if data.draw(st.booleans(),
+                                              label="paged") else [])
+        v, size = data.draw(st.sampled_from(spans))
+        addrs = v + _runs(data, rng, 0, size, data.draw(
+            st.sampled_from([1, 8, 64])))
+        if kind == "addrs":
+            where, idx, below, above = addrs, None, None, None
+        else:
+            n = addrs.size
+            where = AddressView(m, addrs, 8)
+            idx, below, above = _runs(data, rng, -n, n), -n - 1, n
+    if data.draw(st.integers(0, 4), label="bad") == 0:
+        pos = int(rng.integers(0, (where if idx is None else idx).size + 1))
+        if idx is None:
+            bad = data.draw(st.sampled_from([0x10, paged[0] + paged[1],
+                                             VirtualLayout.HEAP_VBASE - 1]))
+            where = np.insert(where, pos, bad)
+        else:
+            idx = np.insert(idx, pos,
+                            data.draw(st.sampled_from([below, above])))
+    return where, idx
+
+
+@pytest.mark.skipif(not cbackend.AVAILABLE,
+                    reason="no working system C compiler")
+class TestResolverEquivalence:
+    """``Machine.resolve`` through the C loop gives the numpy chain's
+    banks, lines and raw banks bit for bit, and rejects exactly the
+    elements the chain raises on, with the chain's exception."""
+
+    @pytest.fixture(autouse=True)
+    def _c_backend(self):
+        before = kernels.get_backend().NAME
+        kernels.set_backend("c")
+        yield
+        kernels.set_backend(before)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_numpy_chain(self, data):
+        m, heap, paged = _draw_resolver_machine(data)
+        for _ in range(3):
+            where, idx = _draw_request(data, m, heap, paged)
+            lines, raw = data.draw(st.booleans()), data.draw(st.booleans())
+            got = m._resolve_compiled(cbackend.resolve, where, idx, lines,
+                                      raw)
+            try:
+                want = m._resolve_chain(where, idx, lines=lines, raw=raw)
+            except (IndexError, RuntimeError) as exc:
+                assert got is None
+                with pytest.raises(type(exc)) as info:
+                    m.resolve(where, idx, lines=lines, raw=raw)
+                assert str(info.value) == str(exc)
+                continue
+            assert got is not None
+            for g, w in zip(got, want):
+                assert (g is None) == (w is None)
+                if w is not None:
+                    assert g.dtype == w.dtype and g.shape == w.shape
+                    assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("case", ["index", "negative index",
+                                      "view index", "no region",
+                                      "unmapped page", "beyond the frames"])
+    @pytest.mark.parametrize("heap_mode", ["linear", "random"])
+    @pytest.mark.parametrize("pos", [0, 700, 1999])
+    def test_rejects_what_the_chain_rejects(self, case, heap_mode, pos):
+        # One bad element in a long run: in the first block, in a later
+        # one (once the region and span are cached) and last.
+        m = Machine(heap_mode=heap_mode)
+        page = m.config.page_size
+        v = m.malloc(4096 * 8)
+        pbase = m.paged_reserve(4 * page)
+        for k in (0, 1, 3):
+            m.paged_map(pbase + k * page, VirtualLayout.PAGED_PBASE + k * page)
+        h = ArrayHandle(m, v, 8, 4096, 8)
+        idx = np.arange(2000, dtype=np.int64)
+        if case in ("index", "negative index"):
+            where = h
+            idx[pos] = 4096 if case == "index" else -1
+        elif case == "view index":
+            where = AddressView(m, v + 8 * np.arange(3000), 8)
+            idx[pos] = 3000
+        else:
+            where = (pbase + 2 * np.arange(2000) if case != "no region"
+                     else v + 8 * idx)
+            where[pos] = {"no region": 0x10,
+                          "unmapped page": pbase + 2 * page + 5,
+                          "beyond the frames": pbase + 4 * page}[case]
+            idx = None
+        assert m._resolve_compiled(cbackend.resolve, where, idx, True,
+                                   True) is None
+        with pytest.raises((IndexError, RuntimeError)) as want:
+            m._resolve_chain(where, idx, lines=True, raw=True)
+        with pytest.raises(want.type, match=re.escape(str(want.value))):
+            m.resolve(where, idx, lines=True, raw=True)
+
+    def test_shapes_follow_the_chain(self):
+        m = Machine()
+        v = m.malloc(4096)
+        h = ArrayHandle(m, v, 8, 512, 8)
+        for where, idx in ((v + 64, None), (np.full((3, 4), v), None),
+                           (h, 5), (h, np.arange(12).reshape(3, 4)),
+                           (h, np.arange(0)), (np.arange(0), None)):
+            got = m._resolve_compiled(cbackend.resolve, where, idx, True,
+                                      True)
+            want = m._resolve_chain(where, idx, lines=True, raw=True)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and np.array_equal(g, w)
+
+    def test_stale_tables_are_rebuilt(self):
+        # Growing the paged segment's page table reallocates it, and a
+        # migration or a retired bank changes the IOT table.
+        m = Machine()
+        page = m.config.page_size
+        base = m.paged_reserve(200 * page)
+        m.paged_map(base, VirtualLayout.PAGED_PBASE)
+        addrs = base + np.arange(0, 200 * page, page // 2)
+        with pytest.raises(RuntimeError):
+            m.resolve(addrs)
+        for k in range(1, 200):
+            m.paged_map(base + k * page, VirtualLayout.PAGED_PBASE + k * page)
+        steps = [lambda: None,
+                 lambda: m.iot.install(IotEntry(
+                     VirtualLayout.PAGED_PBASE,
+                     VirtualLayout.PAGED_PBASE + 100 * page, 256)),
+                 lambda: m.iot.install_migration(MigrationEntry(
+                     VirtualLayout.PAGED_PBASE + 50 * page,
+                     VirtualLayout.PAGED_PBASE + 150 * page, 9, 5)),
+                 lambda: m.iot.retire_bank(3, 4),
+                 lambda: m.iot.swap_banks(4, 9),
+                 m.iot.clear_migrations]
+        for step in steps:
+            step()
+            got = m.resolve(addrs, lines=True, raw=True)
+            want = m._resolve_chain(addrs, lines=True, raw=True)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+
+
+# ----------------------------------------------------------------------
 # Registry behaviour
 # ----------------------------------------------------------------------
 class TestBackendRegistry:
@@ -673,14 +901,18 @@ class TestBackendRegistry:
         assert info["kernels"] in ("python", "c")
         assert (info["cc"] is not None) == (info["kernels"] == "c")
 
-    def test_registry_surface_is_the_three_eq4_loops(self):
-        # The dedup/accounting kernels have one implementation; only the
-        # sequential Eq. 4 loops vary by backend.
+    def test_registry_surface(self):
+        # The dedup/accounting kernels have one implementation; the
+        # sequential Eq. 4 loops vary by backend, and the C backend adds
+        # the address resolver, whose python implementation is the
+        # numpy chain in Machine._resolve_chain.
         surface = {"hybrid_select_batch", "chained_hybrid",
                    "affinity_hybrid"}
         for name in kernels.available_backends():
             mod = _module(name)
             assert surface <= set(vars(mod))
+        assert not hasattr(pybackend, "resolve")
+        assert not cbackend.AVAILABLE or callable(cbackend.resolve)
         assert not hasattr(cbackend, "first_unique")
 
 
@@ -714,3 +946,55 @@ def test_run_json_byte_identical_across_backends(backend, tmp_path):
     # Sanity: the payload is real JSON with figure rows in it.
     doc = json.loads(ref_bytes)
     assert doc["figures"]
+
+
+def _contended_arm(name, seed, faults):
+    """One zoo arm as the benchmark's contended arm runs it (chaos
+    faults + online re-layout + host traffic), or under re-layout alone,
+    which is where migration entries get installed."""
+    from contextlib import ExitStack
+
+    from repro.faults import FaultPlan, fault_session
+    from repro.faults.log import FaultEventLog
+    from repro.interfere.engine import interfere_session
+    from repro.interfere.plan import HostTrafficPlan
+    from repro.relayout.engine import relayout_session
+    from repro.relayout.policy import RelayoutConfig
+    from repro.workloads import EngineMode, run_workload
+
+    with ExitStack() as stack:
+        if faults:
+            stack.enter_context(fault_session(
+                FaultPlan.generate(seed, 0.05), FaultEventLog(), task=name))
+        stack.enter_context(relayout_session(RelayoutConfig(seed=seed),
+                                             task=name))
+        if faults:
+            stack.enter_context(interfere_session(
+                HostTrafficPlan.generate(seed), task=name))
+        r = run_workload(name, EngineMode.AFF_ALLOC, scale=0.25, seed=seed)
+    return json.dumps({"cycles": r.cycles, "phase_cycles": r.phase_cycles,
+                       "flit_hops_by_class": r.flit_hops_by_class,
+                       "counters": r.counters,
+                       "value": np.asarray(r.value).tolist()},
+                      sort_keys=True)
+
+
+@pytest.mark.parametrize("backend",
+                         [p for p in BACKENDS if p.id != "python"])
+@pytest.mark.parametrize("name,faults", [("stream_flip", True),
+                                         ("spmv_gather", True),
+                                         ("stream_flip", False)],
+                         ids=["stream_flip-contended", "spmv_gather-contended",
+                              "stream_flip-relayout"])
+def test_contended_arm_identical_across_backends(backend, name, faults):
+    # The fig12 check above never runs a fault remap, a raw-bank check
+    # or a migration entry; these arms run all three.
+    before = kernels.get_backend().NAME
+    try:
+        runs = {}
+        for b in ("python", backend):
+            kernels.set_backend(b)
+            runs[b] = _contended_arm(name, 1, faults)
+    finally:
+        kernels.set_backend(before)
+    assert runs[backend] == runs["python"]
