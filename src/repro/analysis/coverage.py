@@ -37,8 +37,12 @@ __all__ = ["StreamCoverage", "KernelCoverage", "static_banks",
 #: COV001 fires below this predicted bank-local fraction.
 LOCAL_FRACTION_THRESHOLD = 0.5
 
-#: Iteration-sampling cap (layouts are periodic; 4096 samples is exact
-#: for every interleave/stride combination the pools support).
+#: Iteration-sampling cap.  Longer trips are sampled at this many
+#: ``linspace`` points, which can alias against a layout's bank period,
+#: so the estimate is not exact: the same sampling in INT005 reads
+#: hotspot's access TVD as 0.069 where every element gives 0.
+#: ROADMAP.md's "exact layout prediction" item replaces it with a
+#: closed-form Eq. 1 bank histogram.
 MAX_SAMPLES = 4096
 
 

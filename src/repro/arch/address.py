@@ -69,8 +69,5 @@ class AddressRange:
     def contains(self, addr: int) -> bool:
         return self.start <= addr < self.end
 
-    def contains_range(self, other: "AddressRange") -> bool:
-        return self.start <= other.start and other.end <= self.end
-
     def overlaps(self, other: "AddressRange") -> bool:
         return self.start < other.end and other.start < self.end

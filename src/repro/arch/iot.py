@@ -215,10 +215,6 @@ class InterleaveOverrideTable:
     # ------------------------------------------------------------------
     # Migration overrides (online re-layout)
     # ------------------------------------------------------------------
-    @property
-    def migration_entries(self) -> List[MigrationEntry]:
-        return list(self._mig)
-
     def install_migration(self, entry: MigrationEntry) -> None:
         """Install (or replace) a migration override.
 
@@ -240,10 +236,6 @@ class InterleaveOverrideTable:
             raise RuntimeError(
                 f"migration table full ({self.migration_capacity} entries)")
         self._mig.append(entry)
-        self._changed()
-
-    def clear_migrations(self) -> None:
-        self._mig.clear()
         self._changed()
 
     def granule_shift(self) -> int:

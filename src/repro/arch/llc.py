@@ -232,6 +232,3 @@ class LlcModel:
             return 0.0
         per_bank = self.bank_miss_fraction()
         return float(np.dot(counts, per_bank) / total) * reuse_fraction
-
-    def reset_footprint(self) -> None:
-        self._footprint_bytes[:] = 0.0

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -264,13 +264,6 @@ class Mesh:
         # table holds the identical Manhattan integers.
         return self.hops_table()[np.asarray(src), np.asarray(dst)]
 
-    def mean_hops_to(self, dst: int, sources: Iterable[int]) -> float:
-        """Average hop count from each source tile to ``dst``."""
-        src = np.asarray(list(sources))
-        if src.size == 0:
-            return 0.0
-        return float(self.hops(src, dst).mean())
-
     def hops_table(self) -> np.ndarray:
         """Full ``(num_tiles, num_tiles)`` hop table, **read-only** and
         memoized per :attr:`topology_epoch`.
@@ -414,19 +407,6 @@ class Mesh:
         pair = src * self.num_tiles + dst
         pair_weight = np.bincount(pair, weights=weight, minlength=self.num_tiles ** 2)
         return pair_channel_loads(self, pair_weight)[:self.num_links]
-
-    def bisection_links(self) -> Tuple[List[int], List[int]]:
-        """Link ids crossing the vertical mid-cut (both directions).
-
-        Returns (eastward, westward) link lists across the cut between
-        column ``width//2 - 1`` and ``width//2``.
-        """
-        cut = self.width // 2 - 1
-        east, west = [], []
-        for y in range(self.height):
-            east.append(self._link_id(self.tile_at(cut, y), self._EAST))
-            west.append(self._link_id(self.tile_at(cut + 1, y), self._WEST))
-        return east, west
 
     def __repr__(self) -> str:
         return f"Mesh({self.width}x{self.height})"

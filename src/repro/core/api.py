@@ -82,6 +82,16 @@ class AffineArray:
         return self.elem_size * self.num_elem
 
 
+def _checked_index(handle, idx) -> np.ndarray:
+    """``idx`` as int64, or ``IndexError`` if any falls outside
+    ``[0, handle.num_elem)``: a negative index never wraps."""
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= handle.num_elem):
+        raise IndexError(f"index out of range for {handle.name or 'array'}"
+                         f" of {handle.num_elem} elements")
+    return idx
+
+
 @dataclass
 class ArrayHandle:
     """Addressing view of one allocated array.
@@ -113,18 +123,10 @@ class ArrayHandle:
     def end_vaddr(self) -> int:
         return self.vaddr + self.size_bytes
 
-    @property
-    def is_padded(self) -> bool:
-        return self.stride != self.elem_size
-
     # ------------------------------------------------------------------
     def addr_of(self, idx) -> np.ndarray:
         """Virtual address(es) of element index(es)."""
-        idx = np.asarray(idx, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.num_elem):
-            raise IndexError(f"index out of range for {self.name or 'array'}"
-                             f" of {self.num_elem} elements")
-        return self.vaddr + idx * self.stride
+        return self.vaddr + _checked_index(self, idx) * self.stride
 
     def addr_of_one(self, idx: int) -> int:
         return int(self.addr_of(np.asarray([idx]))[0])
@@ -176,7 +178,8 @@ class AddressView:
         return self._addrs
 
     def addr_of(self, idx) -> np.ndarray:
-        return self._addrs[np.asarray(idx, dtype=np.int64)]
+        """Virtual address(es) of element index(es)."""
+        return self._addrs[_checked_index(self, idx)]
 
     def banks(self, idx) -> np.ndarray:
         return self.machine.resolve(self, idx)[0]

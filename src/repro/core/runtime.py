@@ -738,7 +738,3 @@ class AffinityAllocator:
         self._trace_alloc("realloc_aff", old=vaddr, new=int(new),
                           bytes=int(size))
         return new
-
-    # ------------------------------------------------------------------
-    def record_of(self, vaddr: int) -> Optional[_AffineRecord]:
-        return self._records.get(vaddr)

@@ -120,13 +120,6 @@ class BinaryTree:
     def num_keys(self) -> int:
         return self.keys_sorted.size
 
-    def depth_of(self, key: int) -> int:
-        d, cur = 0, self.root
-        while cur != -1 and cur != key:
-            cur = self.left[cur] if key < cur else self.right[cur]
-            d += 1
-        return d
-
     def contains(self, key: int) -> bool:
         return 0 <= key < self.num_keys
 
@@ -167,18 +160,6 @@ class BinaryTree:
             all_positions.append(mat.T[mat.T >= 0].astype(np.int32))
             all_depths.append(depths)
         return np.concatenate(all_positions), np.concatenate(all_depths)
-
-    def lookup_trace(self, queries: np.ndarray, batch: int = 1 << 16
-                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Visited-node chains for a batch of lookups (see :meth:`walk`).
-
-        Returns (node vaddrs concatenated per query, chain ids, depths).
-        """
-        shape = {"left": self.left, "right": self.right,
-                 "root": np.array([self.root])}
-        positions, depths = self.walk(shape, queries, batch)
-        chain_ids = np.repeat(np.arange(depths.size, dtype=np.int64), depths)
-        return self.node_vaddrs[positions], chain_ids, depths
 
     def bank_histogram(self) -> np.ndarray:
         banks = self.machine.banks_of(self.node_vaddrs)

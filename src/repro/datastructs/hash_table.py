@@ -111,9 +111,6 @@ class HashTable:
     def num_keys(self) -> int:
         return self.keys.size
 
-    def chain_length(self, bucket: int) -> int:
-        return int(self.bucket_index[bucket + 1] - self.bucket_index[bucket])
-
     def lookup(self, key: int) -> bool:
         b = key % self.num_buckets
         ids = self.bucket_nodes[self.bucket_index[b]:self.bucket_index[b + 1]]
@@ -146,19 +143,6 @@ class HashTable:
         node_ids = skeleton["bucket_nodes"][
             np.repeat(bucket_index[b], walk_len) + within]
         return node_ids.astype(np.int32), walk_len, hit
-
-    def probe_trace(self, probe_keys: np.ndarray
-                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Chains walked by each probe (see :meth:`probe_walk`).
-
-        Returns (node vaddrs concatenated per probe, chain ids, hit mask).
-        Probes of empty buckets contribute no chain (head pointer is null).
-        """
-        skeleton = {"keys": self.keys, "chain_pos": self.chain_pos,
-                    "bucket_index": self.bucket_index,
-                    "bucket_nodes": self.bucket_nodes}
-        node_ids, walk_len, hit = self.probe_walk(skeleton, probe_keys)
-        return self.node_vaddrs[node_ids], walk_chain_ids(walk_len), hit
 
 
 def walk_chain_ids(walk_len: np.ndarray) -> np.ndarray:

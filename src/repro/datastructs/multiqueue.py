@@ -124,27 +124,5 @@ class MultiQueue:
             max(1, int(np.log2(max(len(self._heaps[q]), 1)) + 1)))
         return item
 
-    def drain_sorted(self) -> List[Tuple[float, int]]:
-        """Pop everything (relaxed order)."""
-        out = []
-        while True:
-            item = self.pop()
-            if item is None:
-                return out
-            out.append(item)
-
-    # ------------------------------------------------------------------
-    def rank_error(self, popped: List[Tuple[float, int]]) -> float:
-        """Mean rank displacement of a popped sequence vs. perfect order —
-        the MultiQueues quality metric (small is good)."""
-        if not popped:
-            return 0.0
-        prios = np.array([p for p, _ in popped])
-        ideal = np.sort(prios)
-        pos_actual = np.argsort(np.argsort(prios, kind="stable"))
-        pos_ideal = np.argsort(np.argsort(ideal, kind="stable"))
-        return float(np.abs(np.searchsorted(ideal, prios) -
-                            np.arange(prios.size)).mean())
-
     def occupancy(self) -> np.ndarray:
         return np.array([len(h) for h in self._heaps])

@@ -203,9 +203,6 @@ class RunReport:
     wall_s: float
     path: Optional[Path] = None
 
-    def by_id(self) -> Dict[str, FigureRun]:
-        return {f.id: f for f in self.figures}
-
     def summary_table(self) -> str:
         rows = [[f.id, f.title[:48], len(f.rows),
                  "hit" if f.from_cache else "run", f.wall_s]

@@ -119,12 +119,6 @@ class Machine:
     def num_cores(self) -> int:
         return self.config.num_cores
 
-    def core_tile(self, core_id: int) -> int:
-        """Tile hosting a core; cores and tiles share ids."""
-        if not (0 <= core_id < self.num_cores):
-            raise ValueError(f"core {core_id} out of range")
-        return core_id
-
     def new_traffic(self) -> TrafficAccountant:
         return TrafficAccountant(self.mesh, self.config.noc)
 

@@ -62,8 +62,8 @@ _L2_LATENCY = 16.0
 
 
 # The executor's dedup/accounting kernels (one implementation each, in
-# the python backend).  Module-level names so
-# :mod:`repro.perf.reference` can swap in its ``np.unique`` oracles.
+# the python backend).  Module-level names so the equivalence tests can
+# swap in their ``np.unique`` oracles (``tests/oracles.py``).
 
 #: Bias the key to its minimum and narrow to int32 when it fits — a
 #: strictly monotone map, so ``np.unique``'s order is unchanged.

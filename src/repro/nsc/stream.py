@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -109,9 +109,6 @@ class StreamDef:
     reuse: float = 0.0
     ops_per_elem: float = 1.0
 
-    def footprint_bytes(self) -> int:
-        return self.length * self.elem_bytes
-
 
 @dataclass(frozen=True)
 class StreamDep:
@@ -151,12 +148,6 @@ class StreamGraph:
     def stream(self, name: str) -> StreamDef:
         return self._streams[name]
 
-    def predecessors(self, name: str) -> List[Tuple[StreamDef, DepKind]]:
-        return [(self._streams[d.src], d.kind) for d in self._deps if d.dst == name]
-
-    def successors(self, name: str) -> List[Tuple[StreamDef, DepKind]]:
-        return [(self._streams[d.dst], d.kind) for d in self._deps if d.src == name]
-
     def topo_order(self) -> List[StreamDef]:
         """Streams in dependence order; raises on cycles (other than the
         implicit self-recurrence of pointer chasing, which is not an edge)."""
@@ -176,6 +167,3 @@ class StreamGraph:
         if len(order) != len(self._streams):
             raise ValueError("stream dependence graph has a cycle")
         return order
-
-    def total_footprint(self) -> int:
-        return sum(s.footprint_bytes() for s in self.streams)

@@ -3,28 +3,23 @@
 Times fig12 end to end and writes one ``BENCH_<name>.json`` per bench
 with environment metadata:
 
-* ``fig12`` runs the figure twice, through the shipped code and through
-  the pre-vectorization originals in :mod:`repro.perf.reference`, so its
-  JSON carries a *measured* before/after speedup.  The two legs must
-  produce equal rows, or the bench aborts.  It also times one cold
-  run through the artifact cache (compute and store).
-* ``fig12_full`` times the shipped code alone at paper scale.
+* ``fig12`` times the figure at a small scale (best of three), and one
+  cold run through the artifact cache (compute and store).
+* ``fig12_full`` times the figure at paper scale.
 
 Layer-by-layer and throughput measurement lives in the benchmark of
 record, ``perfbench/``.
 
-Schema (``"schema": 1``)::
+Schema (``"schema": 2``)::
 
     {
       "bench": "fig12",
-      "schema": 1,
+      "schema": 2,
       "smoke": false,
       "env": {"python": ..., "numpy": ..., "platform": ...,
               "cpu_count": ..., "timestamp": ...},
       "metrics": {
         "<metric>": {"seconds": ..., "calls": ...,
-                     "reference_seconds": ...,   # null if no reference
-                     "speedup": ...,             # null if no reference
                      "params": {...}}            # scale and seed
       }
     }
@@ -47,7 +42,7 @@ from repro.harness.cliutil import EXIT_OK, add_seed_argument
 
 __all__ = ["run_benches", "write_bench_json", "BENCH_NAMES", "cli"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 BENCH_NAMES = ("fig12", "fig12_full")
 
 # Full-mode / smoke-mode problem sizes.
@@ -66,17 +61,8 @@ def _time_call(fn: Callable[[], object], reps: int) -> float:
     return best
 
 
-def _metric(seconds: float, calls: int, params: dict,
-            reference_seconds: Optional[float] = None) -> dict:
-    speedup = (reference_seconds / seconds
-               if reference_seconds is not None and seconds > 0 else None)
-    return {
-        "seconds": seconds,
-        "calls": calls,
-        "reference_seconds": reference_seconds,
-        "speedup": speedup,
-        "params": params,
-    }
+def _metric(seconds: float, calls: int, params: dict) -> dict:
+    return {"seconds": seconds, "calls": calls, "params": params}
 
 
 # ----------------------------------------------------------------------
@@ -88,7 +74,6 @@ def _bench_fig12(sizes: dict) -> Dict[str, dict]:
     from repro import cache
     from repro.harness import experiments as exp
     from repro.harness import runner
-    from repro.perf.reference import reference_impls
 
     scale, seed = sizes["fig12_scale"], sizes["fig12_seed"]
     params = {"scale": scale, "seed": seed}
@@ -96,32 +81,13 @@ def _bench_fig12(sizes: dict) -> Dict[str, dict]:
     # Warmup: the first figure run in a process pays one-off costs that
     # are nobody's throughput — imports, the C kernel dlopen, numpy
     # ufunc setup, the workload cache's first deserialize.  Pay them
-    # once untimed so both timed legs measure steady state.
+    # once untimed so the timed reps measure steady state.
     exp.fig12_overall(scale=scale, seed=seed)
 
-    # Best-of-3 per leg: a single end-to-end rep on a busy (or
-    # single-core) machine is too noisy to track a speedup ratio.
-    t0 = time.perf_counter()
-    result = exp.fig12_overall(scale=scale, seed=seed)
-    rows = list(result.rows())
-    sec = time.perf_counter() - t0
-    for _ in range(2):
-        sec = min(sec, _time_call(
-            lambda: exp.fig12_overall(scale=scale, seed=seed), 1))
-
-    with reference_impls():
-        t0 = time.perf_counter()
-        ref_result = exp.fig12_overall(scale=scale, seed=seed)
-        ref_rows = list(ref_result.rows())
-        ref = time.perf_counter() - t0
-        for _ in range(2):
-            ref = min(ref, _time_call(
-                lambda: exp.fig12_overall(scale=scale, seed=seed), 1))
-    if rows != ref_rows:
-        raise RuntimeError("fig12 reference and vectorized rows diverged — "
-                           "bench aborted (fix the equivalence bug first)")
-
-    metrics = {"fig12_end_to_end": _metric(sec, 1, params, ref)}
+    # Best-of-3: a single end-to-end rep on a busy (or single-core)
+    # machine is too noisy to track.
+    sec = _time_call(lambda: exp.fig12_overall(scale=scale, seed=seed), 3)
+    metrics = {"fig12_end_to_end": _metric(sec, 1, params)}
 
     # Artifact-cache behaviour: one cold compute-and-store.
     old_root = cache.get_cache().root
@@ -137,12 +103,8 @@ def _bench_fig12(sizes: dict) -> Dict[str, dict]:
 
 
 def _bench_fig12_full(sizes: dict) -> Dict[str, dict]:
-    """fig12 at (or near) paper scale, shipped code only.
-
-    The reference leg at scale=1.0 runs for minutes, so unlike
-    :func:`_bench_fig12` this bench tracks absolute shipped wall time —
-    the number Table 4-sized runs actually cost — rather than a
-    speedup pair."""
+    """fig12 at (or near) paper scale: the wall time Table 4-sized runs
+    actually cost."""
     from repro.harness import experiments as exp
 
     scale, seed = sizes["fig12_full_scale"], sizes["fig12_seed"]
@@ -215,9 +177,7 @@ def run_benches(names, smoke: bool = False,
             metrics = _BENCHES[name](sizes)
         if progress:
             for mname, m in metrics.items():
-                sp = (f"{m['speedup']:.1f}x vs reference"
-                      if m["speedup"] is not None else "no reference")
-                progress(f"  {mname}: {m['seconds'] * 1e3:.3f} ms ({sp})")
+                progress(f"  {mname}: {m['seconds'] * 1e3:.3f} ms")
             progress(f"[bench] {name} done in "
                      f"{time.perf_counter() - t0:.1f}s")
         out[name] = {

@@ -15,8 +15,8 @@ that loop on one of two backends:
   :mod:`repro.perf.kernels.pybackend` and DESIGN §12).
 
 The registry resolves once, by observation: ``c`` when the shipped C
-kernels built, else ``python``.  Both are bit-identical to
-:mod:`repro.perf.reference` by contract
+kernels built, else ``python``.  Both are bit-identical to the scalar
+originals in ``tests/oracles.py`` by contract
 (tests/test_kernels_equivalence.py), so the choice moves throughput,
 never a result.  :func:`set_backend` switches in-process for the
 equivalence tests, which compare the two.

@@ -165,8 +165,8 @@ void repro_affinity_hybrid(const double *dist_t, const int64_t *offsets,
  *
  * Inputs (kind): 0 virtual addresses; 1 element indices of a strided
  * array (base + stride * i, i in [0, count)); 2 indices into an
- * address table of `count` entries (negative indices count from the
- * end, as numpy's).  Returns -1, or the position of the first element
+ * address table of `count` entries (i in [0, count) as well).
+ * Returns -1, or the position of the first element
  * that the numpy chain would reject (index out of range, address in
  * no region, unmapped page); the caller then re-runs the chain for its
  * exception.  `lines` and `raw` (pre-remap banks) may be NULL.
@@ -325,12 +325,11 @@ static ALWAYS_INLINE int64_t vaddr_of(const int64_t kind, const int64_t *x,
         return wrap_add(base, (int64_t)((uint64_t)v * (uint64_t)stride));
     }
     if (kind == 2) {
-        int64_t k = v < 0 ? v + count : v;
-        if ((uint64_t)k >= (uint64_t)count) {
+        if ((uint64_t)v >= (uint64_t)count) {
             *ok = 0;
             return 0;
         }
-        return table[k];
+        return table[v];
     }
     return v;
 }

@@ -177,8 +177,8 @@ def hybrid_select_batch(mean_hops: np.ndarray, loads: np.ndarray, h: float,
         penalty: optional ``(nb,)`` additive row (0.0 healthy / inf
             failed) for the chaos-degraded path, or None.
 
-    Returns the chosen bank per row, bit-identical to
-    :func:`repro.perf.reference.hybrid_select_batch_reference`."""
+    Returns the chosen bank per row, bit-identical to the scalar loop
+    (``hybrid_select_batch_reference`` in ``tests/oracles.py``)."""
     check_inputs(loads, penalty, mean_hops=mean_hops)
     out = np.empty(mean_hops.shape[0], dtype=np.int64)
     _select_rows(mean_hops, loads, float(loads.sum()), h, penalty, out)
@@ -222,8 +222,8 @@ def _affinity_hop_sums(alloc_ids: np.ndarray, banks: np.ndarray,
     alloc_ids[j] == i)``.
 
     Distances and occurrence counts are exact small integers, so folding
-    the per-entry row scatter (an ``np.add.at`` in
-    :func:`repro.perf.reference.affinity_hop_sums_reference`) into a
+    the per-entry row scatter (an ``np.add.at``, kept as
+    ``affinity_hop_sums_reference`` in ``tests/oracles.py``) into a
     bank-occurrence histogram times the hop table is bit-exact.
     """
     nb = dist_t.shape[0]

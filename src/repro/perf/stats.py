@@ -14,7 +14,7 @@ A :class:`RunRecorder` accumulates, for one workload run:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List
 
 import numpy as np
 
@@ -101,13 +101,6 @@ class RunRecorder:
         """Offloaded stream element accesses, split local vs remote."""
         self.stream_elem_accesses += float(total)
         self.stream_remote_accesses += float(remote)
-
-    @property
-    def stream_local_fraction(self) -> Optional[float]:
-        """Measured fraction of offloaded accesses that stayed bank-local."""
-        if self.stream_elem_accesses <= 0:
-            return None
-        return 1.0 - self.stream_remote_accesses / self.stream_elem_accesses
 
     @staticmethod
     def _accumulate(target: np.ndarray, idx, count) -> None:

@@ -82,11 +82,6 @@ class PagedRegion:
         self._grow_to(vpage_index + 1)
         self._frames[vpage_index] = frame_paddr
 
-    def frame_of(self, vpage_index: int) -> int:
-        if vpage_index >= self._frames.size:
-            return -1
-        return int(self._frames[vpage_index])
-
     def translate(self, vaddrs: np.ndarray) -> np.ndarray:
         offs = vaddrs - self.vrange.start
         if self._page_shift is not None:
@@ -179,12 +174,6 @@ class AddressSpace:
         table = np.array(rows, dtype=np.int64)
         self._table = (table, table.ctypes.data, seen)
         return self._table[1]
-
-    def region_of(self, vaddr: int):
-        idx = int(np.searchsorted(self._starts, vaddr, side="right")) - 1
-        if idx >= 0 and vaddr < self._ends[idx]:
-            return self._regions[idx]
-        return None
 
     def translate(self, vaddrs) -> np.ndarray:
         """Virtual -> physical for scalar or array addresses.

@@ -97,13 +97,6 @@ class InterleavePool:
         self.expansions += 1
         return rng
 
-    def ensure_backed(self, vaddr_end: int) -> Optional[AddressRange]:
-        """Fault-style growth: back the pool through ``vaddr_end``."""
-        need = vaddr_end - self.vbase
-        if need <= self._backed:
-            return None
-        return self.expand(need - self._backed)
-
     def __repr__(self) -> str:
         return (f"InterleavePool(intrlv={self.intrlv}, backed={self._backed:#x}, "
                 f"vbase={self.vbase:#x})")

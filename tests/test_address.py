@@ -76,8 +76,3 @@ class TestAddressRange:
         a = AddressRange(0, 10)
         assert a.overlaps(AddressRange(5, 15))
         assert not a.overlaps(AddressRange(10, 20))  # half-open
-
-    def test_contains_range(self):
-        a = AddressRange(0, 100)
-        assert a.contains_range(AddressRange(10, 90))
-        assert not a.contains_range(AddressRange(50, 150))

@@ -1,7 +1,7 @@
 """Line-run ``affine_kernel`` vs. its per-element reference original.
 
 The shipped kernel translates, bank-maps and dedups once per line run;
-:func:`repro.perf.reference.affine_kernel_reference` walks every element.
+:func:`tests.oracles.affine_kernel_reference` walks every element.
 Both run on twin contexts built from the same seed, and every piece of
 state the kernel can touch must come out byte-identical: the recorder's
 bank/core arrays and scalars, per-class pair flits and message counts,
@@ -26,10 +26,10 @@ from repro.faults.plan import FaultEvent, FaultKind
 from repro.nsc.engine import EngineMode
 from repro.nsc.stream import AffineIndex
 from repro.obs.tracer import TraceConfig, trace_session
-from repro.perf.reference import affine_kernel_reference
 from repro.relayout.engine import relayout_session
 from repro.relayout.policy import RelayoutConfig
 from repro.workloads.base import make_context
+from tests.oracles import affine_kernel_reference
 
 MODES = [EngineMode.IN_CORE, EngineMode.NEAR_L3, EngineMode.AFF_ALLOC]
 WEIGHTS = [1.0, 0.0, 2.0, 0.1, 1.0 / 3.0]
@@ -58,7 +58,7 @@ def recorder_state(ctx) -> dict:
     if relayout is not None:
         # The drift histograms are cleared at every epoch boundary, so
         # each epoch's are taken before it closes (see run_twin).
-        state["migrations"] = ctx.machine.iot.migration_entries
+        state["migrations"] = list(ctx.machine.iot._mig)
     faults = ctx.machine.faults
     if faults is not None:
         state["fault_log"] = list(faults.log.records)

@@ -2,9 +2,8 @@
 
 A real figure bench takes seconds, so these tests swap stubs into
 ``bench._BENCHES`` (or stub the figure itself) and check the plumbing
-around them: payload schema, seed/size routing, profiling, the
-reference-vs-shipped row check, and usage errors that must exit 2
-before any bench runs.
+around them: payload schema, seed/size routing, profiling, and usage
+errors that must exit 2 before any bench runs.
 """
 
 import json
@@ -26,7 +25,7 @@ def calls(monkeypatch):
         def _run(sizes):
             seen.append((name, dict(sizes)))
             return {f"{name}_end_to_end": bench._metric(
-                0.5, 1, {"seed": sizes["fig12_seed"]}, 1.0)}
+                0.5, 1, {"seed": sizes["fig12_seed"]})}
         return _run
 
     monkeypatch.setattr(bench, "_BENCHES",
@@ -38,16 +37,13 @@ class TestRunBenches:
     def test_schema(self, calls):
         payload = run_benches(["fig12"], smoke=True)["fig12"]
         assert payload["bench"] == "fig12"
-        assert payload["schema"] == 1
+        assert payload["schema"] == 2
         assert payload["smoke"] is True
         for key in ("python", "numpy", "platform", "cpu_count",
                     "cpu_affinity", "kernels", "cc", "timestamp"):
             assert key in payload["env"]
         m = payload["metrics"]["fig12_end_to_end"]
-        assert set(m) == {"seconds", "calls", "reference_seconds",
-                          "speedup", "params"}
-        assert m["speedup"] == pytest.approx(
-            m["reference_seconds"] / m["seconds"])
+        assert set(m) == {"seconds", "calls", "params"}
 
     def test_unknown_bench_rejected(self, calls):
         with pytest.raises(ValueError, match="unknown bench"):
@@ -77,34 +73,18 @@ class TestRunBenches:
             assert json.loads(path.read_text()) == payload
 
 
-class _Rows:
-    def __init__(self, rows):
-        self._rows = rows
-
-    def rows(self):
-        return iter(self._rows)
-
-
 class TestFig12Bench:
-    """``_bench_fig12`` around a stubbed figure: the row check runs."""
+    """``_bench_fig12`` around a stubbed figure."""
 
     @pytest.fixture
     def figure(self, monkeypatch):
-        from repro.core import runtime
         from repro.harness import experiments, runner
 
-        state = {"diverge": False}
-        shipped = runtime.AffinityAllocator._affinity_hybrid
-
-        def _fig12(scale, seed):
-            in_reference = (runtime.AffinityAllocator._affinity_hybrid
-                            is not shipped)
-            return _Rows([("pr_push", 2.0 + (state["diverge"]
-                                             and in_reference))])
-
-        monkeypatch.setattr(experiments, "fig12_overall", _fig12)
+        calls = []
+        monkeypatch.setattr(experiments, "fig12_overall",
+                            lambda scale, seed: calls.append((scale, seed)))
         monkeypatch.setattr(runner, "_run_one", lambda *args: None)
-        return state
+        return calls
 
     def test_metrics_and_params(self, figure):
         metrics = bench._bench_fig12({**bench._SMOKE, "fig12_seed": 3})
@@ -112,12 +92,8 @@ class TestFig12Bench:
         for m in metrics.values():
             assert m["params"] == {"scale": bench._SMOKE["fig12_scale"],
                                    "seed": 3}
-        assert metrics["fig12_end_to_end"]["reference_seconds"] is not None
-
-    def test_diverging_reference_rows_abort(self, figure):
-        figure["diverge"] = True
-        with pytest.raises(RuntimeError, match="diverged"):
-            bench._bench_fig12({**bench._SMOKE, "fig12_seed": 0})
+        # one untimed warmup, then best of three
+        assert figure == [(bench._SMOKE["fig12_scale"], 3)] * 4
 
 
 class TestCli:

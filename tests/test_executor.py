@@ -8,8 +8,8 @@ from repro.arch.noc import MessageClass
 from repro.core.api import AddressView, AffineArray
 from repro.nsc.engine import EngineMode
 from repro.nsc.stream import AffineIndex
-from repro.perf.reference import affine_kernel_reference
 from repro.workloads.base import make_context
+from tests.oracles import affine_kernel_reference
 from tests.test_affine_equivalence import (
     install_migration,
     recorder_state,
@@ -140,6 +140,15 @@ class TestLineRunGranule:
 
         self._assert_exact(mutate, granule=3)
 
+    def test_replaced_migration_widens_granule(self):
+        def mutate(ctx, a):
+            install_migration(ctx, a, 128, shift=3)
+            assert ctx.machine.iot.granule_shift() == 3
+            # same start: replaces the entry; its 4000-byte end caps at 2**5
+            install_migration(ctx, a, 128, shift=7)
+
+        self._assert_exact(mutate, granule=5)
+
     def test_pool_growth_through_update_end(self):
         ends = []
 
@@ -153,14 +162,6 @@ class TestLineRunGranule:
         self._assert_exact(mutate, granule=6)
         before, after = ends[0]
         assert len(after) == len(before) and after != before
-
-    def test_clear_migrations(self):
-        def mutate(ctx, a):
-            install_migration(ctx, a, 101, shift=3)
-            assert ctx.machine.iot.granule_shift() == 2
-            ctx.machine.iot.clear_migrations()
-
-        self._assert_exact(mutate, granule=6)
 
 
 class TestAffineIndex:

@@ -94,7 +94,7 @@ def _geomean_row(fig):
 class TestFig12Golden:
     def test_headline_geomeans(self, fig12_runs):
         golden, cold, _, _, _ = fig12_runs
-        gm = _geomean_row(cold.by_id()["fig12"])
+        gm = _geomean_row(cold.figures[0])
         m = golden["metrics"]
         check("fig12 speedup In-Core", gm["speedup:In-Core"],
               m["speedup_incore_geomean"])
@@ -111,14 +111,14 @@ class TestFig12Golden:
 
     def test_traffic_cut_over_near_l3(self, fig12_runs):
         golden, cold, _, _, _ = fig12_runs
-        gm = _geomean_row(cold.by_id()["fig12"])
+        gm = _geomean_row(cold.figures[0])
         cut = 100.0 * (1.0 - gm["traffic:Aff-Alloc"] / gm["traffic:Near-L3"])
         check("fig12 traffic cut vs Near-L3 (%)", cut,
               golden["metrics"]["traffic_cut_vs_near_pct"])
 
     def test_aff_alloc_beats_both_baselines(self, fig12_runs):
         _, cold, _, _, _ = fig12_runs
-        gm = _geomean_row(cold.by_id()["fig12"])
+        gm = _geomean_row(cold.figures[0])
         assert gm["speedup:Aff-Alloc"] > 1.0 > gm["speedup:In-Core"]
         assert gm["energy_eff:Aff-Alloc"] > 1.0 > gm["energy_eff:In-Core"]
         assert gm["traffic:Aff-Alloc"] < gm["traffic:Near-L3"] < 1.0

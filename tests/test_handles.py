@@ -27,7 +27,7 @@ class TestArrayHandle:
     def test_size_bytes_with_padding(self, machine):
         h = ArrayHandle(machine, 0x1000, 4, 10, stride=64)
         assert h.size_bytes == 9 * 64 + 4
-        assert h.is_padded
+        assert h.stride != h.elem_size
 
     def test_stride_smaller_than_elem_rejected(self, machine):
         with pytest.raises(ValueError):
@@ -60,3 +60,14 @@ class TestAddressView:
         addrs = base + np.arange(0, 1 << 16, 1024)
         view = AddressView(machine, addrs, 4)
         assert (view.all_banks() == machine.banks_of(addrs)).all()
+
+    @pytest.mark.parametrize("idx", [[-1], [0, 64]])
+    def test_index_bounds(self, machine, idx):
+        """Out-of-range indices raise like ArrayHandle's: a negative one
+        does not wrap to the last element."""
+        view = AddressView(machine, machine.malloc(1 << 16)
+                           + np.arange(0, 1 << 16, 1024), 4)
+        with pytest.raises(IndexError, match="out of range"):
+            view.addr_of(idx)
+        with pytest.raises(IndexError, match="out of range"):
+            view.banks(idx)

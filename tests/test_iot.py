@@ -149,13 +149,6 @@ class TestGranuleShift:
         iot.update_end(0x10000, 0x20200)
         assert iot.granule_shift() == 9
 
-    def test_clear_migrations_restores(self):
-        iot = self._pool()
-        iot.install_migration(MigrationEntry(self.BASE + 8, self.BASE + 0x100, 2, 1))
-        assert iot.granule_shift() == 2
-        iot.clear_migrations()
-        assert iot.granule_shift() == 6
-
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_granule_blocks_map_to_one_bank(self, data):

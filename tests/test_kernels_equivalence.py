@@ -29,8 +29,8 @@ from repro.machine import Machine
 from repro.nsc import executor
 from repro.perf import kernels
 from repro.perf.kernels import cbackend, pybackend
-from repro.perf.reference import affinity_hop_sums_reference
 from repro.vm.layout import VirtualLayout
+from tests.oracles import affinity_hop_sums_reference
 
 
 # ----------------------------------------------------------------------
@@ -722,7 +722,7 @@ def _draw_request(data, m, heap, paged):
         else:
             n = addrs.size
             where = AddressView(m, addrs, 8)
-            idx, below, above = _runs(data, rng, -n, n), -n - 1, n
+            idx, below, above = _runs(data, rng, 0, n), -1, n
     if data.draw(st.integers(0, 4), label="bad") == 0:
         pos = int(rng.integers(0, (where if idx is None else idx).size + 1))
         if idx is None:
@@ -774,8 +774,9 @@ class TestResolverEquivalence:
                     assert np.array_equal(g, w)
 
     @pytest.mark.parametrize("case", ["index", "negative index",
-                                      "view index", "no region",
-                                      "unmapped page", "beyond the frames"])
+                                      "view index", "negative view index",
+                                      "no region", "unmapped page",
+                                      "beyond the frames"])
     @pytest.mark.parametrize("heap_mode", ["linear", "random"])
     @pytest.mark.parametrize("pos", [0, 700, 1999])
     def test_rejects_what_the_chain_rejects(self, case, heap_mode, pos):
@@ -792,9 +793,9 @@ class TestResolverEquivalence:
         if case in ("index", "negative index"):
             where = h
             idx[pos] = 4096 if case == "index" else -1
-        elif case == "view index":
+        elif case in ("view index", "negative view index"):
             where = AddressView(m, v + 8 * np.arange(3000), 8)
-            idx[pos] = 3000
+            idx[pos] = 3000 if case == "view index" else -1
         else:
             where = (pbase + 2 * np.arange(2000) if case != "no region"
                      else v + 8 * idx)
@@ -843,7 +844,7 @@ class TestResolverEquivalence:
                      VirtualLayout.PAGED_PBASE + 150 * page, 9, 5)),
                  lambda: m.iot.retire_bank(3, 4),
                  lambda: m.iot.swap_banks(4, 9),
-                 m.iot.clear_migrations]
+                 lambda: (m.iot._mig.clear(), m.iot._changed())]
         for step in steps:
             step()
             got = m.resolve(addrs, lines=True, raw=True)

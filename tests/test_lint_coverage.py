@@ -44,8 +44,9 @@ class TestEstimatorMatchesExecutor:
 
         ck.plan.run(ctx.executor, np.arange(n, dtype=np.int64),
                     ctx.cores_for(n))
-        measured = ctx.recorder.stream_local_fraction
-        assert measured is not None
+        rec = ctx.recorder
+        assert rec.stream_elem_accesses > 0
+        measured = 1.0 - rec.stream_remote_accesses / rec.stream_elem_accesses
         assert abs(predicted - measured) <= 0.02
 
     def test_aligned_layout_predicts_fully_local(self):

@@ -93,8 +93,3 @@ class TestMissModel:
 
     def test_no_accesses(self, llc):
         assert llc.miss_fraction_for_banks(np.zeros(64)) == 0.0
-
-    def test_reset(self, llc):
-        llc.register_range(0, 4096)
-        llc.reset_footprint()
-        assert llc.footprint_bytes.sum() == 0.0

@@ -71,12 +71,6 @@ class TestQueries:
         for a, b in zip(addrs[:16], banks[:16]):
             assert m.bank_of(int(a)) == b
 
-    def test_core_tile_identity(self):
-        m = Machine()
-        assert m.core_tile(5) == 5
-        with pytest.raises(ValueError):
-            m.core_tile(64)
-
     def test_paged_reserve_and_map(self):
         m = Machine()
         va = m.paged_reserve(8192)

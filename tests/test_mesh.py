@@ -55,15 +55,17 @@ class TestHops:
         assert (d[:56] == 1).all()
         assert (d[56:] == 7).all()
 
-    def test_mean_hops_to(self, mesh):
-        assert mesh.mean_hops_to(0, [0]) == 0.0
-        assert mesh.mean_hops_to(0, [1, 8]) == 1.0
-
     def test_hops_to_all_shape(self, mesh):
         m = mesh.hops_to_all(np.array([0, 63]))
         assert m.shape == (64, 2)
         assert m[0, 0] == 0 and m[63, 1] == 0
         assert m[63, 0] == 14
+
+    def test_hops_to_all_matches_hops(self, mesh):
+        targets = np.array([0, 9, 36, 63])
+        m = mesh.hops_to_all(targets)
+        for i, t in enumerate(targets):
+            assert (m[:, i] == mesh.hops(np.arange(64), t)).all()
 
     @given(st.integers(0, 63), st.integers(0, 63), st.integers(0, 63))
     def test_triangle_inequality(self, a, b, c):
@@ -110,8 +112,12 @@ class TestLinkLoads:
         assert loads.sum() == 0.0
 
     def test_bisection_links(self, mesh):
-        east, west = mesh.bisection_links()
-        assert len(east) == 8 and len(west) == 8
+        # the one-hop links between columns 3 and 4, in each direction
+        east = [mesh.route_links(mesh.tile_at(3, y), mesh.tile_at(4, y))[0]
+                for y in range(8)]
+        west = [mesh.route_links(mesh.tile_at(4, y), mesh.tile_at(3, y))[0]
+                for y in range(8)]
+        assert len(set(east) | set(west)) == 16
         # all traffic from left half to right half crosses an east link
         src = np.array([mesh.tile_at(0, y) for y in range(8)])
         dst = np.array([mesh.tile_at(7, y) for y in range(8)])

@@ -88,27 +88,36 @@ class TestCartesianTree:
             assert r[k] == right.get(k, -1)
 
 
+def _tree_walk(t, queries, batch=1 << 16):
+    """``BinaryTree.walk`` over a built tree's own shape."""
+    shape = {"left": t.left, "right": t.right, "root": np.array([t.root])}
+    return BinaryTree.walk(shape, np.asarray(queries), batch)
+
+
 class TestBinaryTree:
-    def test_lookup_trace_ends_at_key(self, machine):
+    def test_walk_ends_at_key(self, machine):
         t = BinaryTree.build(machine, 1000, seed=0)
-        nodes, chains, depths = t.lookup_trace(np.array([123]))
-        assert nodes[-1] == t.node_vaddrs[123]
-        assert depths[0] == t.depth_of(123) + 1
+        positions, depths = _tree_walk(t, [123])
+        assert positions[-1] == 123
+        # scalar descent from the root
+        d, cur = 1, t.root
+        while cur != 123:
+            cur = t.left[cur] if 123 < cur else t.right[cur]
+            d += 1
+        assert depths[0] == d
 
     def test_depths_logarithmic(self, machine):
         t = BinaryTree.build(machine, 1 << 14, seed=0)
         q = np.random.default_rng(1).integers(0, 1 << 14, 512)
-        _, _, depths = t.lookup_trace(q)
+        _, depths = _tree_walk(t, q)
         # random-insertion BST: ~1.39 log2 n expected depth
         assert 10 < depths.mean() < 30
 
     def test_all_lookups_resolve(self, machine):
         t = BinaryTree.build(machine, 500, seed=2)
         q = np.arange(500)
-        nodes, chains, _ = t.lookup_trace(q)
-        last_per_chain = np.flatnonzero(
-            np.r_[chains[1:] != chains[:-1], True])
-        assert (nodes[last_per_chain] == t.node_vaddrs[q]).all()
+        positions, depths = _tree_walk(t, q)
+        assert (positions[np.cumsum(depths) - 1] == q).all()
 
     def test_minhop_pathology(self):
         """Min-Hop puts the whole tree in one bank (paper Fig 13)."""
@@ -126,9 +135,17 @@ class TestBinaryTree:
     def test_batched_lookup_consistent(self, machine):
         t = BinaryTree.build(machine, 2000, seed=0)
         q = np.random.default_rng(0).integers(0, 2000, 300)
-        n1, c1, d1 = t.lookup_trace(q, batch=64)
-        n2, c2, d2 = t.lookup_trace(q, batch=1 << 16)
+        n1, d1 = _tree_walk(t, q, batch=64)
+        n2, d2 = _tree_walk(t, q, batch=1 << 16)
         assert (n1 == n2).all() and (d1 == d2).all()
+
+
+def _probe(ht, probe_keys):
+    """``HashTable.probe_walk`` over a built table's own skeleton."""
+    skeleton = {"keys": ht.keys, "chain_pos": ht.chain_pos,
+                "bucket_index": ht.bucket_index,
+                "bucket_nodes": ht.bucket_nodes}
+    return HashTable.probe_walk(skeleton, np.asarray(probe_keys))
 
 
 class TestHashTable:
@@ -136,28 +153,29 @@ class TestHashTable:
         ht = HashTable.build(machine, 2000, 512, seed=0)
         assert all(ht.lookup(int(k)) for k in ht.keys[:50])
 
-    def test_probe_trace_hits_and_misses(self, machine):
+    def test_probe_walk_hits_and_misses(self, machine):
         ht = HashTable.build(machine, 2000, 512, seed=0)
         probes = np.concatenate([ht.keys[:100],
                                  np.arange(10 ** 9, 10 ** 9 + 100)])
-        _, _, hit = ht.probe_trace(probes)
+        _, _, hit = _probe(ht, probes)
         assert hit[:100].all()
         assert not hit[100:].any()
 
     def test_hit_walk_stops_at_key(self, machine):
         ht = HashTable.build(machine, 2000, 512, seed=0)
         k = ht.keys[37]
-        nodes, chains, hit = ht.probe_trace(np.array([k]))
+        node_ids, _, hit = _probe(ht, [k])
         assert hit[0]
-        assert nodes[-1] == ht.node_vaddrs[37]
+        assert node_ids[-1] == 37
 
     def test_miss_walks_full_chain(self, machine):
         ht = HashTable.build(machine, 2000, 512, seed=0)
         missing = int(ht.keys.max()) + 512  # same bucket as some chain
         bucket = missing % 512
-        nodes, chains, hit = ht.probe_trace(np.array([missing]))
+        node_ids, _, hit = _probe(ht, [missing])
         assert not hit[0]
-        assert nodes.size == ht.chain_length(bucket)
+        assert node_ids.size == (ht.bucket_index[bucket + 1]
+                                 - ht.bucket_index[bucket])
 
     def test_chain_lengths_bounded(self, machine):
         # Table 3: buckets <= 8 at the paper's ratio (4 keys/bucket avg)

@@ -127,10 +127,11 @@ class TestEventSinks:
         assert rec.private_line_accesses == 7.0
         assert rec.bank_line_accesses.sum() == 0.0
 
-    def test_stream_locality_fraction(self, rec):
-        assert rec.stream_local_fraction is None
+    def test_stream_locality(self, rec):
         rec.add_stream_locality(100.0, 25.0)
-        assert rec.stream_local_fraction == 0.75
+        rec.add_stream_locality(10.0, 5.0)
+        assert rec.stream_elem_accesses == 110.0
+        assert rec.stream_remote_accesses == 30.0
 
 
 class TestPhases:

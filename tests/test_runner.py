@@ -46,7 +46,7 @@ class TestSerialRun:
             assert f.rows and f.headers and f.title
             assert f.wall_s >= 0
             assert not f.from_cache
-        assert "Fig 17" in report.by_id()["fig17"].title
+        assert "Fig 17" in report.figures[FAST_IDS.index("fig17")].title
 
     def test_progress_streams_every_figure(self, fresh_cache):
         lines = []

@@ -256,6 +256,23 @@ class TestGoldenShippedTree:
         report = selfcheck_paths([SHIPPED])
         assert len(report) == 0, report.render()
 
+    def test_shipped_code_carries_no_test_oracles(self):
+        """The pre-vectorization oracles live in ``tests/oracles.py``;
+        no shipped module brings back the switch that patched them in."""
+        assert not (SHIPPED / "perf" / "reference.py").exists()
+        for path in sorted(SHIPPED.rglob("*.py")):
+            source = path.read_text()
+            assert "reference_impls" not in source, path
+            for node in ast.walk(ast.parse(source)):
+                if isinstance(node, ast.ImportFrom):
+                    names = [f"{node.module}.{a.name}" for a in node.names]
+                elif isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                else:
+                    continue
+                assert not any(n.startswith("repro.perf.reference")
+                               for n in names), (path, node.lineno)
+
     def test_selfcheck_is_deterministic(self):
         a = [(d.code, d.site.file, d.site.line)
              for d in selfcheck_paths([FIXTURES])]

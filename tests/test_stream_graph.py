@@ -52,16 +52,13 @@ class TestGraph:
         with pytest.raises(ValueError):
             g.topo_order()
 
-    def test_predecessors_successors(self):
-        g = vecadd_graph()
-        preds = [s.name for s, _ in g.predecessors("sc")]
-        assert sorted(preds) == ["sa", "sb"]
-        succs = [s.name for s, _ in g.successors("sa")]
-        assert succs == ["sc"]
-
-    def test_footprint(self):
+    def test_deps_record_edges(self):
         g = vecadd_graph(length=1000)
-        assert g.total_footprint() == 3 * 1000 * 4
+        assert sorted((d.src, d.dst) for d in g.deps) == [("sa", "sc"),
+                                                          ("sb", "sc")]
+        assert all(d.kind is DepKind.VALUE for d in g.deps)
+        assert g.stream("sc").length == 1000
+        assert [s.name for s in g.streams] == ["sa", "sb", "sc"]
 
 
 class TestOffloadDecision:

@@ -3,7 +3,7 @@
 Every property here demands *byte-identical* output (``array_equal`` on
 exact float bit values, not ``allclose``): the vectorization PR's
 contract is that goldens never move.  The references live in
-:mod:`repro.perf.reference`, copied verbatim from the pre-PR tree.
+:mod:`tests.oracles`, copied verbatim from the pre-PR tree.
 """
 
 import numpy as np
@@ -17,8 +17,8 @@ from repro.config import DEFAULT_CONFIG
 from repro.machine import Machine
 from repro.nsc.executor import (_consecutive_dedup, _first_unique,
                                 _first_unique_counts, _pair_key, _shrink_key)
-from repro.perf import reference as ref
 from repro.perf.kernels.pybackend import _affinity_hop_sums
+from tests import oracles as ref
 
 # Small meshes keep the per-pair reference loops fast under hypothesis.
 meshes = st.sampled_from([(2, 2), (3, 2), (4, 4), (5, 3)])
@@ -243,7 +243,7 @@ class TestHeapFootprintEquivalence:
         base = shipped.malloc(heap)
         assert oracle.malloc(heap) == base
         for m in (shipped, oracle):
-            m.llc.reset_footprint()
+            m.llc._footprint_bytes[:] = 0.0
         ranges = data.draw(st.lists(
             st.tuples(st.integers(0, heap - 1), st.integers(0, 3 * page)),
             min_size=1, max_size=20))
