@@ -41,7 +41,8 @@ import time
 
 from repro.cache import CacheConfigError, get_cache
 from repro.harness import runner
-from repro.harness.cliutil import add_scale_argument, add_seed_argument
+from repro.harness.cliutil import (EXIT_USAGE, add_scale_argument,
+                                  add_seed_argument)
 from repro.nsc.engine import EngineMode
 from repro.workloads import WORKLOADS, run_workload
 
@@ -65,6 +66,11 @@ SUBCOMMANDS = {
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    try:
+        get_cache()  # every subcommand may read the artifact cache
+    except CacheConfigError as exc:
+        print(f"python -m repro: error: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE) from None
     if argv and argv[0] in SUBCOMMANDS:
         # Each subcommand owns its argument surface; delegate wholesale.
         module, func = SUBCOMMANDS[argv[0]].split(":")
@@ -97,11 +103,6 @@ def main(argv=None) -> int:
         print("experiments:", " ".join(sorted(runner.EXPERIMENTS)))
         print("workloads  :", " ".join(sorted(WORKLOADS)))
         return 0
-
-    try:
-        get_cache()
-    except CacheConfigError as exc:
-        parser.error(str(exc))
 
     if args.target == "run":
         if not args.workload:

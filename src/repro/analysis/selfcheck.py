@@ -100,7 +100,7 @@ _ORDER_MATERIALIZING = frozenset({"list", "tuple", "enumerate", "reversed"})
 #: Cache helpers called as ``helper(kind, builder, **key_params)``.
 _BUILDER_CACHES = frozenset({"cached_graph", "cached_arrays"})
 #: Their keyword arguments that are not key parameters.
-_BUILDER_NON_KEY = frozenset({"builder", "names", "check", "memo"})
+_BUILDER_NON_KEY = frozenset({"builder", "names", "check"})
 
 _PRAGMA_RE = re.compile(r"#\s*afflint:\s*allow\(([A-Z0-9,\s]+)\)")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 import numpy as np
 
@@ -60,10 +60,10 @@ class RoutingIncidence:
 #: invalidation hook at all).
 _INCIDENCE_CACHE: Dict[Tuple[int, int, FrozenSet[int]], RoutingIncidence] = {}
 
-#: Process-wide all-pairs distance tables of degraded meshes, keyed like
-#: :data:`_INCIDENCE_CACHE`.  A fault plan fixes its dead links per seed,
-#: so every run under one plan asks for the same table; the tables are
-#: read-only, so sharing one can never leak a write between meshes.
+#: Process-wide all-pairs hop tables, one per topology, keyed like
+#: :data:`_INCIDENCE_CACHE`.  Every mesh of one geometry, and every run
+#: under one fault plan's dead links, reads the same table; the tables
+#: are read-only, so sharing one can never leak a write between meshes.
 _DISTANCE_CACHE: Dict[Tuple[int, int, FrozenSet[int]], np.ndarray] = {}
 
 
@@ -90,13 +90,7 @@ class Mesh:
         # original Manhattan / X-Y code paths, bit for bit.
         self._dead_links: FrozenSet[int] = frozenset()
         self.topology_epoch = 0
-        self._dist_table: Optional[np.ndarray] = None
         self._route_memo: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        # Full all-pairs hop table, memoized per topology epoch (the
-        # bank-select hot paths slice it instead of re-broadcasting
-        # Manhattan distances on every allocation batch).
-        self._hops_table: Optional[np.ndarray] = None
-        self._hops_table_epoch: int = -1
 
     # ------------------------------------------------------------------
     # Topology (degraded routing around dead links)
@@ -149,8 +143,9 @@ class Mesh:
     def remove_link_between(self, a: int, b: int) -> None:
         """Kill the bidirectional link between adjacent tiles ``a``, ``b``.
 
-        Bumps :attr:`topology_epoch` so every memoized routing structure
-        (incidence, hop tables, accountant channel caches) is rebuilt.
+        Changes :attr:`topology_key`, which selects the incidence and hop
+        table, and bumps :attr:`topology_epoch`, on which accountants
+        refresh their channel loads and pair hops.
         Refuses removals that would disconnect the mesh — the degraded
         machine must still be able to route every pair.
         """
@@ -163,7 +158,6 @@ class Mesh:
                 f"removing link {a}<->{b} would disconnect the mesh")
         self._dead_links = candidate
         self.topology_epoch += 1
-        self._dist_table = None
         self._route_memo.clear()
 
     def _connected(self, dead: FrozenSet[int]) -> bool:
@@ -215,22 +209,6 @@ class Mesh:
         self._route_memo[src] = (dist, np.stack([parent_link, parent_tile]))
         return self._route_memo[src]
 
-    def _distance_table(self) -> np.ndarray:
-        """All-pairs hop distances over live links (degraded mode only)."""
-        if self._dist_table is None:
-            key = self.topology_key
-            table = _DISTANCE_CACHE.get(key)
-            if table is None:
-                n = self.num_tiles
-                table = np.empty((n, n), dtype=np.int64)
-                for s in range(n):
-                    dist, _ = self._bfs_from(s)
-                    table[s] = dist
-                table.setflags(write=False)
-                _DISTANCE_CACHE[key] = table
-            self._dist_table = table
-        return self._dist_table
-
     # ------------------------------------------------------------------
     # Coordinates
     # ------------------------------------------------------------------
@@ -256,51 +234,44 @@ class Mesh:
         """Distance between tiles in link traversals (vectorized).
 
         Pristine mesh: Manhattan distance (route length equals Manhattan
-        distance under X-Y routing).  With dead links, distances come
-        from the memoized BFS all-pairs table over live links.
+        distance under X-Y routing).  With dead links: BFS distance over
+        live links.  Both are one gather from :meth:`hops_table`.
         """
-        # One gather from the memoized all-pairs table beats the seven
-        # elementwise passes of the coordinate arithmetic; the pristine
-        # table holds the identical Manhattan integers.
         return self.hops_table()[np.asarray(src), np.asarray(dst)]
 
     def hops_table(self) -> np.ndarray:
-        """Full ``(num_tiles, num_tiles)`` hop table, **read-only** and
-        memoized per :attr:`topology_epoch`.
+        """Full ``(num_tiles, num_tiles)`` hop table, **read-only**, one
+        per :attr:`topology_key` process-wide.
 
-        ``table[b, d]`` = hops from ``b`` to ``d``.  The batched
-        bank-select paths (``_affinity_hybrid``, ``_chained_hybrid``)
-        hand its transpose to the Eq. 4 kernels, which read one row per
-        affinity bank; building the Manhattan broadcast (or BFS table)
-        once per topology is bit-identical and removes an
-        O(num_tiles²) rebuild per allocation batch.
+        ``table[b, d]`` = hops from ``b`` to ``d``: Manhattan distance on
+        a pristine mesh, BFS distance over live links otherwise.  The
+        batched bank-select paths (``_affinity_hybrid``,
+        ``_chained_hybrid``) hand its transpose to the Eq. 4 kernels,
+        which read one row per affinity bank, and the traffic accountant
+        dots its pair flits with the flattened table.
         """
-        if (self._hops_table is None
-                or self._hops_table_epoch != self.topology_epoch):
+        key = self.topology_key
+        table = _DISTANCE_CACHE.get(key)
+        if table is None:
             if self._dead_links:
-                table = self._distance_table()
+                table = np.stack([self._bfs_from(s)[0]
+                                  for s in range(self.num_tiles)])
             else:
-                all_tiles = np.arange(self.num_tiles)
-                bx, by = self.coords(all_tiles)
+                bx, by = self.coords(np.arange(self.num_tiles))
                 table = (np.abs(bx[:, None] - bx[None, :])
                          + np.abs(by[:, None] - by[None, :]))
-                table.setflags(write=False)
-            self._hops_table = table
-            self._hops_table_epoch = self.topology_epoch
-        return self._hops_table
+            table.setflags(write=False)
+            _DISTANCE_CACHE[key] = table
+        return table
 
     def hops_to_all(self, targets: np.ndarray) -> np.ndarray:
         """Matrix ``M[b, i]`` = hops from every tile ``b`` to ``targets[i]``.
 
         Used by the bank-select policy to score all candidate banks against
-        a small set of affinity addresses in one shot.  Slices the
-        memoized :meth:`hops_table` — same integers as the original
-        per-call Manhattan broadcast, without the rebuild.
+        a small set of affinity addresses in one shot; a column slice of
+        :meth:`hops_table`.
         """
-        targets = np.asarray(targets)
-        if self._dead_links:
-            return self._distance_table()[:, targets]
-        return self.hops_table()[:, targets]
+        return self.hops_table()[:, np.asarray(targets)]
 
     # ------------------------------------------------------------------
     # Link-level routing

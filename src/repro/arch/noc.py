@@ -39,25 +39,6 @@ class MessageClass(enum.Enum):
     OFFLOAD = "offload"
 
 
-#: Hop distance per (src, dst) pair, shared across every accountant of
-#: the same topology (one sweep builds hundreds of accountants).  Keyed
-#: by the full topology key — geometry plus dead-link set — so degraded
-#: meshes never serve pristine distances (or vice versa).
-_HOPS_CACHE: Dict[tuple, np.ndarray] = {}
-
-
-def _hops_table(mesh: Mesh) -> np.ndarray:
-    key = mesh.topology_key
-    hops = _HOPS_CACHE.get(key)
-    if hops is None:
-        n = mesh.num_tiles
-        idx = np.arange(n * n)
-        hops = mesh.hops(idx // n, idx % n).astype(np.float64)
-        hops.setflags(write=False)
-        _HOPS_CACHE[key] = hops
-    return hops
-
-
 def pair_channel_loads(mesh: Mesh, pair_flits: np.ndarray) -> np.ndarray:
     """Expand (src, dst)-pair flit counts onto NoC channels.
 
@@ -108,8 +89,8 @@ class TrafficAccountant:
             cls: np.zeros(npairs, dtype=np.float64) for cls in MessageClass
         }
         self._messages: Dict[MessageClass, float] = {cls: 0.0 for cls in MessageClass}
-        # Hop distance for every (src, dst) pair, built lazily (shared
-        # process-wide across accountants of the same topology).
+        # Hop distance for every (src, dst) pair as float64: the mesh's
+        # hop table, flattened, taken once per topology epoch.
         self._pair_hops: Optional[np.ndarray] = None
         self._hops_epoch = mesh.topology_epoch
         # Channel-load cache: expanding the pair matrix onto channels is
@@ -173,7 +154,8 @@ class TrafficAccountant:
     # ------------------------------------------------------------------
     def _hops_per_pair(self) -> np.ndarray:
         if self._pair_hops is None or self._hops_epoch != self.mesh.topology_epoch:
-            self._pair_hops = _hops_table(self.mesh)
+            self._pair_hops = self.mesh.hops_table().ravel().astype(
+                np.float64)
             self._hops_epoch = self.mesh.topology_epoch
         return self._pair_hops
 

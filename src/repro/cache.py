@@ -23,18 +23,19 @@ Knobs (all optional):
 
 * ``REPRO_CACHE_DIR``      — cache directory (default ``~/.cache/repro``).
 * ``REPRO_CACHE_MAX_BYTES``— LRU size cap (default 2 GiB).
-* ``REPRO_CACHE_MEM_BYTES``— in-process memo cap (default 256 MiB).
-* ``REPRO_NO_CACHE=1``     — disable the cache process-wide.
+* ``REPRO_NO_CACHE``       — ``1``/``true`` disable the cache
+  process-wide; ``0``/``false``/empty leave it on.
 * :meth:`ArtifactCache.disabled` / ``configure(enabled=False)`` — the
   programmatic / ``--no-cache`` escape hatch.
 
-A cache directory that is (or sits under) a regular file, or a byte
-count that is not a non-negative integer, raises
-:class:`CacheConfigError` when the cache is built.
+A cache directory that is (or sits under) a regular file, a byte count
+that is not a non-negative integer, or any other ``REPRO_NO_CACHE``
+value raises :class:`CacheConfigError` when the cache is built.
 
 Corrupted entries (truncated ``.npz`` after a crash, hand-edited JSON)
 are treated as misses: the entry is deleted and regenerated, never
-raised to the caller.
+raised to the caller.  Every hit reads its file (there is no in-process
+copy), so damage is seen on the next read.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ import hashlib
 import json
 import os
 import tempfile
-from collections import OrderedDict
 from pathlib import Path
 from typing import Callable, Collection, Dict, Optional
 
@@ -68,11 +68,9 @@ GENERATOR_VERSION = 1
 
 DEFAULT_MAX_BYTES = 2 << 30  # 2 GiB
 
-#: In-process memo over the hottest ``.npz`` entries.  Keys are content
-#: addresses, so one key can only ever name one payload — serving from
-#: memory is exactly as correct as re-reading the file, minus the
-#: zipfile read the profile charges every reload.
-DEFAULT_MEM_BYTES = 256 << 20  # 256 MiB
+#: ``REPRO_NO_CACHE`` values and whether each disables the cache.
+_NO_CACHE_VALUES = {"": False, "0": False, "false": False,
+                    "1": True, "true": True}
 
 
 def _canonical(obj):
@@ -106,8 +104,8 @@ def cache_key(kind: str, **params) -> str:
 
 
 class CacheConfigError(ValueError):
-    """A cache location or ``REPRO_CACHE_*`` value that cannot work; the
-    CLI reports it as a usage error (exit 2)."""
+    """A cache location, ``REPRO_CACHE_*`` or ``REPRO_NO_CACHE`` value
+    that cannot work; the CLI reports it as a usage error (exit 2)."""
 
 
 def _env_bytes(name: str, default: int) -> int:
@@ -123,6 +121,16 @@ def _env_bytes(name: str, default: int) -> int:
         raise CacheConfigError(
             f"{name}={raw!r}: expected a non-negative byte count")
     return value
+
+
+def _env_no_cache() -> bool:
+    """Whether ``REPRO_NO_CACHE`` disables the cache."""
+    raw = os.environ.get("REPRO_NO_CACHE", "")
+    if raw not in _NO_CACHE_VALUES:
+        raise CacheConfigError(
+            f"REPRO_NO_CACHE={raw!r}: expected one of "
+            + ", ".join(repr(v) for v in _NO_CACHE_VALUES))
+    return _NO_CACHE_VALUES[raw]
 
 
 def _check_root(root: Path) -> None:
@@ -151,14 +159,10 @@ class ArtifactCache:
             max_bytes = _env_bytes("REPRO_CACHE_MAX_BYTES", DEFAULT_MAX_BYTES)
         self.max_bytes = max_bytes
         if enabled is None:
-            enabled = os.environ.get("REPRO_NO_CACHE", "") not in ("1", "true")
+            enabled = not _env_no_cache()
         self.enabled = enabled
         self.hits = 0
         self.misses = 0
-        self.mem_max_bytes = _env_bytes("REPRO_CACHE_MEM_BYTES",
-                                        DEFAULT_MEM_BYTES)
-        self._mem: "OrderedDict[str, Dict[str, np.ndarray]]" = OrderedDict()
-        self._mem_bytes = 0
 
     # ------------------------------------------------------------------
     def path_for(self, key: str, suffix: str) -> Path:
@@ -186,45 +190,11 @@ class ArtifactCache:
         with contextlib.suppress(OSError):
             path.unlink()
 
-    # ------------------------- in-memory layer -------------------------
-    def _mem_store(self, key: str, arrays: Dict[str, np.ndarray]) -> None:
-        size = sum(a.nbytes for a in arrays.values())
-        if size > self.mem_max_bytes:
-            return
-        old = self._mem.pop(key, None)
-        if old is not None:
-            self._mem_bytes -= sum(a.nbytes for a in old.values())
-        self._mem[key] = arrays
-        self._mem_bytes += size
-        while self._mem_bytes > self.mem_max_bytes and self._mem:
-            _, dropped = self._mem.popitem(last=False)
-            self._mem_bytes -= sum(a.nbytes for a in dropped.values())
-
-    def _mem_clear(self) -> None:
-        self._mem.clear()
-        self._mem_bytes = 0
-
     # ----------------------------- npz --------------------------------
-    def get_arrays(self, key: str, memo: bool = True
-                   ) -> Optional[Dict[str, np.ndarray]]:
-        """Load an ``.npz`` entry; any read error is a miss (and deletes).
-
-        Recently read entries are served from an in-process memo as
-        read-only views of one shared copy, so a hit costs no memory and
-        a caller that writes to one raises ``ValueError`` instead of
-        corrupting the memo (a caller that must write copies first).
-        Keys are content addresses, so the memo can never go stale
-        against the file it shadows.  Only reads populate the memo — the
-        first load after a write still exercises the on-disk entry,
-        keeping corruption detectable.  ``memo=False`` reads the file,
-        returns writeable arrays and leaves the memo alone."""
+    def get_arrays(self, key: str) -> Optional[Dict[str, np.ndarray]]:
+        """Load an ``.npz`` entry; any read error is a miss (and deletes)."""
         if not self.enabled:
             return None
-        held = self._mem.get(key) if memo else None
-        if held is not None:
-            self._mem.move_to_end(key)
-            self.hits += 1
-            return {name: _read_only(a) for name, a in held.items()}
         path = self.path_for(key, ".npz")
         try:
             with np.load(path, allow_pickle=False) as zf:
@@ -238,18 +208,10 @@ class ArtifactCache:
             return None
         self.hits += 1
         self._touch(path)
-        if memo:
-            for a in out.values():
-                a.flags.writeable = False
-            self._mem_store(key, out)
-            return {name: _read_only(a) for name, a in out.items()}
         return out
 
     def drop_arrays(self, key: str) -> None:
-        """Forget an ``.npz`` entry, on disk and in the memo."""
-        old = self._mem.pop(key, None)
-        if old is not None:
-            self._mem_bytes -= sum(a.nbytes for a in old.values())
+        """Forget an ``.npz`` entry."""
         self._drop(self.path_for(key, ".npz"))
 
     def put_arrays(self, key: str, arrays: Dict[str, np.ndarray]) -> None:
@@ -329,7 +291,6 @@ class ArtifactCache:
     def clear(self) -> None:
         for p in self._entries():
             self._drop(p)
-        self._mem_clear()
 
     # --------------------------- control -------------------------------
     @contextlib.contextmanager
@@ -384,28 +345,25 @@ def cached_arrays(kind: str,
                   names: Optional[Collection[str]] = None,
                   check: Optional[Callable[[Dict[str, np.ndarray]], bool]]
                   = None,
-                  memo: bool = True,
                   **params) -> Dict[str, np.ndarray]:
     """Memoize a dict of arrays on disk, keyed by ``(kind, params)``.
 
-    ``builder`` must be deterministic in ``params``.  A hit is served
-    from the in-process memo or the ``.npz`` entry; the arrays are the
-    exact dtypes and values the builder returned, so a hit reads what a
-    fresh build would give.  A missing or corrupt entry is rebuilt, and
-    so is one whose array names differ from ``names`` (the names the
-    builder returns; None accepts any) or that ``check`` rejects (called
-    only on entries with the right names; see :func:`array_ok`).  With
-    the cache disabled the builder runs every time.  ``memo=False`` keeps
-    the entry out of the in-process memo, for entries a run reads once
-    and that would otherwise stay resident.
+    ``builder`` must be deterministic in ``params``.  A hit reads the
+    ``.npz`` entry; the arrays are the exact dtypes and values the
+    builder returned, so a hit reads what a fresh build would give.  A
+    missing or corrupt entry is rebuilt, and so is one whose array names
+    differ from ``names`` (the names the builder returns; None accepts
+    any) or that ``check`` rejects (called on every read of an entry
+    with the right names; see :func:`array_ok`).  With the cache
+    disabled the builder runs every time.
 
-    The arrays are read-only views in every cache state (built, read
-    from disk or from the memo), so a caller that writes to one fails
-    the same way cold and warm; a caller that must write copies first.
+    The arrays are read-only views in every cache state (built or read
+    from disk), so a caller that writes to one fails the same way cold
+    and warm; a caller that must write copies first.
     """
     cache = get_cache()
     key = cache_key(kind, **params)
-    arrays = cache.get_arrays(key, memo=memo)
+    arrays = cache.get_arrays(key)
     if arrays is not None:
         if ((names is None or set(arrays) == set(names))
                 and (check is None or check(arrays))):

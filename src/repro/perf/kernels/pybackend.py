@@ -383,12 +383,13 @@ def _argsort_first(key: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 def first_unique_counts(key: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Like :func:`first_unique` but also returns the multiplicity of
-    each distinct key (``np.unique(..., return_counts=True)``)."""
+    each distinct key (``np.unique(..., return_counts=True)``).
+
+    The executor's per-core credit keys arrive sorted, so the O(n)
+    boundary scan is the path that runs; anything else takes
+    ``np.unique`` itself."""
     n = key.size
-    if n == 0:
-        empty = np.empty(0, dtype=np.intp)
-        return empty, empty.copy()
-    if _is_sorted(key):
+    if n and _is_sorted(key):
         change = np.empty(n, dtype=bool)
         change[0] = True
         np.not_equal(key[1:], key[:-1], out=change[1:])
@@ -397,34 +398,8 @@ def first_unique_counts(key: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         counts[:-1] = np.diff(first)
         counts[-1] = n - first[-1]
         return first, counts
-    table = _scatter_table(key, n)
-    if table is not None:
-        present = table >= 0
-        lo = key.min()
-        all_counts = np.bincount(key - lo, minlength=table.size)
-        return table[present], all_counts[present].astype(np.intp, copy=False)
-    starts = _collapse_runs(key, n)
-    if starts is None:
-        first, bounds = _argsort_first(shrink_key(key))
-        counts = np.empty(bounds.size, dtype=np.intp)
-        counts[:-1] = np.diff(bounds)
-        counts[-1] = n - bounds[-1]
-        return first, counts
-    # Sort run starts only; a key's count is the total length of its
-    # runs, gathered per sorted run and summed per distinct key — every
-    # addend is an exact small integer, so this matches the full sort.
-    work = shrink_key(key[starts])
-    order = np.argsort(work, kind="stable")
-    sk = work[order]
-    change = np.empty(work.size, dtype=bool)
-    change[0] = True
-    np.not_equal(sk[1:], sk[:-1], out=change[1:])
-    bounds = np.flatnonzero(change)
-    runlens = np.empty(starts.size, dtype=np.intp)
-    runlens[:-1] = np.diff(starts)
-    runlens[-1] = n - starts[-1]
-    counts = np.add.reduceat(runlens[order], bounds)
-    return starts[order[change]], counts.astype(np.intp, copy=False)
+    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    return first, counts
 
 
 def consecutive_dedup(values: np.ndarray, groups: np.ndarray) -> np.ndarray:

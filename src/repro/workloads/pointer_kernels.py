@@ -15,9 +15,8 @@ lookup visits) depends on their parameters and seed only, so it is built
 once per parameter set through the artifact cache
 (:func:`repro.cache.cached_arrays`) and every mode places and walks the
 same skeleton.  Allocation, node vaddrs and executor calls stay per run.
-The skeletons are megabytes that each run reads once, so they are read
-from their cache file rather than kept in the in-process memo, where
-they would add their size to the process' peak RSS.
+Every run reads its skeleton from the cache file (a few ms); the cache
+keeps no copy in memory between runs.
 """
 
 from __future__ import annotations
@@ -122,7 +121,7 @@ class HashJoin(Workload):
                                  (int(a["walk_len"].sum()),), 0, nk))
 
         skel = cached_arrays(
-            "hash_join_skeleton", build, check=valid, memo=False,
+            "hash_join_skeleton", build, check=valid,
             names=SKELETON_NAMES + ("probe_keys", "node_ids", "walk_len",
                                     "hit"),
             build_keys=nk, probe_keys=nq, buckets=nb, hit_rate=hit_rate,
@@ -186,7 +185,6 @@ class BinTreeLookup(Workload):
                                  (int(a["depths"].sum()),), 0, n))
 
         skel = cached_arrays("bin_tree_skeleton", build, check=valid,
-                             memo=False,
                              names=SHAPE_NAMES + ("positions", "depths"),
                              num_keys=num_keys, lookups=lookups, seed=seed)
         ctx = make_context(mode, config, policy, seed)

@@ -87,43 +87,19 @@ class TestHitMiss:
         np.savez_compressed(cache.path_for(key, ".npz"), a=np.arange(7))
         assert (cache.get_arrays(key)["a"] == np.arange(7)).all()
 
-    def test_memo_opt_out_reads_the_file(self, cache):
-        cache.put_arrays("k", {"a": np.arange(4)})
-        for _ in range(2):
-            out = cache.get_arrays("k", memo=False)
-            np.testing.assert_array_equal(out["a"], np.arange(4))
-        assert not cache._mem
-        assert cache.hits == 2
-
-    def test_hits_are_read_only_views_of_the_memo(self, cache):
-        key = cache_key("t", x=2)
-        cache.put_arrays(key, {"a": np.arange(5)})
-        for _ in range(2):  # the disk read that fills the memo, then a hit
-            got = cache.get_arrays(key)["a"]
-            assert not got.flags.writeable
-            assert np.shares_memory(got, cache._mem[key]["a"])
-            with pytest.raises(ValueError):
-                got[:] = -1  # a write must not poison later hits
-        assert (cache.get_arrays(key)["a"] == np.arange(5)).all()
-        # Reads that bypass the memo own their arrays.
-        assert cache.get_arrays(key, memo=False)["a"].flags.writeable
-
-    @pytest.mark.parametrize("memo", [True, False])
     def test_cached_arrays_are_read_only_in_every_state(self, cache,
-                                                         monkeypatch, memo):
-        # Built (cache disabled or cold), read from disk, hit in the
-        # memo: a write fails alike, so no caller passes cold and breaks
-        # warm.
+                                                         monkeypatch):
+        # Built (cache disabled or cold) or read from disk: a write fails
+        # alike, so no caller passes cold and breaks warm.
         monkeypatch.setattr(cache_mod, "_CACHE", cache)
         built = np.arange(4)
 
         def get():
-            return cached_arrays("ro", lambda: {"a": built}, memo=memo,
-                                 n=1)["a"]
+            return cached_arrays("ro", lambda: {"a": built}, n=1)["a"]
 
         with cache.disabled():
             states = [get()]
-        states += [get() for _ in range(3)]  # cold, disk, memo/disk
+        states += [get() for _ in range(3)]  # cold, then disk twice
         for got in states:
             assert not got.flags.writeable
             with pytest.raises(ValueError):
@@ -188,15 +164,42 @@ class TestCorruptionRecovery:
                                                np.array([0])), n=5)
         assert g.num_vertices == 1  # rebuilt from the builder
 
+    def test_entry_truncated_after_a_read_is_rebuilt(self, cache,
+                                                     monkeypatch):
+        # Every hit reads the file, so damage done to an entry after it
+        # was read is seen on the next read: no earlier copy hides it.
+        monkeypatch.setattr(cache_mod, "_CACHE", cache)
+        builds = []
+
+        def build():
+            builds.append(1)
+            return {"a": np.arange(1 << 10), "b": np.linspace(0, 1, 7)}
+
+        def get():
+            return cached_arrays("tr", build, names=("a", "b"), n=1)
+
+        built = get()                                  # cold: built
+        read = get()                                   # read from disk
+        assert len(builds) == 1
+        path = cache.path_for(cache_key("tr", n=1), ".npz")
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:size // 2])
+        rebuilt = get()
+        assert len(builds) == 2
+        assert path.stat().st_size == size             # ... and rewritten
+        for got in (read, rebuilt):
+            for name, want in built.items():
+                assert got[name].dtype == want.dtype
+                np.testing.assert_array_equal(got[name], want)
+                assert not got[name].flags.writeable
+
     def test_cached_arrays_rebuilds_on_other_names(self, cache, monkeypatch):
         monkeypatch.setattr(cache_mod, "_CACHE", cache)
         key = cache_key("z", n=1)
         cache.put_arrays(key, {"old": np.arange(3)})
-        cache.get_arrays(key)  # also in the memo now
         out = cached_arrays("z", lambda: {"new": np.arange(4)},
                             names=("new",), n=1)
         assert list(out) == ["new"]
-        cache._mem_clear()
         assert list(cache.get_arrays(key)) == ["new"]  # entry rewritten
 
     def test_cached_arrays_rebuilds_what_check_rejects(self, cache,
@@ -262,10 +265,12 @@ class TestBypass:
             assert cache.get_json(cache_key("b", x=1)) is None
         assert cache.enabled  # restored on exit
 
-    def test_no_cache_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        c = ArtifactCache(root=tmp_path)
-        assert not c.enabled
+    @pytest.mark.parametrize("value,enabled", [
+        ("", True), ("0", True), ("false", True), ("1", False),
+        ("true", False)])
+    def test_no_cache_env(self, tmp_path, monkeypatch, value, enabled):
+        monkeypatch.setenv("REPRO_NO_CACHE", value)
+        assert ArtifactCache(root=tmp_path).enabled == enabled
 
     def test_generator_bypass_recomputes(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cache_mod, "_CACHE",
@@ -363,21 +368,16 @@ class TestZooInputsAcrossCacheStates:
         assert len(zipf_calls) == 2 * draws
         (entry,) = [p for p in tmp_path.iterdir() if p.suffix == ".npz"]
         size = entry.stat().st_size
-        cache._mem_clear()
         disk = self._run(name)                 # loaded from the file
-        memo = self._run(name)                 # served from the memo
         assert len(zipf_calls) == 2 * draws
-        assert cache._mem
 
         entry.write_bytes(entry.read_bytes()[:size // 2])
-        cache._mem_clear()
         truncated = self._run(name)            # corrupt entry: redrawn
         assert len(zipf_calls) == 3 * draws
         assert entry.stat().st_size == size    # ... and rewritten
-        cache._mem_clear()
         assert set(cache.get_arrays(entry.stem)) == names
 
-        for got in (cold, disk, memo, truncated):
+        for got in (cold, disk, truncated):
             assert got == want
 
     def test_two_arms_draw_once(self, name, names, draws, tmp_path,
@@ -390,22 +390,20 @@ class TestZooInputsAcrossCacheStates:
 
 
 #: (kernel, names of its cached skeleton, the skeleton's node-id or value
-#: array, (owner, attribute) of the function that builds it, whether the
-#: in-process memo keeps it).
+#: array, (owner, attribute) of the function that builds it).
 SKELETONS = [
     ("bin_tree", {"prio", "left", "right", "parent", "root", "positions",
-                  "depths"}, "positions", (BinaryTree, "shape"), False),
+                  "depths"}, "positions", (BinaryTree, "shape")),
     ("hash_join", {"keys", "buckets", "chain_pos", "bucket_index",
                    "bucket_nodes", "probe_keys", "node_ids", "walk_len",
-                   "hit"}, "node_ids", (HashTable, "skeleton"), False),
+                   "hit"}, "node_ids", (HashTable, "skeleton")),
     ("sssp", {"frontiers", "sizes", "dist"}, "frontiers",
-     (graph_kernels, "_sssp_walk"), True),
-    ("pr_push", {"rank"}, "rank", (graph_kernels, "_pagerank_functional"),
-     True),
+     (graph_kernels, "_sssp_walk")),
+    ("pr_push", {"rank"}, "rank", (graph_kernels, "_pagerank_functional")),
 ]
 
 
-@pytest.mark.parametrize("name,names,node_array,built_by,memo", SKELETONS,
+@pytest.mark.parametrize("name,names,node_array,built_by", SKELETONS,
                          ids=[k[0] for k in SKELETONS])
 class TestSkeletonsAcrossCacheStates:
     """Table 3 kernels build their mode-independent skeletons once per
@@ -442,13 +440,12 @@ class TestSkeletonsAcrossCacheStates:
 
     def _entry(self, cache, names):
         """The skeleton's ``.npz`` entry (graphs have their own)."""
-        cache._mem_clear()
         (entry,) = [p for p in cache.root.iterdir() if p.suffix == ".npz"
                     and set(np.load(p).files) == names]
         return entry
 
     def test_same_run_in_every_state(self, name, names, node_array,
-                                     built_by, memo, builds, cache):
+                                     built_by, builds, cache):
         with cache.disabled():
             want = self._run(name)
         assert len(builds) == 1
@@ -456,12 +453,10 @@ class TestSkeletonsAcrossCacheStates:
         entry = self._entry(cache, names)
         size = entry.stat().st_size
         disk = self._run(name)                 # loaded from the file
-        again = self._run(name)                # from the memo, if kept
+        again = self._run(name)                # and from the file again
         assert len(builds) == 2
-        assert (entry.stem in cache._mem) == memo
 
         entry.write_bytes(entry.read_bytes()[:size // 2])
-        cache._mem_clear()
         truncated = self._run(name)            # corrupt entry: rebuilt
         assert len(builds) == 3
         assert entry.stat().st_size == size    # ... and rewritten
@@ -469,13 +464,13 @@ class TestSkeletonsAcrossCacheStates:
             assert got == want
 
     def test_three_modes_build_once(self, name, names, node_array,
-                                    built_by, memo, builds, cache):
+                                    built_by, builds, cache):
         for mode in EngineMode:
             self._run(name, mode)
         assert len(builds) == 1
 
     def test_bad_entries_are_rebuilt(self, name, names, node_array,
-                                     built_by, memo, builds, cache):
+                                     built_by, builds, cache):
         with cache.disabled():
             want = self._run(name)
         self._run(name)
@@ -496,11 +491,9 @@ class TestSkeletonsAcrossCacheStates:
             else:
                 with open(entry, "wb") as fh:
                     np.savez(fh, **payload)
-            cache._mem_clear()
             before = len(builds)
             assert self._run(name) == want, label
             assert len(builds) == before + 1, label
-            cache._mem_clear()
             assert set(cache.get_arrays(entry.stem)) == names, label
 
 

@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 
 from repro.arch import mesh as mesh_mod
 from repro.arch.mesh import Mesh
+from repro.arch.noc import MessageClass, TrafficAccountant
+from repro.config import NocConfig
 
 
 @pytest.fixture
@@ -187,6 +189,24 @@ class TestDegradedRouting:
         assert other is not table
         assert other[40, 41] == 3 and table[40, 41] == 1
         assert a.hops_table() is table
+
+    def test_one_hop_table_per_topology(self):
+        assert Mesh(8, 8).hops_table() is Mesh(8, 8).hops_table()
+
+    def test_degraded_table_is_bfs_and_accountant_follows(self, mesh):
+        rng = np.random.default_rng(5)
+        src, dst = rng.integers(0, 64, 500), rng.integers(0, 64, 500)
+        acct = TrafficAccountant(mesh, NocConfig())
+        acct.record(src, dst, 64, MessageClass.DATA)
+        pristine = acct.flit_hops()           # caches the pristine hops
+        mesh.remove_link_between(9, 10)
+        table = mesh.hops_table()
+        bfs = np.stack([mesh._bfs_from(s)[0] for s in range(64)])
+        np.testing.assert_array_equal(table, bfs)
+        assert table[9, 10] == 3
+        fresh = TrafficAccountant(mesh, NocConfig())
+        fresh.record(src, dst, 64, MessageClass.DATA)
+        assert acct.flit_hops() == fresh.flit_hops() > pristine
 
     def test_link_loads_route_around_dead_link(self, mesh):
         fwd, rev = mesh._directed_pair_links(9, 10)

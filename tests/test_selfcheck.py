@@ -203,12 +203,12 @@ class TestGrd002:
                "                         m=m, k=p['k'])\n")
         assert codes(src) == []
 
-    def test_check_and_memo_arguments_are_not_keys(self):
+    def test_check_argument_is_not_a_key(self):
         src = ("from repro.cache import cached_arrays\n"
                "def inputs(seed, n):\n"
                "    def draw():\n"
                "        return {'a': rng(seed).random(n)}\n"
-               "    return cached_arrays('i', draw, seed=seed, memo=n > 1,\n"
+               "    return cached_arrays('i', draw, seed=seed,\n"
                "                         check=lambda a: a['a'].size == n)\n")
         assert codes(src) == ["GRD002"]
 

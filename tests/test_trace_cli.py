@@ -163,10 +163,15 @@ class TestCacheEnvUsageErrors:
         from repro import cache as cache_mod
         monkeypatch.setattr(cache_mod, "_CACHE", None)
 
-    @pytest.fixture(params=["fig4", "info"])
+    #: An experiment target, a subcommand that reads the cache itself,
+    #: and one that only reaches it through a workload.
+    ENTRIES = {"fig4": ["fig4", "--scale", "0.02", "--no-lint"],
+               "info": ["info"],
+               "trace": ["trace", "pr_push", "--scale", "0.02"]}
+
+    @pytest.fixture(params=sorted(ENTRIES))
     def entry(self, request):
-        return [request.param] + (["--scale", "0.02", "--no-lint"]
-                                  if request.param == "fig4" else [])
+        return self.ENTRIES[request.param]
 
     def _usage_error(self, argv, capsys):
         from repro.__main__ import main
@@ -189,15 +194,17 @@ class TestCacheEnvUsageErrors:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(blocker / "sub"))
         assert "is not a directory" in self._usage_error(entry, capsys)
 
-    @pytest.mark.parametrize("var", ["REPRO_CACHE_MAX_BYTES",
-                                     "REPRO_CACHE_MEM_BYTES"])
-    @pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
-    def test_bad_byte_count(self, entry, var, value, tmp_path, monkeypatch,
-                            capsys):
+    @pytest.mark.parametrize("var,value,expected", [
+        *[("REPRO_CACHE_MAX_BYTES", v, "byte count")
+          for v in ("abc", "-1", "1.5")],
+        *[("REPRO_NO_CACHE", v, "expected one of")
+          for v in ("yes", "TRUE", "2")]])
+    def test_bad_byte_count(self, entry, var, value, expected, tmp_path,
+                            monkeypatch, capsys):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         monkeypatch.setenv(var, value)
         err = self._usage_error(entry, capsys)
-        assert var in err and "byte count" in err
+        assert var in err and expected in err
 
     def test_typed_error_from_constructor(self, tmp_path, monkeypatch):
         from repro.cache import ArtifactCache, CacheConfigError
