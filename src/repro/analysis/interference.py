@@ -44,8 +44,9 @@ distribution against the all-pairs hop table
 score-all-candidates x all-pending-arrays vectorized shape the
 ROADMAP's Amdahl-wall item needs.  The sequential part (each placement
 shifts the load the next one sees) then reuses the runtime's own
-:meth:`~repro.core.policy.HybridPolicy.select_batch` on the stacked
-rows, so the simulation *is* the allocator, not a reimplementation.
+:meth:`~repro.core.policy.HybridPolicy.select_batch`, each unit a
+one-ref group naming its tenant's hop row, so the simulation *is* the
+allocator, not a reimplementation.
 
 **Tolerance contract (COV-style).**  Predictions are validated against
 runs of the shipped workloads: the predicted per-bank access shares
@@ -60,6 +61,7 @@ either bound is exceeded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -149,11 +151,6 @@ HOST_INJECTION_RTOL = 1e-9
 #: the cap is coarsened into equal-weight units (Eq. 4 sees the same
 #: load *shape*, just fewer decisions).
 MAX_IRREGULAR_UNITS = 2048
-
-#: Sampling cap for per-array bank histograms (layouts are periodic;
-#: matches the coverage estimator's contract).
-_MAX_SAMPLES = 4096
-
 
 @dataclass(frozen=True)
 class Tenant:
@@ -256,11 +253,26 @@ class ValidationRow:
 # ----------------------------------------------------------------------
 # Prediction
 # ----------------------------------------------------------------------
-def _sample_elements(num_elem: int) -> np.ndarray:
-    if num_elem <= _MAX_SAMPLES:
-        return np.arange(num_elem, dtype=np.int64)
-    return np.unique(np.linspace(0, num_elem - 1, _MAX_SAMPLES,
-                                 dtype=np.int64))
+def _bank_counts(num_elem: int, start_bank: int, stride: int,
+                 intrlv: int, nb: int) -> np.ndarray:
+    """Exact per-bank element count of ``num_elem`` elements at
+    ``stride`` bytes in an ``intrlv``-byte pool from ``start_bank``
+    (Eq. 1: element ``i`` is on bank ``(start_bank + i * stride //
+    intrlv) % nb``).
+
+    Element ``i + period`` lands on element ``i``'s bank, with ``period
+    = nb * intrlv / gcd(stride, nb * intrlv)``, so one period (or the
+    whole array, if shorter) is enumerated once: its histogram times the
+    full periods, plus the histogram of the remainder's prefix."""
+    span = nb * intrlv
+    period = span // math.gcd(stride, span)
+    idx = np.arange(min(num_elem, period), dtype=np.int64)
+    banks = (start_bank + (idx * stride) // intrlv) % nb
+    full, rem = divmod(num_elem, period)
+    counts = np.bincount(banks[:rem], minlength=nb)
+    if full:
+        counts += full * np.bincount(banks, minlength=nb)
+    return counts
 
 
 def predicted_bank_weights(plan: LayoutPlan,
@@ -270,10 +282,9 @@ def predicted_bank_weights(plan: LayoutPlan,
     arrays (irregular demand is placed by the shared Eq. 4 simulation in
     :func:`analyze_interference`, since its banks depend on co-tenants).
 
-    Pool/paged layouts resolve analytically (Eq. 1: the slot index
-    advances by ``stride // intrlv`` per element from ``start_bank``);
-    fallback arrays live on the baseline line-interleaved heap and
-    spread uniformly.
+    Pool/paged layouts count every element's bank exactly (Eq. 1, in
+    closed form per period: :func:`_bank_counts`); fallback arrays live
+    on the baseline line-interleaved heap and spread uniformly.
     """
     nb = machine.num_banks
     weights = np.zeros(nb, dtype=np.float64)
@@ -288,11 +299,9 @@ def predicted_bank_weights(plan: LayoutPlan,
         if layout.kind is LayoutKind.FALLBACK:
             weights += pa.num_elem / nb
             continue
-        stride = max(layout.stride, pa.elem_size)
-        idx = _sample_elements(pa.num_elem)
-        banks = (layout.start_bank + (idx * stride) // layout.intrlv) % nb
-        hist = np.bincount(banks, minlength=nb).astype(np.float64)
-        weights += hist * (pa.num_elem / idx.size)
+        weights += _bank_counts(pa.num_elem, layout.start_bank,
+                                max(layout.stride, pa.elem_size),
+                                layout.intrlv, nb)
     return weights
 
 
@@ -435,15 +444,16 @@ def analyze_interference(tenants: Sequence[Tenant],
     irregular = np.zeros_like(affine)
     contended_hops = {t.name: 0.0 for t in tenants}
     if order:
-        stacked = hop_rows[np.asarray(order, dtype=np.int64)]
-        policy = HybridPolicy(policy_h)
-        banks = policy.select_batch(stacked, LoadTracker(nb), machine.mesh)
+        # One unit is a one-ref group naming its tenant's hop row.
+        banks = HybridPolicy(policy_h).select_batch(
+            np.ones(len(order), dtype=np.int64), np.asarray(order),
+            hop_rows, LoadTracker(nb))
         placed_hops: Dict[int, List[float]] = {}
-        for pos, (tidx, bank) in enumerate(zip(order, banks)):
+        for tidx, bank in zip(order, banks):
             w = units[tidx][1]
             irregular[tidx, bank] += w
             placed_hops.setdefault(tidx, []).append(
-                float(stacked[pos, bank]))
+                float(hop_rows[tidx, bank]))
         for tidx, hops in placed_hops.items():
             contended_hops[tenants[tidx].name] = float(np.mean(hops))
 
@@ -454,10 +464,9 @@ def analyze_interference(tenants: Sequence[Tenant],
         n_units = units[i][0]
         if n_units == 0:
             continue
-        solo_policy = HybridPolicy(policy_h)
-        solo_rows = np.repeat(hop_rows[i:i + 1], n_units, axis=0)
-        solo_banks = solo_policy.select_batch(solo_rows, LoadTracker(nb),
-                                              machine.mesh)
+        solo_banks = HybridPolicy(policy_h).select_batch(
+            np.ones(n_units, dtype=np.int64),
+            np.full(n_units, i, dtype=np.int64), hop_rows, LoadTracker(nb))
         solo = float(hop_rows[i, solo_banks].mean())
         dilution[tenant.name] = (solo, contended_hops[tenant.name])
 

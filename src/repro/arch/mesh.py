@@ -245,10 +245,9 @@ class Mesh:
 
         ``table[b, d]`` = hops from ``b`` to ``d``: Manhattan distance on
         a pristine mesh, BFS distance over live links otherwise.  The
-        batched bank-select paths (``_affinity_hybrid``,
-        ``_chained_hybrid``) hand its transpose to the Eq. 4 kernels,
-        which read one row per affinity bank, and the traffic accountant
-        dots its pair flits with the flattened table.
+        allocator hands its transpose to the bank-select policy as the
+        Eq. 4 hop rows, one row per affinity bank, and the traffic
+        accountant dots its pair flits with the flattened table.
         """
         key = self.topology_key
         table = _DISTANCE_CACHE.get(key)
@@ -267,9 +266,8 @@ class Mesh:
     def hops_to_all(self, targets: np.ndarray) -> np.ndarray:
         """Matrix ``M[b, i]`` = hops from every tile ``b`` to ``targets[i]``.
 
-        Used by the bank-select policy to score all candidate banks against
-        a small set of affinity addresses in one shot; a column slice of
-        :meth:`hops_table`.
+        A column slice of :meth:`hops_table` (graph partitioning and the
+        interference analysis read the whole table through it).
         """
         return self.hops_table()[:, np.asarray(targets)]
 

@@ -25,7 +25,6 @@ from typing import Optional
 import numpy as np
 
 from repro.analysis.diagnostics import NoHealthyBankError
-from repro.arch.mesh import Mesh
 from repro.core.load import LoadTracker
 from repro.perf import kernels as _kernels
 
@@ -40,20 +39,29 @@ __all__ = [
 
 
 class BankSelectPolicy(abc.ABC):
-    """Chooses the bank for one irregular allocation."""
+    """Chooses the banks for irregular allocations."""
 
     name: str = "abstract"
 
     @abc.abstractmethod
-    def select(self, aff_banks: np.ndarray, load: LoadTracker, mesh: Mesh,
-               mask: Optional[np.ndarray] = None) -> int:
-        """Pick a bank.
+    def select_batch(self, sizes: np.ndarray, refs: np.ndarray,
+                     rows: np.ndarray, load: LoadTracker,
+                     mask: Optional[np.ndarray] = None) -> np.ndarray:
+        """Pick banks for ``n = sizes.size`` allocations issued back to
+        back, commit them to ``load`` and return them.
 
         Args:
-            aff_banks: banks of the caller-provided affinity addresses
-                (possibly empty).
-            load: current per-bank irregular allocation counts.
-            mesh: topology, for hop distances.
+            sizes: ``(n,)`` affinity group sizes: allocation ``i``'s
+                affinity is the next ``sizes[i]`` entries of ``refs``
+                (possibly none).
+            refs: rows of ``rows``, group after group; a negative ref
+                ``-(p + 1)`` stands for the bank chosen for allocation
+                ``p < i`` of this batch.
+            rows: ``(r, num_banks)`` hop rows, bank-indexed when a ref
+                is negative (the runtime passes the transposed hop
+                table: ``rows[b]`` is every bank's distance to ``b``).
+            load: the live tracker; each choice shifts the balance term
+                for the next one, and every chosen bank is recorded.
             mask: optional boolean healthy-bank vector (chaos fault
                 injection); ``False`` banks are failed and must never be
                 chosen.  ``None`` (the healthy default) takes the exact
@@ -63,21 +71,6 @@ class BankSelectPolicy(abc.ABC):
 
     def reset(self) -> None:
         """Clear any per-run state (RNG position, round-robin counter)."""
-
-    def select_batch(self, mean_hops: np.ndarray, load: LoadTracker,
-                     mesh: Mesh, mask: Optional[np.ndarray] = None) -> np.ndarray:
-        """Pick banks for ``n`` allocations issued back to back.
-
-        Args:
-            mean_hops: ``(n, num_banks)`` matrix — row ``i`` holds the mean
-                hop distance from every candidate bank to allocation ``i``'s
-                affinity addresses (zeros when it has none).
-            load: the live tracker; implementations must update it as they
-                assign, since each choice shifts the balance term for the
-                next one.
-            mask: optional boolean healthy-bank vector; see :meth:`select`.
-        """
-        raise NotImplementedError
 
     @staticmethod
     def _healthy_indices(mask: np.ndarray) -> np.ndarray:
@@ -103,19 +96,13 @@ class RandomPolicy(BankSelectPolicy):
         self._seed = seed
         self._rng = np.random.default_rng(seed)
 
-    def select(self, aff_banks, load, mesh, mask=None) -> int:
+    def select_batch(self, sizes, refs, rows, load, mask=None) -> np.ndarray:
+        n = np.size(sizes)
         if mask is not None:
             allowed = self._healthy_indices(mask)
-            return int(allowed[self._rng.integers(0, allowed.size)])
-        return int(self._rng.integers(0, load.num_banks))
-
-    def select_batch(self, mean_hops, load, mesh, mask=None) -> np.ndarray:
-        if mask is not None:
-            allowed = self._healthy_indices(mask)
-            banks = allowed[self._rng.integers(0, allowed.size,
-                                               size=mean_hops.shape[0])]
+            banks = allowed[self._rng.integers(0, allowed.size, size=n)]
         else:
-            banks = self._rng.integers(0, load.num_banks, size=mean_hops.shape[0])
+            banks = self._rng.integers(0, load.num_banks, size=n)
         load.record_many(np.bincount(banks, minlength=load.num_banks))
         return banks.astype(np.int64)
 
@@ -129,18 +116,8 @@ class LinearPolicy(BankSelectPolicy):
     def __init__(self):
         self._next = 0
 
-    def select(self, aff_banks, load, mesh, mask=None) -> int:
-        if mask is not None:
-            allowed = self._healthy_indices(mask)
-            bank = int(allowed[self._next % allowed.size])
-            self._next = (self._next + 1) % load.num_banks
-            return bank
-        bank = self._next
-        self._next = (self._next + 1) % load.num_banks
-        return bank
-
-    def select_batch(self, mean_hops, load, mesh, mask=None) -> np.ndarray:
-        n = mean_hops.shape[0]
+    def select_batch(self, sizes, refs, rows, load, mask=None) -> np.ndarray:
+        n = np.size(sizes)
         if mask is not None:
             allowed = self._healthy_indices(mask)
             banks = allowed[(self._next + np.arange(n)) % allowed.size]
@@ -163,46 +140,21 @@ class HybridPolicy(BankSelectPolicy):
         self.h = float(h)
         self.name = f"Hybrid-{h:g}" if h > 0 else "Min-Hop"
 
-    def select(self, aff_banks, load, mesh, mask=None) -> int:
-        aff_banks = np.asarray(aff_banks, dtype=np.int64)
-        nb = load.num_banks
-        if aff_banks.size:
-            avg_hops = mesh.hops_to_all(aff_banks).mean(axis=1)
-        else:
-            avg_hops = np.zeros(nb)
-        score = avg_hops.astype(np.float64)
-        if self.h > 0:
-            avg_load = load.average
-            if avg_load > 0:
-                score = score + self.h * (load.loads / avg_load - 1.0)
-        if mask is not None:
-            self._healthy_indices(mask)
-            score = np.where(mask, score, np.inf)
-        return int(np.argmin(score))
-
-    def select_batch(self, mean_hops, load, mesh, mask=None) -> np.ndarray:
+    def select_batch(self, sizes, refs, rows, load, mask=None) -> np.ndarray:
         """Sequential Eq. 4 over a batch, with the load updating as it goes.
 
         Every choice shifts the load the next choice sees, so the loop
         is irreducible — but not unoptimizable: the active kernel
-        backend (:mod:`repro.perf.kernels`) runs it either as chunked
-        *speculative* evaluation (python backend — exact, see DESIGN
-        §12) or as a compiled scalar loop (C backend), both
-        bit-identical to the naive expression.  The masked (degraded)
-        variant folds the fault mask into an additive 0/inf penalty
-        row, leaving the healthy path untouched.
+        backend's ``eq4`` (:mod:`repro.perf.kernels`) runs it either as
+        chunked *speculative* evaluation (python backend — exact, see
+        DESIGN §12) or as a compiled scalar loop (C backend), both
+        bit-identical to the naive expression, on a private working copy
+        of the loads.  The masked (degraded) variant folds the fault
+        mask into an additive 0/inf penalty row, leaving the healthy
+        path untouched.
         """
-        return self.run_kernel("hybrid_select_batch", load, mean_hops,
-                               mask=mask)
-
-    def run_kernel(self, kernel: str, load: LoadTracker, *inputs: np.ndarray,
-                   mask: Optional[np.ndarray] = None) -> np.ndarray:
-        """Run the active backend's Eq. 4 loop ``kernel`` over ``inputs``
-        and a private working copy of ``load``'s loads, commit the chosen
-        banks to ``load`` and return them.  The fault mask, if any, rides
-        along as the additive 0/inf penalty row."""
-        chosen = getattr(_kernels.get_backend(), kernel)(
-            *inputs, load.loads, self.h, self._penalty_row(mask))
+        chosen = _kernels.get_backend().eq4(
+            sizes, refs, rows, load.loads, self.h, self._penalty_row(mask))
         load.record_many(np.bincount(chosen, minlength=load.num_banks))
         return chosen
 

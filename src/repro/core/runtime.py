@@ -389,17 +389,13 @@ class AffinityAllocator:
             aff_banks = self.machine.banks_of(np.asarray(list(aff_addrs), dtype=np.int64))
         else:
             aff_banks = np.empty(0, dtype=np.int64)
-        mask = st.policy_mask() if st is not None else None
-        if mask is not None:
-            bank = self.policy.select(aff_banks, self.load, self.mesh,
-                                      mask=mask)
-        else:
-            bank = self.policy.select(aff_banks, self.load, self.mesh)
+        bank = int(self.policy.select_batch(
+            np.array([aff_banks.size]), aff_banks, self._hop_rows(),
+            self.load, mask=self._fault_mask())[0])
         try:
             vaddr = self._slot_pool(intrlv).alloc_on_bank(bank)
         except PoolExhaustedError:
             return self._irregular_degraded(intrlv, bank)
-        self.load.record(bank)
         paddr = self.machine.space.translate_one(vaddr)
         self.machine.llc.register_range(paddr, intrlv)
         self.stats.irregular_allocs += 1
@@ -419,7 +415,6 @@ class AffinityAllocator:
                 vaddr = self._slot_pool(g).alloc_on_bank(bank)
             except PoolExhaustedError:
                 continue
-            self.load.record(bank)
             paddr = self.machine.space.translate_one(vaddr)
             self.machine.llc.register_range(paddr, g)
             self.stats.irregular_allocs += 1
@@ -430,6 +425,7 @@ class AffinityAllocator:
             self._note_event("alloc", vaddr, g, "irregular")
             return vaddr
         vaddr = self.machine.malloc(intrlv)
+        self.load.remove(bank)  # select_batch charged this bank
         self.stats.fallbacks += 1
         if st is not None:
             st.note(FaultKind.POOL_EXHAUST, intrlv, "heap-fallback",
@@ -467,14 +463,10 @@ class AffinityAllocator:
             banks = self.machine.banks_of(aff_addrs)
         else:
             banks = np.empty(0, dtype=np.int64)
-        mask = self._fault_mask()
-        if isinstance(self.policy, HybridPolicy):
-            chosen = self._affinity_hybrid(alloc_ids, banks, n, mask=mask)
-        else:
-            # Affinity-oblivious policies read only the batch length.
-            chosen = self.policy.select_batch(
-                np.zeros((n, self.machine.num_banks)), self.load, self.mesh,
-                mask=mask)
+        offsets, banks = _affinity_groups(alloc_ids, banks, n)
+        chosen = self.policy.select_batch(np.diff(offsets), banks,
+                                          self._hop_rows(), self.load,
+                                          mask=self._fault_mask())
         try:
             vaddrs = self._slot_pool(intrlv).alloc_many_on_banks(chosen)
         except PoolExhaustedError:
@@ -492,6 +484,12 @@ class AffinityAllocator:
     def _fault_mask(self) -> Optional[np.ndarray]:
         st = self.machine.faults
         return st.policy_mask() if st is not None else None
+
+    def _hop_rows(self) -> np.ndarray:
+        """The policy's hop rows: the transposed hop table, so that row
+        ``b`` holds every bank's distance to affinity bank ``b``."""
+        return np.ascontiguousarray(self.mesh.hops_table().T,
+                                    dtype=np.float64)
 
     def _slots_degraded(self, intrlv: int, chosen: np.ndarray) -> np.ndarray:
         """Batch pool exhausted: serve each slot from the chosen bank in
@@ -558,22 +556,19 @@ class AffinityAllocator:
         if intrlv is None:
             raise OversizeError(f"irregular allocation of {size}B exceeds "
                                 "the largest interleaving")
-        nb = self.machine.num_banks
-        head_banks = np.full(n, -1, dtype=np.int64)
+        # One-ref groups: -(p + 1) for predecessor p, the head's bank
+        # for a head with an affinity address; other heads have none.
+        refs = -(prev_ids + 1)
+        sizes = (prev_ids >= 0).astype(np.int64)
         if head_addrs is not None:
             head_addrs = np.asarray(head_addrs, dtype=np.int64)
             valid = (prev_ids == -1) & (head_addrs >= 0)
             if valid.any():
-                head_banks[valid] = self.machine.banks_of(head_addrs[valid])
-
-        mask = self._fault_mask()
-        if isinstance(self.policy, HybridPolicy):
-            chosen = self._chained_hybrid(prev_ids, head_banks, n, nb,
-                                          mask=mask)
-        else:
-            # Affinity-oblivious policies ignore the chain structure.
-            chosen = self.policy.select_batch(np.zeros((n, nb)), self.load,
-                                              self.mesh, mask=mask)
+                refs[valid] = self.machine.banks_of(head_addrs[valid])
+                sizes[valid] = 1
+        chosen = self.policy.select_batch(sizes, refs[sizes == 1],
+                                          self._hop_rows(), self.load,
+                                          mask=self._fault_mask())
         try:
             vaddrs = self._slot_pool(intrlv).alloc_many_on_banks(chosen)
         except PoolExhaustedError:
@@ -587,40 +582,6 @@ class AffinityAllocator:
         self._trace_alloc("malloc_irregular_chained", n=int(n),
                           bytes=int(intrlv))
         return vaddrs
-
-    def _affinity_hybrid(self, alloc_ids: np.ndarray, banks: np.ndarray,
-                         n: int,
-                         mask: Optional[np.ndarray] = None) -> np.ndarray:
-        """Sequential Eq. 4 selection for a batch whose allocation
-        ``alloc_ids[j]`` carries affinity bank ``banks[j]``.
-
-        The entries are grouped per allocation (CSR offsets) and the
-        active kernel backend scores each allocation's mean-hop row from
-        the transposed hop table as the loop reaches it; the compiled
-        loop never holds more than one row.  The masked (degraded)
-        variant folds the fault mask into an additive 0/inf penalty row.
-        """
-        offsets, banks = _affinity_groups(alloc_ids, banks, n)
-        dist_t = self.mesh.hops_table().T.astype(np.float64)
-        return self.policy.run_kernel("affinity_hybrid", self.load, dist_t,
-                                      offsets, banks, mask=mask)
-
-    def _chained_hybrid(self, prev_ids: np.ndarray, head_banks: np.ndarray,
-                        n: int, nb: int,
-                        mask: Optional[np.ndarray] = None) -> np.ndarray:
-        """Sequential Eq. 4 selection where affinity banks come from the
-        batch's own earlier choices.
-
-        The hop row for step ``i`` depends on in-batch choices, so this
-        loop cannot be speculated like ``select_batch``; the active
-        kernel backend runs the scalar body (compiled C where a system
-        compiler exists) against the transposed, contiguous hop table.  The
-        masked (degraded) variant folds the fault mask into an additive
-        0/inf penalty row, leaving the healthy path untouched.
-        """
-        dist_t = self.mesh.hops_table().T.astype(np.float64)
-        return self.policy.run_kernel("chained_hybrid", self.load, dist_t,
-                                      prev_ids, head_banks, mask=mask)
 
     # ------------------------------------------------------------------
     # Unified malloc_aff / free_aff (paper signatures)

@@ -474,18 +474,12 @@ class StreamExecutor:
                 desired_banks = np.repeat(desired_banks, lens)
             state.observe_stream(handle, data_banks, desired_banks, count)
 
-    def _group_pairs(self, lines, src_banks, dst_banks,
-                     lens: Optional[np.ndarray] = None):
-        """Aggregate (source line -> dest bank) forwarding messages.
-
-        ``lens`` gives each entry's element count (line runs); None
-        means one element per entry."""
+    def _group_pairs(self, lines, src_banks, dst_banks, lens: np.ndarray):
+        """Aggregate (source line -> dest bank) forwarding messages;
+        ``lens`` gives each entry's element count (line runs)."""
         key = lines * np.int64(self.machine.num_banks) + dst_banks
-        if lens is None:
-            first, counts = _first_unique_counts(key)
-        else:
-            first = _first_unique(key)
-            counts = _weighted_counts(key, first, lens)
+        first = _first_unique(key)
+        counts = _weighted_counts(key, first, lens)
         return src_banks[first], dst_banks[first], counts
 
     # ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The sequential Eq. 4 loops and the address resolver, on one kernel
+"""The sequential Eq. 4 loop and the address resolver, on one kernel
 path per platform.
 
 The simulator's batch paths are vectorized, but the Eq. 4 bank-select
@@ -23,14 +23,18 @@ equivalence tests, which compare the two.
 
 The backend surface:
 
-``hybrid_select_batch(mean_hops, loads, h, penalty)``
-    Sequential Eq. 4 over a batch; mutates the ``loads`` working copy.
-``chained_hybrid(dist_t, prev_ids, head_banks, loads, h, penalty)``
-    Eq. 4 where affinity banks come from the batch's earlier choices.
-``affinity_hybrid(dist_t, offsets, banks, loads, h, penalty)``
-    Eq. 4 where allocation ``i``'s affinity banks are
-    ``banks[offsets[i]:offsets[i + 1]]`` (CSR groups); the C loop builds
-    each mean-hop row as it reaches it, with no ``(n, nb)`` matrix.
+``eq4(sizes, refs, rows, loads, h, penalty)``
+    Sequential Eq. 4 over ``n = sizes.size`` allocations; mutates the
+    ``loads`` working copy.  Allocation ``i`` scores the mean of
+    ``rows[r]`` over its group, the next ``sizes[i]`` entries of
+    ``refs`` (a zero row for an empty group); a negative ref ``-(p +
+    1)`` stands for the bank chosen for allocation ``p < i``, with
+    bank-indexed ``rows``.  The runtime passes the transposed hop table
+    as ``rows`` (CSR groups of affinity banks, one group per call for
+    ``malloc_irregular``, one-ref groups naming predecessors for lists
+    and trees); INT003 passes per-tenant hop rows.  No whole ``(n,
+    nb)`` matrix is held: the C loop builds one row at a time, the
+    python one a block of rows.
 ``resolve(...)`` (``c`` only)
     Element index or virtual address -> L3 bank, physical line and
     pre-remap bank in one pass: :meth:`repro.machine.Machine.resolve`
@@ -40,7 +44,7 @@ The backend surface:
     exception.
 
 Both backends run :func:`repro.perf.kernels.inputs.check_inputs` before
-their loops, so a malformed batch raises :class:`ValueError` with
+the loop, so a malformed batch raises :class:`ValueError` with
 ``loads`` untouched.  The executor's dedup/accounting kernels have one
 implementation and live in :mod:`repro.perf.kernels.pybackend`.
 """

@@ -1,4 +1,5 @@
-/* Scalar Eq. 4 loops for the `c` kernel backend.
+/* The scalar Eq. 4 loop and the address resolver of the `c` kernel
+ * backend.
  *
  * Every statement mirrors the numpy scalar chain in
  * repro/perf/kernels/pybackend.py one rounding at a time:
@@ -55,82 +56,58 @@ static int64_t pick(const double *hops, const double *loads, double h,
     return best;
 }
 
-void repro_hybrid_select_batch(const double *mean_hops, double *loads,
-                               double h, const double *penalty,
-                               double total, int64_t n, int64_t nb,
-                               int64_t *out)
+/* Eq. 4 over n allocations.  Allocation i scores the mean of the rows
+ * named by its group, the next sizes[i] entries of refs: row r of
+ * `rows` (nb columns), or for a negative ref -(p + 1) the row of the
+ * bank chosen for allocation p < i (rows are then bank-indexed).  A
+ * one-ref group reads its row in place.  Any other group's refs are
+ * resolved to row offsets in `idx` (one entry per ref of the largest
+ * group), and its mean is built in `acc`: each column summed over the
+ * group in order from 0.0, then divided once by the group size (1.0
+ * for an empty group, which so scores a zero row).  Four columns are
+ * summed at a time in registers, which keeps the order of every sum
+ * and stores each column once.  The caller has checked every ref and
+ * size (inputs.check_inputs). */
+void repro_eq4(const int64_t *sizes, const int64_t *refs,
+               const double *rows, double *loads, double h,
+               const double *penalty, double *acc, int64_t *idx,
+               double total, int64_t n, int64_t nb, int64_t *out)
 {
     for (int64_t i = 0; i < n; i++) {
-        int64_t b = pick(mean_hops + i * nb, loads, h, penalty, total, nb);
-        out[i] = b;
-        loads[b] += 1.0;
-        total += 1.0;
-    }
-}
-
-void repro_chained_hybrid(const double *dist_t, const int64_t *prev_ids,
-                          const int64_t *head_banks, double *loads,
-                          double h, const double *penalty,
-                          const double *zeros, double total, int64_t n,
-                          int64_t nb, int64_t *chosen)
-{
-    for (int64_t i = 0; i < n; i++) {
-        const double *hops;
-        int64_t p = prev_ids[i];
-        if (p >= 0)
-            hops = dist_t + chosen[p] * nb;
-        else if (head_banks[i] >= 0)
-            hops = dist_t + head_banks[i] * nb;
-        else
-            hops = zeros;
-        int64_t b = pick(hops, loads, h, penalty, total, nb);
-        chosen[i] = b;
-        loads[b] += 1.0;
-        total += 1.0;
-    }
-}
-
-/* Eq. 4 where allocation i's affinity banks are
- * banks[offsets[i] .. offsets[i+1]): the mean-hop row is built in `acc`
- * from the transposed hop table's rows, one allocation at a time, so no
- * (n, nb) matrix exists.  Hop entries are small integers, so every row
- * sum is exact in binary64 whatever the order, and the one division by
- * the group size rounds exactly like the dense path's `mean_hops /=
- * counts`.  An empty group divides a zero sum by 1.0, as the dense path
- * did.  Four columns are summed at a time in registers: the sums stay
- * in order over the group, and the loop stores each column once
- * instead of once per affinity bank. */
-void repro_affinity_hybrid(const double *dist_t, const int64_t *offsets,
-                           const int64_t *banks, double *loads, double h,
-                           const double *penalty, double *acc,
-                           double total, int64_t n, int64_t nb,
-                           int64_t *out)
-{
-    for (int64_t i = 0; i < n; i++) {
-        int64_t lo = offsets[i], hi = offsets[i + 1];
-        double count = hi > lo ? (double)(hi - lo) : 1.0;
-        int64_t b = 0;
-        for (; b + 4 <= nb; b += 4) {
-            double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-            for (int64_t j = lo; j < hi; j++) {
-                const double *row = dist_t + banks[j] * nb + b;
-                s0 += row[0];
-                s1 += row[1];
-                s2 += row[2];
-                s3 += row[3];
+        int64_t k = sizes[i];
+        for (int64_t j = 0; j < k; j++) {
+            int64_t r = refs[j];
+            idx[j] = (r < 0 ? out[-r - 1] : r) * nb;
+        }
+        refs += k;
+        const double *hops = acc;
+        if (k == 1) {
+            hops = rows + idx[0];
+        } else {
+            double count = k > 0 ? (double)k : 1.0;
+            int64_t b = 0;
+            for (; b + 4 <= nb; b += 4) {
+                double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+                for (int64_t j = 0; j < k; j++) {
+                    const double *row = rows + idx[j] + b;
+                    s0 += row[0];
+                    s1 += row[1];
+                    s2 += row[2];
+                    s3 += row[3];
+                }
+                acc[b] = s0 / count;
+                acc[b + 1] = s1 / count;
+                acc[b + 2] = s2 / count;
+                acc[b + 3] = s3 / count;
             }
-            acc[b] = s0 / count;
-            acc[b + 1] = s1 / count;
-            acc[b + 2] = s2 / count;
-            acc[b + 3] = s3 / count;
+            for (; b < nb; b++) {
+                double s = 0.0;
+                for (int64_t j = 0; j < k; j++)
+                    s += rows[idx[j] + b];
+                acc[b] = s / count;
+            }
         }
-        for (; b < nb; b++) {
-            double s = 0.0;
-            for (int64_t j = lo; j < hi; j++)
-                s += dist_t[banks[j] * nb + b];
-            acc[b] = s / count;
-        }
-        b = pick(acc, loads, h, penalty, total, nb);
+        int64_t b = pick(hops, loads, h, penalty, total, nb);
         out[i] = b;
         loads[b] += 1.0;
         total += 1.0;

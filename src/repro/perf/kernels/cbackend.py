@@ -11,8 +11,8 @@ tempdir, cc dying — just flips ``AVAILABLE`` off and the registry
 resolves to the python backend instead (bit-identical results, lower
 throughput; never silent numeric drift).
 
-Two things live in C: the three sequential Eq. 4 loops — the Amdahl
-wall DESIGN §12 profiles — and the address resolver behind
+Two things live in C: the sequential Eq. 4 loop — the Amdahl wall
+DESIGN §12 profiles — and the address resolver behind
 :meth:`repro.machine.Machine.resolve` (element or virtual address ->
 L3 bank and physical line), which replaces a chain of numpy passes
 with one pass per block of elements.  The executor's dedup kernels
@@ -113,17 +113,9 @@ _P = ctypes.c_void_p
 
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
-    lib.repro_hybrid_select_batch.restype = None
-    lib.repro_hybrid_select_batch.argtypes = [
-        _D, _D, ctypes.c_double, _D, ctypes.c_double,
-        ctypes.c_int64, ctypes.c_int64, _I]
-    lib.repro_chained_hybrid.restype = None
-    lib.repro_chained_hybrid.argtypes = [
-        _D, _I, _I, _D, ctypes.c_double, _D, _D, ctypes.c_double,
-        ctypes.c_int64, ctypes.c_int64, _I]
-    lib.repro_affinity_hybrid.restype = None
-    lib.repro_affinity_hybrid.argtypes = [
-        _D, _I, _I, _D, ctypes.c_double, _D, _D, ctypes.c_double,
+    lib.repro_eq4.restype = None
+    lib.repro_eq4.argtypes = [
+        _I, _I, _D, _D, ctypes.c_double, _D, _D, _I, ctypes.c_double,
         ctypes.c_int64, ctypes.c_int64, _I]
     # Addresses go in as plain integers; the resolver's tables cache
     # theirs.
@@ -150,53 +142,32 @@ def _f64(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float64)
 
 
-def _i64(a) -> np.ndarray:
-    return np.ascontiguousarray(a, dtype=np.int64)
-
-
-def _run(kernel, n: int, arrays, loads: np.ndarray, h: float,
-         penalty: Optional[np.ndarray], scratch=()) -> np.ndarray:
-    """The staging every C loop shares: ``kernel(*arrays, loads, h,
-    penalty, *scratch, total, n, nb, out)`` over checked, contiguous
-    inputs.
+def eq4(sizes, refs, rows, loads, h, penalty):
+    """``repro_eq4`` over checked, contiguous inputs; see
+    :func:`repro.perf.kernels.pybackend.eq4` for the contract.
 
     ``loads`` is staged through a float64 C-contiguous buffer when it is
     not one already and copied back after the loop, preserving the
-    mutate-in-place contract; ``total`` is numpy's pairwise sum of it.
-    Returns ``out``, the chosen bank per step."""
+    mutate-in-place contract; ``total`` is numpy's pairwise sum of it."""
+    sz = np.ascontiguousarray(sizes, dtype=np.int64)
+    rf = np.ascontiguousarray(refs, dtype=np.int64)
+    rw = _f64(rows)
+    check_inputs(sz, rf, rw, loads, penalty)
+    n = sz.size
     out = np.empty(n, dtype=np.int64)
     if n == 0:
         return out
     pen = None if penalty is None else _f64(penalty)
     buf = (loads if loads.dtype == np.float64 and loads.flags.c_contiguous
            else _f64(loads))
-    kernel(*map(_ptr, arrays), _ptr(buf), float(h),
-           None if pen is None else _ptr(pen), *map(_ptr, scratch),
-           float(buf.sum()), n, buf.size, _ptr(out))
+    idx = np.empty(max(int(sz.max()), 1), dtype=np.int64)
+    _lib.repro_eq4(_ptr(sz), _ptr(rf), _ptr(rw), _ptr(buf), float(h),
+                   None if pen is None else _ptr(pen),
+                   _ptr(np.empty(buf.size)), _ptr(idx), float(buf.sum()), n,
+                   buf.size, _ptr(out))
     if buf is not loads:
         loads[...] = buf
     return out
-
-
-def hybrid_select_batch(mean_hops, loads, h, penalty):
-    mh = _f64(mean_hops)
-    check_inputs(loads, penalty, mean_hops=mh)
-    return _run(_lib.repro_hybrid_select_batch, mh.shape[0], (mh,),
-                loads, h, penalty)
-
-
-def chained_hybrid(dist_t, prev_ids, head_banks, loads, h, penalty):
-    dt, prev, heads = _f64(dist_t), _i64(prev_ids), _i64(head_banks)
-    check_inputs(loads, penalty, dist_t=dt, prev_ids=prev, head_banks=heads)
-    return _run(_lib.repro_chained_hybrid, prev.size, (dt, prev, heads),
-                loads, h, penalty, (np.zeros(loads.size),))
-
-
-def affinity_hybrid(dist_t, offsets, banks, loads, h, penalty):
-    dt, offs, bk = _f64(dist_t), _i64(offsets), _i64(banks)
-    check_inputs(loads, penalty, dist_t=dt, offsets=offs, banks=bk)
-    return _run(_lib.repro_affinity_hybrid, offs.size - 1, (dt, offs, bk),
-                loads, h, penalty, (np.empty(loads.size),))
 
 
 def resolve(space: int, iot: int, default_shift: int, line: int,

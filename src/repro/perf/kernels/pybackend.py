@@ -2,8 +2,9 @@
 
 Eq. 4's loop is sequential by construction — each choice bumps the
 chosen bank's load, shifting the balance term every later step sees.
-All three Eq. 4 kernels run it through one function, :func:`_eq4`,
-which differs per kernel only in the hop row each step reads.
+:func:`eq4` runs it through one loop, :func:`_eq4`, fed one hop row
+per step: a block of precomputed group means, or, when the batch's
+affinity names its own earlier choices, a row built as the step runs.
 
 :func:`_eq4` scores *incrementally through a division table*, and it is
 exact, not approximate.  Loads only ever change by ``+= 1.0`` inside
@@ -34,8 +35,7 @@ from repro.perf.kernels.inputs import check_inputs
 
 NAME = "python"
 
-__all__ = ["NAME", "hybrid_select_batch", "chained_hybrid",
-           "affinity_hybrid", "first_unique", "first_unique_counts",
+__all__ = ["NAME", "eq4", "first_unique", "first_unique_counts",
            "consecutive_dedup", "migration_pairs", "credit_roundtrips",
            "shrink_key"]
 
@@ -56,7 +56,7 @@ _CHUNK = 128
 _MAX_BAND = 4096
 
 
-#: Rows of the mean-hop matrix :func:`affinity_hybrid` holds at once
+#: Rows of the mean-hop matrix :func:`eq4` holds at once
 #: (a multiple of ``_CHUNK``): 8192 x 64 banks x 8 B = 4 MiB, where the
 #: whole matrix of a paper-scale Linked CSR build is 337 MB.
 _BLOCK_CHUNKS = 64
@@ -165,110 +165,102 @@ def _select_rows(mean_hops: np.ndarray, loads: np.ndarray, total: float,
     return _eq4(n, mean_hops.__getitem__, loads, total, h, penalty, out)
 
 
-def hybrid_select_batch(mean_hops: np.ndarray, loads: np.ndarray, h: float,
-                        penalty: Optional[np.ndarray]) -> np.ndarray:
-    """Sequential Eq. 4 over a batch (see module docstring).
+def _group_means(offsets: np.ndarray, refs: np.ndarray,
+                 rows: np.ndarray) -> np.ndarray:
+    """Mean of ``rows[refs[offsets[i]:offsets[i + 1]]]`` per group, a
+    zero row for an empty group.
+
+    Each group's rows are summed in group order starting from 0.0, one
+    group position per pass over all groups, so every sum carries the C
+    loop's bits whatever the rows hold; then one division by the group
+    size (1.0 for an empty group)."""
+    sizes = np.diff(offsets)
+    # Largest groups first, so the groups with a j-th ref are a prefix.
+    order = np.argsort(-sizes, kind="stable")
+    desc, starts = sizes[order], offsets[:-1][order]
+    acc = np.zeros((sizes.size, rows.shape[1]), dtype=np.float64)
+    for j in range(int(desc[0]) if desc.size else 0):
+        c = int(np.count_nonzero(desc > j))
+        acc[:c] += rows[refs[starts[:c] + j]]
+    acc /= np.maximum(desc, 1).astype(np.float64)[:, None]
+    means = np.empty_like(acc)
+    means[order] = acc
+    return means
+
+
+def eq4(sizes: np.ndarray, refs: np.ndarray, rows: np.ndarray,
+        loads: np.ndarray, h: float,
+        penalty: Optional[np.ndarray]) -> np.ndarray:
+    """Sequential Eq. 4 over a batch of ``n = sizes.size`` allocations.
+
+    Allocation ``i`` scores every bank by the mean of ``rows[r]`` over
+    its group, the next ``sizes[i]`` entries ``r`` of ``refs`` (a zero
+    row when the group is empty).  A negative ref ``-(p + 1)`` stands
+    for the bank chosen for allocation ``p < i``, so ``rows`` must then
+    be bank-indexed.
 
     Args:
-        mean_hops: ``(n, nb)`` float64 mean hop distances.
+        sizes: ``(n,)`` group sizes, summing to ``refs.size``.
+        refs: ``(k,)`` row indices, group after group.
+        rows: ``(r, nb)`` float64 hop rows (for the runtime, the
+            transposed hop table: ``rows[b]`` is every bank's distance
+            to bank ``b``).
         loads: the caller's working copy of the per-bank loads; mutated
             in place exactly as the scalar loop would.
-        h: the policy's load weight (finite, ≥ 0).
+        h: the policy's load weight (finite, >= 0).
         penalty: optional ``(nb,)`` additive row (0.0 healthy / inf
             failed) for the chaos-degraded path, or None.
 
-    Returns the chosen bank per row, bit-identical to the scalar loop
-    (``hybrid_select_batch_reference`` in ``tests/oracles.py``)."""
-    check_inputs(loads, penalty, mean_hops=mean_hops)
-    out = np.empty(mean_hops.shape[0], dtype=np.int64)
-    _select_rows(mean_hops, loads, float(loads.sum()), h, penalty, out)
-    return out
+    Without negative refs the mean rows are built one block of
+    ``_BLOCK_CHUNKS * _CHUNK`` allocations at a time, with ``loads``
+    and the running total carried across blocks, so no ``(n, nb)``
+    matrix is held and the bits are those of one pass.  With them, each
+    step builds its row once the choices it names are made.
 
-
-def chained_hybrid(dist_t: np.ndarray, prev_ids: np.ndarray,
-                   head_banks: np.ndarray, loads: np.ndarray, h: float,
-                   penalty: Optional[np.ndarray]) -> np.ndarray:
-    """Eq. 4 where allocation ``i``'s affinity is the bank chosen for
-    ``prev_ids[i]`` earlier in the same batch (or ``head_banks[i]``).
-
-    Those choices are resolved by the time step ``i`` runs, so only
-    the hop row :func:`_eq4` reads changes: a row of the *transposed*
-    hop table ``dist_t`` (``dist_t[j] == dist[:, j]``, C-contiguous),
-    or a zero row when the allocation has no affinity.
-
-    Mutates ``loads`` in place; returns the chosen banks.
-    """
-    check_inputs(loads, penalty, dist_t=dist_t, prev_ids=prev_ids,
-                 head_banks=head_banks)
-    n = prev_ids.size
-    chosen = np.empty(n, dtype=np.int64)
-    zeros = np.zeros(loads.size, dtype=np.float64)
-    prev, heads = prev_ids.tolist(), head_banks.tolist()
-
-    def hops_of(i: int) -> np.ndarray:
-        p = prev[i]
-        if p >= 0:
-            return dist_t[chosen[p]]
-        return dist_t[heads[i]] if heads[i] >= 0 else zeros
-
-    _eq4(n, hops_of, loads, float(loads.sum()), h, penalty, chosen)
-    return chosen
-
-
-def _affinity_hop_sums(alloc_ids: np.ndarray, banks: np.ndarray,
-                       dist_t: np.ndarray, n: int) -> np.ndarray:
-    """Summed hop distance from every candidate bank to each allocation's
-    affinity banks: ``out[i, b] = sum(dist_t[banks[j], b] for j where
-    alloc_ids[j] == i)``.
-
-    Distances and occurrence counts are exact small integers, so folding
-    the per-entry row scatter (an ``np.add.at``, kept as
-    ``affinity_hop_sums_reference`` in ``tests/oracles.py``) into a
-    bank-occurrence histogram times the hop table is bit-exact.
-    """
-    nb = dist_t.shape[0]
-    # Weighted bincount emits float64 directly: each hit adds exactly
-    # 1.0, so the histogram carries the same small integers the int64
-    # variant would — minus the full-size astype copy before the matmul.
-    occ = np.bincount(alloc_ids * nb + banks,
-                      weights=np.ones(alloc_ids.size), minlength=n * nb)
-    return occ.reshape(n, nb) @ dist_t
-
-
-def affinity_hybrid(dist_t: np.ndarray, offsets: np.ndarray,
-                    banks: np.ndarray, loads: np.ndarray, h: float,
-                    penalty: Optional[np.ndarray]) -> np.ndarray:
-    """Eq. 4 where allocation ``i`` scores every bank by its mean hops to
-    ``banks[offsets[i]:offsets[i + 1]]`` (a zero row when the group is
-    empty).
-
-    Builds the mean-hop rows — histogram times the transposed hop table
-    ``dist_t``, one division by each group's size — one block of
-    ``_BLOCK_CHUNKS * _CHUNK`` allocations at a time, and runs Eq. 4
-    over each block in order with ``loads`` and the running total
-    carried, so no ``(n, nb)`` matrix is ever held and the bits are
-    those of one pass over all rows.  The C backend scores the rows one
-    allocation at a time.
-
-    Mutates ``loads`` in place; returns the chosen banks.
-    """
-    check_inputs(loads, penalty, dist_t=dist_t, offsets=offsets,
-                 banks=banks)
-    counts = np.diff(offsets)
-    n = counts.size
+    Returns the chosen bank per allocation, bit-identical to the scalar
+    loop (the oracles in ``tests/oracles.py``)."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    refs = np.asarray(refs, dtype=np.int64)
+    rows = np.asarray(rows, dtype=np.float64)
+    check_inputs(sizes, refs, rows, loads, penalty)
+    n = sizes.size
     out = np.empty(n, dtype=np.int64)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
     total = float(loads.sum())
+    if refs.size and int(refs.min()) < 0:
+        _eq4(n, _chained_rows(offsets, refs, rows, out), loads, total, h,
+             penalty, out)
+        return out
     block = _BLOCK_CHUNKS * _CHUNK
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        sizes = counts[lo:hi]
-        alloc_ids = np.repeat(np.arange(hi - lo, dtype=np.int64), sizes)
-        mean_hops = _affinity_hop_sums(
-            alloc_ids, banks[offsets[lo]:offsets[hi]], dist_t, hi - lo)
-        mean_hops /= np.maximum(sizes, 1).astype(np.float64)[:, None]
-        total = _select_rows(mean_hops, loads, total, h, penalty,
-                             out[lo:hi])
+        total = _select_rows(_group_means(offsets[lo:hi + 1], refs, rows),
+                             loads, total, h, penalty, out[lo:hi])
     return out
+
+
+def _chained_rows(offsets: np.ndarray, refs: np.ndarray, rows: np.ndarray,
+                  chosen: np.ndarray) -> Callable[[int], np.ndarray]:
+    """``hops_of`` for :func:`_eq4` when refs name earlier choices: step
+    ``i`` resolves its negative refs through ``chosen``, which holds
+    every earlier step's bank by then.  A one-ref group reads its row
+    directly (the mean of one row is the row, exactly)."""
+    offs, refl = offsets.tolist(), refs.tolist()
+    zeros = np.zeros(rows.shape[1], dtype=np.float64)
+
+    def bank(r: int) -> int:
+        return int(chosen[-r - 1]) if r < 0 else r
+
+    def hops_of(i: int) -> np.ndarray:
+        lo, hi = offs[i], offs[i + 1]
+        if hi - lo == 1:
+            return rows[bank(refl[lo])]
+        if hi == lo:
+            return zeros
+        return rows[[bank(r) for r in refl[lo:hi]]].sum(axis=0) / (hi - lo)
+
+    return hops_of
 
 
 # ----------------------------------------------------------------------

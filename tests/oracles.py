@@ -21,6 +21,8 @@ don't reroute through this module.
 
 from __future__ import annotations
 
+import types
+
 import numpy as np
 
 __all__ = [
@@ -33,6 +35,7 @@ __all__ = [
     "affinity_hybrid_reference",
     "hybrid_select_batch_reference",
     "chained_hybrid_reference",
+    "eq4_reference",
     "first_unique_reference",
     "first_unique_counts_reference",
     "affine_kernel_reference",
@@ -180,10 +183,9 @@ def hybrid_select_batch_reference(self, mean_hops, load, mesh) -> np.ndarray:
 
 def affinity_hybrid_reference(self, alloc_ids: np.ndarray,
                               banks: np.ndarray, n: int) -> np.ndarray:
-    """Original dense Eq. 4 select of ``malloc_irregular_batch`` (now
-    ``AffinityAllocator._affinity_hybrid``): the full ``(n, nb)``
-    mean-hop matrix from the ``np.add.at`` scatter, then the scalar
-    select loop."""
+    """Original dense Eq. 4 select of ``malloc_irregular_batch``: the
+    full ``(n, nb)`` mean-hop matrix from the ``np.add.at`` scatter,
+    then the scalar select loop."""
     mean_hops = affinity_hop_sums_reference(
         alloc_ids, banks, self.mesh.hops_table(), n)
     counts = np.bincount(alloc_ids, minlength=n).astype(np.float64)
@@ -196,7 +198,7 @@ def affinity_hybrid_reference(self, alloc_ids: np.ndarray,
 def chained_hybrid_reference(self, prev_ids: np.ndarray,
                              head_banks: np.ndarray,
                              n: int, nb: int) -> np.ndarray:
-    """Original loop body of ``AffinityAllocator._chained_hybrid``."""
+    """Original loop body of ``malloc_irregular_chained``'s select."""
     dist = self.mesh.hops_to_all(np.arange(nb)).astype(np.float64)
     loads = self.load.loads  # working copy
     h = self.policy.h
@@ -224,6 +226,37 @@ def chained_hybrid_reference(self, prev_ids: np.ndarray,
     for b, c in zip(*np.unique(chosen, return_counts=True)):
         self.load.record(int(b), float(c))
     return chosen
+
+
+def eq4_reference(sizes, refs, rows, loads, h, penalty):
+    """Scalar Eq. 4 over affinity groups, the contract of the kernels'
+    ``eq4``: step ``i`` sums the rows its group names in order from a
+    zero row (a negative ref ``-(p + 1)`` reads the row of the bank
+    chosen at step ``p``), divides once by the group size (1 for an
+    empty group) and scores the mean with the original select loop
+    body.  Returns the choices and the final loads."""
+    nb = loads.size
+    loads = loads.copy()
+    out = np.empty(len(sizes), dtype=np.int64)
+    total = loads.sum()
+    pos = 0
+    for i, k in enumerate(sizes):
+        row = np.zeros(nb, dtype=np.float64)
+        for r in refs[pos:pos + k]:
+            row = row + rows[out[-r - 1] if r < 0 else r]
+        pos += k
+        row = row / max(k, 1)
+        if h > 0 and total > 0:
+            score = row + h * (loads / (total / nb) - 1.0)
+        else:
+            score = row
+        if penalty is not None:
+            score = score + penalty
+        b = int(np.argmin(score))
+        out[i] = b
+        loads[b] += 1.0
+        total += 1.0
+    return out, loads
 
 
 # ----------------------------------------------------------------------
@@ -353,7 +386,8 @@ def affine_kernel_reference(self, cores, ins, out=None,
             self._observe(h, banks, cb, repeat)
             if need.any():
                 src_b, dst_b, counts = self._group_pairs(
-                    lines[need], banks[need], cb[need])
+                    lines[need], banks[need], cb[need],
+                    np.ones(int(need.sum()), dtype=np.int64))
                 self.rec.traffic.record(
                     src_b, dst_b,
                     np.minimum(counts * h.elem_size, self.line),
@@ -389,7 +423,6 @@ def install(monkeypatch) -> None:
     from repro.arch import mesh as mesh_mod
     from repro.arch import noc as noc_mod
     from repro.core import policy as policy_mod
-    from repro.core import runtime as runtime_mod
     from repro.nsc import executor as executor_mod
     from repro.perf import model as model_mod
     from repro.vm import layout as layout_mod
@@ -423,17 +456,43 @@ def install(monkeypatch) -> None:
             raise NotImplementedError(
                 "the Eq. 4 originals predate fault masks")
 
-    def _select_batch_compat(self, mean_hops, load, mesh, mask=None):
-        _clean_only(mask)
-        return hybrid_select_batch_reference(self, mean_hops, load, mesh)
+    class _RowsMesh:
+        """The hop table the originals read, rebuilt from the kernel's
+        rows (``rows[b]`` is every bank's distance to ``b``)."""
 
-    def _affinity_hybrid_compat(self, alloc_ids, banks, n, mask=None):
-        _clean_only(mask)
-        return affinity_hybrid_reference(self, alloc_ids, banks, n)
+        def __init__(self, rows):
+            self._table = np.asarray(rows).T
 
-    def _chained_hybrid_compat(self, prev_ids, head_banks, n, nb, mask=None):
+        def hops_table(self):
+            return self._table
+
+        def hops_to_all(self, targets):
+            return self._table[:, np.asarray(targets)]
+
+    def _select_batch_compat(self, sizes, refs, rows, load, mask=None):
+        """The one shipped selection, routed to the original that
+        covers the batch: the chained loop when a ref names an earlier
+        choice, else the CSR-grouped dense path (which runs the original
+        select loop on its mean-hop matrix)."""
         _clean_only(mask)
-        return chained_hybrid_reference(self, prev_ids, head_banks, n, nb)
+        sizes = np.asarray(sizes, dtype=np.int64)
+        refs = np.asarray(refs, dtype=np.int64)
+        n = sizes.size
+        alloc = types.SimpleNamespace(policy=self, load=load,
+                                      mesh=_RowsMesh(rows))
+        if not (refs < 0).any():
+            alloc_ids = np.repeat(np.arange(n), sizes)
+            return affinity_hybrid_reference(alloc, alloc_ids, refs, n)
+        if sizes.size and int(sizes.max()) > 1:
+            raise NotImplementedError(
+                "the chained original takes one-ref groups only")
+        prev_ids = np.full(n, -1, dtype=np.int64)
+        head_banks = np.full(n, -1, dtype=np.int64)
+        ones = sizes == 1
+        prev_ids[ones] = np.where(refs < 0, -refs - 1, -1)
+        head_banks[ones] = np.where(refs < 0, -1, refs)
+        return chained_hybrid_reference(alloc, prev_ids, head_banks, n,
+                                        load.num_banks)
 
     patch = monkeypatch.setattr
     patch(noc_mod, "pair_channel_loads", pair_channel_loads_reference)
@@ -447,11 +506,7 @@ def install(monkeypatch) -> None:
           register_heap_footprint_reference)
     # The compiled resolver would bypass the two originals above.
     patch(machine_mod.Machine, "resolve", machine_mod.Machine._resolve_chain)
-    patch(runtime_mod.AffinityAllocator, "_affinity_hybrid",
-          _affinity_hybrid_compat)
     patch(policy_mod.HybridPolicy, "select_batch", _select_batch_compat)
-    patch(runtime_mod.AffinityAllocator, "_chained_hybrid",
-          _chained_hybrid_compat)
     patch(executor_mod, "_first_unique", first_unique_reference)
     patch(executor_mod, "_first_unique_counts", first_unique_counts_reference)
     patch(executor_mod.StreamExecutor, "affine_kernel", affine_kernel_reference)

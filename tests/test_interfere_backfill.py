@@ -24,7 +24,8 @@ from repro.interfere.engine import InterferenceState
 from repro.interfere.plan import HostStream, HostStreamKind, HostTrafficPlan
 from repro.machine import Machine
 from repro.perf.stats import RunRecorder
-from tests.test_kernels_equivalence import oracle_select
+from repro.perf.kernels import pybackend
+from tests.test_kernels_equivalence import _select, oracle_select
 
 
 # ----------------------------------------------------------------------
@@ -153,8 +154,7 @@ class TestIotRangeTableGrowth:
 # ----------------------------------------------------------------------
 class TestHybridSelectWideBandFallback:
     def test_band_overflow_falls_back_bit_identically(self):
-        from repro.perf.kernels.pybackend import (_MAX_BAND,
-                                                  hybrid_select_batch)
+        from repro.perf.kernels.pybackend import _MAX_BAND
         rng = np.random.default_rng(0)
         nb = 16
         n = 64
@@ -167,14 +167,13 @@ class TestHybridSelectWideBandFallback:
         assert loads.max() - loads.min() > _MAX_BAND
 
         got_loads = loads.copy()
-        got = hybrid_select_batch(mean_hops, got_loads, 5.0, None)
+        got = _select(pybackend, mean_hops, got_loads, 5.0, None)
         want, want_loads = oracle_select(mean_hops, loads, 5.0, None)
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(got_loads, want_loads)
 
     def test_wide_band_with_penalty_matches_oracle(self):
-        from repro.perf.kernels.pybackend import (_MAX_BAND,
-                                                  hybrid_select_batch)
+        from repro.perf.kernels.pybackend import _MAX_BAND
         rng = np.random.default_rng(1)
         nb = 8
         n = 32
@@ -185,7 +184,7 @@ class TestHybridSelectWideBandFallback:
         penalty[5] = np.inf  # a failed bank rides along
 
         got_loads = loads.copy()
-        got = hybrid_select_batch(mean_hops, got_loads, 3.0, penalty)
+        got = _select(pybackend, mean_hops, got_loads, 3.0, penalty)
         want, want_loads = oracle_select(mean_hops, loads, 3.0, penalty)
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(got_loads, want_loads)

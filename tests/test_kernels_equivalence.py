@@ -30,7 +30,7 @@ from repro.nsc import executor
 from repro.perf import kernels
 from repro.perf.kernels import cbackend, pybackend
 from repro.vm.layout import VirtualLayout
-from tests.oracles import affinity_hop_sums_reference
+from tests.oracles import affinity_hop_sums_reference, eq4_reference
 
 
 # ----------------------------------------------------------------------
@@ -100,7 +100,7 @@ def oracle_affinity(dist, alloc_ids, banks, n, loads, h, penalty):
 
 
 def oracle_chained(dist_t, prev_ids, head_banks, loads, h, penalty):
-    """The original AffinityAllocator._chained_hybrid loop, restated."""
+    """The original chained select of malloc_irregular_chained, restated."""
     n = prev_ids.size
     nb = loads.size
     loads = loads.copy()
@@ -178,7 +178,31 @@ def _draw_loads(data, nb, kinds=("zero", "small", "skewed")):
 
 
 # ----------------------------------------------------------------------
-# hybrid_select_batch
+# eq4 over the batch shapes its callers build
+# ----------------------------------------------------------------------
+def _select(mod, mean_hops, loads, h, penalty):
+    """One-ref groups over the rows of a mean-hop matrix (INT003's
+    shape, and the old dense select)."""
+    n = mean_hops.shape[0]
+    return mod.eq4(np.ones(n, dtype=np.int64), np.arange(n), mean_hops,
+                   loads, h, penalty)
+
+
+def _chain(mod, dist_t, prev_ids, head_banks, loads, h, penalty):
+    """malloc_irregular_chained's groups: -(p + 1) for predecessor p,
+    the head bank for a head that has one, nothing otherwise."""
+    sizes = ((prev_ids >= 0) | (head_banks >= 0)).astype(np.int64)
+    refs = np.where(prev_ids >= 0, -(prev_ids + 1), head_banks)
+    return mod.eq4(sizes, refs[sizes == 1], dist_t, loads, h, penalty)
+
+
+def _grouped(mod, dist_t, offsets, grouped, loads, h, penalty):
+    """malloc_irregular_batch's CSR groups of affinity banks."""
+    return mod.eq4(np.diff(offsets), grouped, dist_t, loads, h, penalty)
+
+
+# ----------------------------------------------------------------------
+# Dense rows (one-ref groups)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestSelectBatchEquivalence:
@@ -191,14 +215,14 @@ class TestSelectBatchEquivalence:
         penalty = _draw_penalty(data, nb)
         want_out, want_loads = oracle_select(mean_hops, loads, h, penalty)
         got_loads = loads.copy()
-        got_out = mod.hybrid_select_batch(mean_hops, got_loads, h, penalty)
+        got_out = _select(mod, mean_hops, got_loads, h, penalty)
         assert np.array_equal(got_out, want_out)
         assert np.array_equal(got_loads, want_loads)
 
     def test_empty_batch(self, backend):
         mod = _module(backend)
         loads = np.zeros(16, dtype=np.float64)
-        out = mod.hybrid_select_batch(
+        out = _select(mod, 
             np.empty((0, 16), dtype=np.float64), loads, 5.0, None)
         assert out.size == 0 and out.dtype == np.int64
         assert np.array_equal(loads, np.zeros(16))
@@ -210,7 +234,7 @@ class TestSelectBatchEquivalence:
         mean_hops = rng.uniform(0, 10, size=(50, 16))
         loads = np.zeros(16, dtype=np.float64)
         want_out, want_loads = oracle_select(mean_hops, loads, 5.0, None)
-        got = mod.hybrid_select_batch(mean_hops, loads, 5.0, None)
+        got = _select(mod, mean_hops, loads, 5.0, None)
         assert np.array_equal(got, want_out)
         assert np.array_equal(loads, want_loads)
 
@@ -223,7 +247,7 @@ class TestSelectBatchEquivalence:
         loads = rng.uniform(0.0, 5.0, size=16)
         want_out, want_loads = oracle_select(mean_hops, loads, 5.0, None)
         got_loads = loads.copy()
-        got = mod.hybrid_select_batch(mean_hops, got_loads, 5.0, None)
+        got = _select(mod, mean_hops, got_loads, 5.0, None)
         assert np.array_equal(got, want_out)
         assert np.array_equal(got_loads, want_loads)
 
@@ -234,7 +258,7 @@ class TestSelectBatchEquivalence:
         mean_hops = np.zeros((8, 16), dtype=np.float64)
         loads = np.zeros(16, dtype=np.float64)
         want_out, _ = oracle_select(mean_hops, loads, 5.0, None)
-        got = mod.hybrid_select_batch(mean_hops, loads, 5.0, None)
+        got = _select(mod, mean_hops, loads, 5.0, None)
         assert np.array_equal(got, want_out)
 
     def test_inf_penalty_never_chosen(self, backend):
@@ -245,14 +269,14 @@ class TestSelectBatchEquivalence:
         penalty[[1, 7, 9]] = np.inf
         loads = np.zeros(16, dtype=np.float64)
         want_out, _ = oracle_select(mean_hops, loads, 5.0, penalty)
-        got = mod.hybrid_select_batch(
+        got = _select(mod, 
             mean_hops, np.zeros(16), 5.0, penalty)
         assert np.array_equal(got, want_out)
         assert not np.isin(got, [1, 7, 9]).any()
 
 
 # ----------------------------------------------------------------------
-# chained_hybrid
+# Chained groups (refs naming earlier choices)
 # ----------------------------------------------------------------------
 def _chained_inputs(data, n, nb):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -282,7 +306,7 @@ class TestChainedHybridEquivalence:
         want_out, want_loads = oracle_chained(
             dist_t, prev_ids, head_banks, loads, h, penalty)
         got_loads = loads.copy()
-        got = mod.chained_hybrid(
+        got = _chain(mod, 
             dist_t, prev_ids, head_banks, got_loads, h, penalty)
         assert np.array_equal(got, want_out)
         assert np.array_equal(got_loads, want_loads)
@@ -300,14 +324,14 @@ class TestChainedHybridEquivalence:
         loads = np.zeros(64, dtype=np.float64)
         want_out, want_loads = oracle_chained(
             dist_t, prev_ids, head_banks, loads, 5.0, None)
-        got = mod.chained_hybrid(
+        got = _chain(mod, 
             dist_t, prev_ids, head_banks, loads, 5.0, None)
         assert np.array_equal(got, want_out)
         assert np.array_equal(loads, want_loads)
 
 
 # ----------------------------------------------------------------------
-# affinity_hybrid (CSR-grouped affinity banks)
+# CSR-grouped affinity banks
 # ----------------------------------------------------------------------
 def _hop_mesh(data):
     # 15 banks is not a multiple of the C loop's four-column block.
@@ -354,7 +378,7 @@ class TestAffinityHybridEquivalence:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pybackend, "_CHUNK", chunk)
             mp.setattr(pybackend, "_BLOCK_CHUNKS", block_chunks)
-            got = mod.affinity_hybrid(dist.T.astype(np.float64), offsets,
+            got = _grouped(mod, dist.T.astype(np.float64), offsets,
                                       grouped, got_loads, h, penalty)
         assert np.array_equal(got, want_out)
         assert np.array_equal(got_loads, want_loads)
@@ -367,7 +391,7 @@ class TestAffinityHybridEquivalence:
         loads = np.zeros(64, dtype=np.float64)
         want_out, want_loads = oracle_affinity(
             mesh.hops_table(), empty, empty, 40, loads, 5.0, None)
-        got = mod.affinity_hybrid(mesh.hops_table().T.astype(np.float64),
+        got = _grouped(mod, mesh.hops_table().T.astype(np.float64),
                                   offsets, grouped, loads, 5.0, None)
         assert np.array_equal(got, want_out)
         assert np.array_equal(loads, want_loads)
@@ -404,12 +428,12 @@ class TestDivisionTableInternals:
         loads[3] = float(pybackend._MAX_BAND * 3)  # band >> _MAX_BAND
         want_out, want_loads = oracle_select(mean_hops, loads, 5.0, None)
         got_loads = loads.copy()
-        got = pybackend.hybrid_select_batch(mean_hops, got_loads, 5.0, None)
+        got = _select(pybackend, mean_hops, got_loads, 5.0, None)
         assert np.array_equal(got, want_out)
         assert np.array_equal(got_loads, want_loads)
 
     def test_split_batch_carries_the_running_total(self):
-        # affinity_hybrid continues a batch block by block; with
+        # eq4 continues a CSR batch block by block; with
         # fractional loads the scalar loop's running total drifts from
         # loads.sum(), so the total must be carried, not recomputed.
         rng = np.random.default_rng(0)
@@ -436,13 +460,13 @@ class TestDivisionTableInternals:
         loads = rng.integers(0, 30, size=64).astype(np.float64)
         want_out, want_loads = oracle_select(mean_hops, loads, 5.0, None)
         got_loads = loads.copy()
-        got = pybackend.hybrid_select_batch(mean_hops, got_loads, 5.0, None)
+        got = _select(pybackend, mean_hops, got_loads, 5.0, None)
         assert np.array_equal(got, want_out)
         assert np.array_equal(got_loads, want_loads)
 
 
 # ----------------------------------------------------------------------
-# Load-band overflow on the chained and CSR-grouped kernels
+# Load-band overflow on chained and CSR-grouped batches
 # ----------------------------------------------------------------------
 def _band_overflow_inputs(kernel, later, near):
     """A 16-bank batch whose hop rows all favour bank ``near``; with a
@@ -488,13 +512,13 @@ def test_band_overflow_falls_back_exactly(backend, kernel, with_penalty,
     got_loads = loads.copy()
     if kernel == "chained":
         want_out, want_loads = oracle_chained(*inputs, loads, h, penalty)
-        got = mod.chained_hybrid(*inputs, got_loads, h, penalty)
+        got = _chain(mod, *inputs, got_loads, h, penalty)
     else:
         alloc_ids, banks, n = inputs
         want_out, want_loads = oracle_affinity(dist, alloc_ids, banks, n,
                                                loads, h, penalty)
         offsets, grouped = _affinity_groups(alloc_ids, banks, n)
-        got = mod.affinity_hybrid(dist.T.copy(), offsets, grouped,
+        got = _grouped(mod, dist.T.copy(), offsets, grouped,
                                   got_loads, h, penalty)
     # Every choice lands on bank 0, so the band widens by a chunk per
     # chunk: with `later` the first chunk fits and the second overflows.
@@ -507,79 +531,147 @@ def test_band_overflow_falls_back_exactly(backend, kernel, with_penalty,
 
 
 # ----------------------------------------------------------------------
+# Mixed batches against the scalar group oracle
+# ----------------------------------------------------------------------
+def _mixed_batch(data, rows_kind):
+    """A batch mixing every group shape: empty groups, one-ref and
+    many-ref groups, and refs naming earlier choices (alone or among
+    plain refs).  ``rows_kind`` "hops" gives a (possibly degraded) hop
+    table; "fractional" gives bank-indexed rows of arbitrary doubles,
+    whose group sums depend on the summation order."""
+    if rows_kind == "hops":
+        rows = _hop_mesh(data).hops_table().T.astype(np.float64)
+    else:
+        nb = data.draw(NB_VALUES)
+        rows = _draw_mean_hops(data, nb, nb)
+    nb = rows.shape[0]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n = data.draw(st.integers(0, 120))
+    sizes = rng.choice([0, 1, 1, 2, 5, 14], size=n).astype(np.int64)
+    refs = rng.integers(0, nb, size=int(sizes.sum()))
+    owner = np.repeat(np.arange(n), sizes)
+    earlier = (owner > 0) & (rng.random(refs.size)
+                             < data.draw(st.sampled_from([0.0, 0.3, 0.9])))
+    refs[earlier] = -(rng.integers(0, np.maximum(owner[earlier], 1)) + 1)
+    return sizes, refs, rows
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestMixedGroupsEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(h=st.sampled_from([0.0, 0.5, 5.0, 17.0]),
+           rows_kind=st.sampled_from(["hops", "fractional"]),
+           data=st.data())
+    def test_matches_scalar_oracle(self, backend, h, rows_kind, data):
+        mod = _module(backend)
+        sizes, refs, rows = _mixed_batch(data, rows_kind)
+        nb = rows.shape[1]
+        loads = _draw_loads(data, nb, ("zero", "small", "skewed",
+                                       "fractional"))
+        penalty = _draw_penalty(data, nb)
+        chunk, block_chunks = data.draw(st.sampled_from(
+            [(pybackend._CHUNK, pybackend._BLOCK_CHUNKS), (8, 1)]))
+        want_out, want_loads = eq4_reference(sizes, refs, rows, loads, h,
+                                             penalty)
+        got_loads = loads.copy()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pybackend, "_CHUNK", chunk)
+            mp.setattr(pybackend, "_BLOCK_CHUNKS", block_chunks)
+            got = mod.eq4(sizes, refs, rows, got_loads, h, penalty)
+        assert np.array_equal(got, want_out)
+        assert np.array_equal(got_loads, want_loads)
+
+    @pytest.mark.parametrize("sizes,refs,want", [
+        ([3], [0, 1, 2], [1]),
+        ([1, 3], [3, -1, 1, 2], [0, 1]),  # -1 resolves to row 0
+    ])
+    def test_group_sums_follow_group_order(self, backend, sizes, refs,
+                                           want):
+        # 2**53 + 1 rounds back to 2**53, so column 1 sums to 2**53 in
+        # group order but to 2**53 + 2, tying column 0, in any order
+        # that adds the ones first.
+        big = 2.0 ** 53
+        rows = np.array([[big + 2, big, 2 * big, 2 * big],
+                         [0.0, 1.0, 0.0, 0.0],
+                         [0.0, 1.0, 0.0, 0.0],
+                         [0.0, 5.0, 5.0, 5.0]])
+        sizes, refs = np.array(sizes), np.array(refs)
+        want_out, _ = eq4_reference(sizes, refs, rows, np.zeros(4), 0.0,
+                                    None)
+        assert want_out.tolist() == want
+        got = _module(backend).eq4(sizes, refs, rows, np.zeros(4), 0.0,
+                                   None)
+        assert got.tolist() == want
+
+    def test_one_ref_group_reads_its_row(self, backend):
+        # The mean of one row is the row itself, bit for bit, however
+        # the row's doubles round.
+        mod = _module(backend)
+        rows = np.random.default_rng(4).uniform(0.0, 14.0, (7, 16)) / 3.0
+        refs = np.array([6, 0, 3, 3], dtype=np.int64)
+        loads = np.zeros(16)
+        want_out, _ = oracle_select(rows[refs], loads, 5.0, None)
+        got = mod.eq4(np.ones(4, dtype=np.int64), refs, rows, loads, 5.0,
+                      None)
+        assert np.array_equal(got, want_out)
+
+
+# ----------------------------------------------------------------------
 # Malformed inputs: a ValueError before the loop, loads untouched
 # ----------------------------------------------------------------------
 _DIST_T = Mesh(2, 2).hops_table().T.astype(np.float64)
 _I = np.array
 
+#: eq4(sizes, refs, rows, loads, h, penalty) argument tuples.
 MALFORMED = {
-    "select-loads-short": ("hybrid_select_batch",
-                           (np.zeros((3, 64)), np.arange(4.0), 5.0, None)),
-    "select-penalty-short": ("hybrid_select_batch",
-                             (np.zeros((3, 4)), np.arange(4.0), 5.0,
-                              np.zeros(2))),
-    "select-hops-1d": ("hybrid_select_batch",
-                       (np.zeros(4), np.arange(4.0), 5.0, None)),
-    "select-loads-2d": ("hybrid_select_batch",
-                        (np.zeros((3, 4)), np.zeros((1, 4)), 5.0, None)),
-    "chained-head-huge": ("chained_hybrid",
-                          (_DIST_T, _I([-1, -1]), _I([10**9, 5]),
-                           np.arange(4.0), 5.0, None)),
-    "chained-head-nb": ("chained_hybrid",
-                        (_DIST_T, _I([-1, -1]), _I([0, 4]),
-                         np.arange(4.0), 5.0, None)),
-    "chained-prev-forward": ("chained_hybrid",
-                             (_DIST_T, _I([1, -1]), _I([-1, -1]),
-                              np.arange(4.0), 5.0, None)),
-    "chained-prev-self": ("chained_hybrid",
-                          (_DIST_T, _I([-1, 1]), _I([0, -1]),
-                           np.arange(4.0), 5.0, None)),
-    "chained-heads-short": ("chained_hybrid",
-                            (_DIST_T, _I([-1, 0]), _I([0]),
-                             np.arange(4.0), 5.0, None)),
-    "chained-dist-shape": ("chained_hybrid",
-                           (np.zeros((3, 4)), _I([-1, 0]), _I([0, -1]),
-                            np.arange(4.0), 5.0, None)),
-    "chained-penalty-long": ("chained_hybrid",
-                             (_DIST_T, _I([-1, 0]), _I([0, -1]),
-                              np.arange(4.0), 5.0, np.zeros(5))),
-    "affinity-dist-shape": ("affinity_hybrid",
-                            (np.zeros((5, 5)), _I([0, 1]), _I([2]),
-                             np.arange(4.0), 5.0, None)),
-    "affinity-bank-nb": ("affinity_hybrid",
-                         (_DIST_T, _I([0, 1]), _I([4]),
-                          np.arange(4.0), 5.0, None)),
-    "affinity-bank-negative": ("affinity_hybrid",
-                               (_DIST_T, _I([0, 1]), _I([-1]),
-                                np.arange(4.0), 5.0, None)),
-    "affinity-offsets-start": ("affinity_hybrid",
-                               (_DIST_T, _I([1, 1]), _I([2]),
-                                np.arange(4.0), 5.0, None)),
-    "affinity-offsets-end": ("affinity_hybrid",
-                             (_DIST_T, _I([0, 2]), _I([2]),
-                              np.arange(4.0), 5.0, None)),
-    "affinity-offsets-falling": ("affinity_hybrid",
-                                 (_DIST_T, _I([0, 2, 1, 2]), _I([2, 3]),
-                                  np.arange(4.0), 5.0, None)),
-    "affinity-offsets-empty": ("affinity_hybrid",
-                               (_DIST_T, _I([], dtype=np.int64),
-                                _I([], dtype=np.int64),
-                                np.arange(4.0), 5.0, None)),
-    "affinity-penalty-short": ("affinity_hybrid",
-                               (_DIST_T, _I([0, 1]), _I([2]),
-                                np.arange(4.0), 5.0, np.zeros(3))),
+    "loads-short": (_I([1, 1, 1]), _I([0, 1, 2]), np.zeros((3, 64)),
+                    np.arange(4.0), 5.0, None),
+    "loads-2d": (_I([1]), _I([0]), np.zeros((3, 4)), np.zeros((1, 4)),
+                 5.0, None),
+    "penalty-short": (_I([1]), _I([0]), _DIST_T, np.arange(4.0), 5.0,
+                      np.zeros(2)),
+    "penalty-long": (_I([1, 1]), _I([0, -1]), _DIST_T, np.arange(4.0),
+                     5.0, np.zeros(5)),
+    "rows-1d": (_I([1]), _I([0]), np.zeros(4), np.arange(4.0), 5.0, None),
+    "rows-shape": (_I([1]), _I([2]), np.zeros((5, 5)), np.arange(4.0),
+                   5.0, None),
+    "sizes-2d": (_I([[1]]), _I([0]), _DIST_T, np.arange(4.0), 5.0, None),
+    "refs-2d": (_I([1]), _I([[0]]), _DIST_T, np.arange(4.0), 5.0, None),
+    "ref-len-rows": (_I([1, 1]), _I([0, 4]), _DIST_T, np.arange(4.0), 5.0,
+                     None),
+    "ref-huge": (_I([1, 1]), _I([10**9, 0]), _DIST_T, np.arange(4.0), 5.0,
+                 None),
+    "ref-own-step": (_I([1, 1]), _I([2, -2]), _DIST_T, np.arange(4.0),
+                     5.0, None),
+    "ref-first-step": (_I([1]), _I([-1]), _DIST_T, np.arange(4.0), 5.0,
+                       None),
+    "ref-later-step": (_I([1, 2]), _I([-2, 0, -1]), _DIST_T,
+                       np.arange(4.0), 5.0, None),
+    "ref-huge-negative": (_I([1, 1]), _I([0, -(2**63)]), _DIST_T,
+                          np.arange(4.0), 5.0, None),
+    "ref-negative-rows-not-banks": (_I([1, 1]), _I([0, -1]),
+                                    np.zeros((3, 4)), np.arange(4.0),
+                                    5.0, None),
+    "size-negative": (_I([2, -1]), _I([0]), _DIST_T, np.arange(4.0), 5.0,
+                      None),
+    "sizes-sum-short": (_I([1, 1]), _I([0]), _DIST_T, np.arange(4.0),
+                        5.0, None),
+    "sizes-sum-long": (_I([1, 0]), _I([0, 1]), _DIST_T, np.arange(4.0),
+                       5.0, None),
+    "sizes-sum-wraps": (_I([2**62, 2**62, 2**62, 2**62 + 1]), _I([0]),
+                        _DIST_T, np.arange(4.0), 5.0, None),
 }
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_raises_before_the_loop(backend, case):
-    kernel, args = MALFORMED[case]
-    args = tuple(a.copy() if isinstance(a, np.ndarray) else a for a in args)
-    loads = args[-3]
+    args = tuple(a.copy() if isinstance(a, np.ndarray) else a
+                 for a in MALFORMED[case])
+    loads = args[3]
     before = loads.copy()
     with pytest.raises(ValueError):
-        getattr(_module(backend), kernel)(*args)
+        _module(backend).eq4(*args)
     assert np.array_equal(loads, before)
 
 
@@ -904,14 +996,14 @@ class TestBackendRegistry:
 
     def test_registry_surface(self):
         # The dedup/accounting kernels have one implementation; the
-        # sequential Eq. 4 loops vary by backend, and the C backend adds
+        # sequential Eq. 4 loop varies by backend, and the C backend adds
         # the address resolver, whose python implementation is the
         # numpy chain in Machine._resolve_chain.
-        surface = {"hybrid_select_batch", "chained_hybrid",
-                   "affinity_hybrid"}
         for name in kernels.available_backends():
             mod = _module(name)
-            assert surface <= set(vars(mod))
+            assert callable(mod.eq4)
+            assert not {"hybrid_select_batch", "chained_hybrid",
+                        "affinity_hybrid"} & set(vars(mod))
         assert not hasattr(pybackend, "resolve")
         assert not cbackend.AVAILABLE or callable(cbackend.resolve)
         assert not hasattr(cbackend, "first_unique")

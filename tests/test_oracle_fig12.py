@@ -13,8 +13,12 @@ from repro.harness.experiments import fig12_overall
 from tests import oracles
 
 # Oracles that fig12 must reach: the per-element affine kernel, the
-# Eq. 4 select loop and the address path (translate, IOT banks).
+# three Eq. 4 originals behind the one select_batch (CSR groups and
+# malloc_irregular's one group through the dense select loop; lists and
+# trees through the chained loop) and the address path (translate, IOT
+# banks).
 COUNTED = ("affine_kernel_reference", "hybrid_select_batch_reference",
+           "affinity_hybrid_reference", "chained_hybrid_reference",
            "translate_reference", "iot_banks_reference")
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.api import AffineArray, ArrayHandle
-from repro.core.policy import HybridPolicy, MinHopPolicy
+from repro.core.policy import (HybridPolicy, LinearPolicy, MinHopPolicy,
+                               RandomPolicy)
 from repro.core.runtime import AffinityAllocator
 from repro.machine import Machine
 
@@ -171,6 +172,63 @@ class TestBatchedPaths:
             alloc.malloc_irregular_chained(64, np.array([1, -1]))
 
 
+class TestSelectionCount:
+    """Every irregular allocation is exactly one selection: the summed
+    ``len(sizes)`` that ``select_batch`` sees equals
+    ``AllocStats.irregular_allocs`` (what the benchmark's
+    ``core.policy.selections`` counts)."""
+
+    @staticmethod
+    def _spy(monkeypatch, cls):
+        seen = []
+        original = cls.select_batch
+
+        def spy(self, sizes, *args, **kwargs):
+            seen.append(len(sizes))
+            return original(self, sizes, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "select_batch", spy)
+        return seen
+
+    @pytest.mark.parametrize("make", [lambda: HybridPolicy(5.0),
+                                      MinHopPolicy,
+                                      lambda: RandomPolicy(1),
+                                      LinearPolicy])
+    def test_each_entry_point(self, machine, monkeypatch, make):
+        policy = make()
+        seen = self._spy(monkeypatch, type(policy))
+        alloc = AffinityAllocator(machine, policy)
+        anchor = alloc.malloc_irregular(64)
+        alloc.malloc_irregular(64, [anchor, anchor])
+        alloc.malloc_irregular_batch(64, np.full(6, anchor),
+                                     np.array([0, 0, 2, 3, 3, 3]), 5)
+        alloc.malloc_irregular_chained(
+            64, np.array([-1, 0, 1, -1, 3]),
+            head_addrs=np.array([anchor, -1, -1, -1, -1]))
+        assert seen == [1, 1, 5, 5]
+        assert sum(seen) == alloc.stats.irregular_allocs == 12
+
+    def test_workloads(self, monkeypatch):
+        # Linked CSR (pr_push), lists and trees (link_list, bin_tree,
+        # hash_join) and single allocations (dyn_graph).
+        from repro.workloads import EngineMode, run_workload
+        seen = self._spy(monkeypatch, HybridPolicy)
+        allocators = []
+        init = AffinityAllocator.__init__
+
+        def keep(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            allocators.append(self)
+
+        monkeypatch.setattr(AffinityAllocator, "__init__", keep)
+        for name in ("pr_push", "link_list", "bin_tree", "hash_join",
+                     "dyn_graph"):
+            run_workload(name, EngineMode.AFF_ALLOC, scale=0.05)
+        allocs = sum(a.stats.irregular_allocs for a in allocators)
+        assert allocs > 0
+        assert sum(seen) == allocs
+
+
 class TestUnifiedApi:
     def test_malloc_aff_dispatch(self, alloc):
         h = alloc.malloc_aff(AffineArray(4, 100))
@@ -218,6 +276,7 @@ class TestFaultDegradation:
         pool = machine.pools.pool_containing(va)
         assert pool is not None and pool.intrlv == 128
         assert alloc.stats.irregular_allocs == 1
+        assert alloc.load.total == 1.0  # charged once, by the policy
 
     def test_irregular_heap_fallback_when_every_pool_capped(self, machine,
                                                             alloc):
@@ -226,6 +285,7 @@ class TestFaultDegradation:
         va = alloc.malloc_irregular(64)
         assert machine.pools.pool_containing(va) is None  # baseline heap
         assert alloc.stats.fallbacks == 1
+        assert alloc.load.total == 0.0  # the policy's charge is returned
 
     def test_batched_irregular_degrades_per_slot(self, machine, alloc):
         machine.pools.pool(64).max_expansions = 0

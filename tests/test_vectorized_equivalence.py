@@ -17,7 +17,8 @@ from repro.config import DEFAULT_CONFIG
 from repro.machine import Machine
 from repro.nsc.executor import (_consecutive_dedup, _first_unique,
                                 _first_unique_counts, _pair_key, _shrink_key)
-from repro.perf.kernels.pybackend import _affinity_hop_sums
+from repro.core.runtime import _affinity_groups
+from repro.perf.kernels.pybackend import _group_means
 from tests import oracles as ref
 
 # Small meshes keep the per-pair reference loops fast under hypothesis.
@@ -226,9 +227,12 @@ class TestAffinityHopSumsEquivalence:
         alloc_ids = rng.integers(0, n, size=k)
         banks = rng.integers(0, mesh.num_tiles, size=k)
         dist = mesh.hops_table()
-        got = _affinity_hop_sums(alloc_ids, banks,
-                                 dist.T.astype(np.float64), n)
+        # The python eq4's CSR group means against the original scatter
+        # of hop sums, divided by each group's size.
+        offsets, grouped = _affinity_groups(alloc_ids, banks, n)
+        got = _group_means(offsets, grouped, dist.T.astype(np.float64))
         want = ref.affinity_hop_sums_reference(alloc_ids, banks, dist, n)
+        want /= np.maximum(np.diff(offsets), 1)[:, None]
         assert np.array_equal(got, want)
 
 
