@@ -63,20 +63,25 @@ class SlotPool:
         """
         banks = np.asarray(banks, dtype=np.int64)
         out = np.empty(banks.size, dtype=np.int64)
-        need = np.bincount(banks, minlength=self.num_banks)
-        while any(need[b] > len(self._free[b]) for b in range(self.num_banks)):
-            self._expand()
+        if banks.size == 0:
+            return out
         order = np.argsort(banks, kind="stable")
         sorted_banks = banks[order]
+        if sorted_banks[0] < 0 or sorted_banks[-1] >= self.num_banks:
+            raise ValueError("bank out of range")
+        # One [lo, hi) run of the sorted requests per bank asked for, so
+        # one slot costs one bank's work, not a sweep over every bank.
+        los = [0, *(np.flatnonzero(sorted_banks[1:] != sorted_banks[:-1])
+                    + 1).tolist()]
+        runs = list(zip(sorted_banks[los].tolist(), los,
+                        los[1:] + [banks.size]))
+        while any(hi - lo > len(self._free[b]) for b, lo, hi in runs):
+            self._expand()
         # Hand out slots bank by bank, preserving request order.
-        boundaries = np.searchsorted(sorted_banks, np.arange(self.num_banks + 1))
-        for b in range(self.num_banks):
-            lo, hi = int(boundaries[b]), int(boundaries[b + 1])
-            count = hi - lo
-            if count == 0:
-                continue
+        for b, lo, hi in runs:
             # Batched LIFO pop: slice the stack tail in pop() order
             # (last element first) instead of `count` .pop() calls.
+            count = hi - lo
             free = self._free[b]
             slots = free[-count:][::-1]
             del free[-count:]

@@ -68,7 +68,14 @@ def _affinity_groups(alloc_ids: np.ndarray, banks: np.ndarray,
 
 @dataclass
 class AllocStats:
-    """Observability counters for the runtime."""
+    """Observability counters for the runtime.
+
+    Every allocation counts in exactly one of ``affine_allocs`` (placed
+    in an interleave pool, paged included), ``irregular_allocs`` (placed
+    in a slot pool) or ``fallbacks`` (placed on the baseline heap);
+    ``paged_allocs``, ``degraded_allocs`` and ``injected_alloc_faults``
+    are sub-counts of those.
+    """
 
     affine_allocs: int = 0
     irregular_allocs: int = 0
@@ -182,21 +189,15 @@ class AffinityAllocator:
                                      self.machine.config.page_size)
         if layout.stride != spec.elem_size:
             self.stats.padded += 1
-        if layout.kind is LayoutKind.FALLBACK:
-            self.stats.fallbacks += 1
-            handle = alloc_plain_array(self.machine, spec.elem_size,
-                                       spec.num_elem, name=name)
-            handle.layout = layout
-            self._records[handle.vaddr] = _AffineRecord(handle, layout)
-        else:
-            try:
-                if layout.kind is LayoutKind.POOL:
-                    handle = self._alloc_pool(spec, layout, name)
-                else:
-                    handle = self._alloc_paged(spec, layout, name)
-            except PoolExhaustedError:
-                handle = self._affine_degraded(spec, layout, name)
-            self.stats.affine_allocs += 1
+        try:
+            if layout.kind is LayoutKind.FALLBACK:
+                handle = self._heap_array(spec, layout, name)
+            elif layout.kind is LayoutKind.POOL:
+                handle = self._alloc_pool(spec, layout, name)
+            else:
+                handle = self._alloc_paged(spec, layout, name)
+        except PoolExhaustedError:
+            handle = self._affine_degraded(spec, layout, name)
         self._freed_affine.discard(handle.vaddr)
         self._note_event("alloc", handle.vaddr, handle.size_bytes, name)
         self._trace_alloc("malloc_affine", name=name,
@@ -211,12 +212,8 @@ class AffinityAllocator:
         layout = AffineLayout(LayoutKind.FALLBACK, 0, 0, spec.elem_size,
                               reason="injected allocation failure",
                               code="alloc-fault")
-        self.stats.fallbacks += 1
         self.stats.injected_alloc_faults += 1
-        handle = alloc_plain_array(self.machine, spec.elem_size,
-                                   spec.num_elem, name=name)
-        handle.layout = layout
-        self._records[handle.vaddr] = _AffineRecord(handle, layout)
+        handle = self._heap_array(spec, layout, name)
         st = self.machine.faults
         if st is not None:  # only armed sessions reach here, but guard
             st.note(
@@ -255,18 +252,25 @@ class AffinityAllocator:
                         f"affine array {name or '?'} re-laid at "
                         f"{intrlv}B interleave")
             return handle
-        fallback = AffineLayout(LayoutKind.FALLBACK, 0, 0, spec.elem_size,
-                                reason="every interleave pool exhausted",
-                                code="pool-degraded")
-        self.stats.fallbacks += 1
-        handle = alloc_plain_array(self.machine, spec.elem_size,
-                                   spec.num_elem, name=name)
-        handle.layout = fallback
-        self._records[handle.vaddr] = _AffineRecord(handle, fallback)
+        handle = self._heap_array(
+            spec, AffineLayout(LayoutKind.FALLBACK, 0, 0, spec.elem_size,
+                               reason="every interleave pool exhausted",
+                               code="pool-degraded"), name)
         if st is not None:
             st.note(FaultKind.POOL_EXHAUST, layout.intrlv, "heap-fallback",
                     f"affine array {name or '?'} fell back to the "
                     f"baseline heap")
+        return handle
+
+    def _heap_array(self, spec: AffineArray, layout: AffineLayout,
+                    name: str) -> ArrayHandle:
+        """Back ``spec`` with the baseline heap under the FALLBACK
+        ``layout`` (the solver's, or a degradation's)."""
+        handle = alloc_plain_array(self.machine, spec.elem_size,
+                                   spec.num_elem, name=name)
+        handle.layout = layout
+        self._records[handle.vaddr] = _AffineRecord(handle, layout)
+        self.stats.fallbacks += 1
         return handle
 
     def _alloc_pool(self, spec: AffineArray, layout: AffineLayout,
@@ -282,6 +286,7 @@ class AffinityAllocator:
         paddr = self.machine.space.translate_one(vaddr)
         self.machine.llc.register_range(paddr, size)
         self._records[vaddr] = _AffineRecord(handle, layout, start_slot, nslots)
+        self.stats.affine_allocs += 1
         return handle
 
     def _alloc_paged(self, spec: AffineArray, layout: AffineLayout,
@@ -310,6 +315,7 @@ class AffinityAllocator:
                              spec.num_elem, stride=layout.stride,
                              name=name, layout=layout)
         self._records[vaddr] = _AffineRecord(handle, layout, frames=frames)
+        self.stats.affine_allocs += 1
         self.stats.paged_allocs += 1
         return handle
 
@@ -329,22 +335,13 @@ class AffinityAllocator:
         layout = ref.layout
         if layout.kind is not LayoutKind.POOL:
             raise LayoutError("malloc_offset needs a pool-backed reference")
-        want = (layout.start_bank + delta) % nb
-        space = self._space(layout.intrlv)
-        size = (ref.num_elem - 1) * ref.stride + ref.elem_size
-        nslots = -(-size // layout.intrlv)
-        slot = space.alloc(nslots, want)
-        vaddr = space.slot_vaddr(slot)
-        new_layout = AffineLayout(LayoutKind.POOL, layout.intrlv, want,
+        new_layout = AffineLayout(LayoutKind.POOL, layout.intrlv,
+                                  (layout.start_bank + delta) % nb,
                                   ref.stride, f"delta-bank {delta}")
-        handle = ArrayHandle(self.machine, vaddr, ref.elem_size,
-                             ref.num_elem, stride=ref.stride, name=name,
-                             layout=new_layout)
-        paddr = self.machine.space.translate_one(vaddr)
-        self.machine.llc.register_range(paddr, size)
-        self._records[vaddr] = _AffineRecord(handle, new_layout, slot, nslots)
-        self._freed_affine.discard(vaddr)
-        self._note_event("alloc", vaddr, handle.size_bytes, name)
+        handle = self._alloc_pool(AffineArray(ref.elem_size, ref.num_elem),
+                                  new_layout, name)
+        self._freed_affine.discard(handle.vaddr)
+        self._note_event("alloc", handle.vaddr, handle.size_bytes, name)
         self._trace_alloc("malloc_offset", name=name, delta=int(delta),
                           bytes=int(handle.size_bytes))
         return handle
@@ -361,77 +358,9 @@ class AffinityAllocator:
         Returns the object's virtual address.  The size is rounded up to a
         valid interleaving; the bank is chosen by the configured policy.
         """
-        if size <= 0:
-            raise AllocationSizeError("size must be positive")
-        if len(aff_addrs) > self.MAX_AFF_ADDRS:
-            raise AffinityCountError(
-                f"at most {self.MAX_AFF_ADDRS} affinity addresses; "
-                "sample a subset (paper §5.1)")
-        intrlv = self.pools.round_to_valid_interleave(size)
-        if intrlv is None:
-            raise OversizeError(
-                f"irregular allocation of {size}B exceeds the largest "
-                f"interleaving ({self.pools.interleaves[-1]}B); "
-                "use an affine allocation instead")
-        st = self.machine.faults
-        if st is not None:
-            ordinal = st.take_alloc_fault()
-            if ordinal is not None:
-                vaddr = self.machine.malloc(intrlv)
-                self.stats.fallbacks += 1
-                self.stats.injected_alloc_faults += 1
-                st.note(FaultKind.ALLOC_FAIL, ordinal, "alloc-degraded",
-                        "irregular allocation degraded to the baseline "
-                        "heap")
-                self._note_event("alloc", vaddr, intrlv, "irregular")
-                return vaddr
-        if aff_addrs:
-            aff_banks = self.machine.banks_of(np.asarray(list(aff_addrs), dtype=np.int64))
-        else:
-            aff_banks = np.empty(0, dtype=np.int64)
-        bank = int(self.policy.select_batch(
-            np.array([aff_banks.size]), aff_banks, self._hop_rows(),
-            self.load, mask=self._fault_mask())[0])
-        try:
-            vaddr = self._slot_pool(intrlv).alloc_on_bank(bank)
-        except PoolExhaustedError:
-            return self._irregular_degraded(intrlv, bank)
-        paddr = self.machine.space.translate_one(vaddr)
-        self.machine.llc.register_range(paddr, intrlv)
-        self.stats.irregular_allocs += 1
-        self._note_event("alloc", vaddr, intrlv, "irregular")
-        self._trace_alloc("malloc_irregular", bytes=int(intrlv),
-                          bank=int(bank))
-        return vaddr
-
-    def _irregular_degraded(self, intrlv: int, bank: int) -> int:
-        """The chosen pool is exhausted: irregular objects fit in any
-        slot >= their size, so retry the same bank in every *larger*
-        pool (wasting slack, never breaking Eq. 1), then degrade to the
-        baseline heap."""
-        st = self.machine.faults
-        for g in (g for g in self.pools.interleaves if g > intrlv):
-            try:
-                vaddr = self._slot_pool(g).alloc_on_bank(bank)
-            except PoolExhaustedError:
-                continue
-            paddr = self.machine.space.translate_one(vaddr)
-            self.machine.llc.register_range(paddr, g)
-            self.stats.irregular_allocs += 1
-            self.stats.degraded_allocs += 1
-            if st is not None:
-                st.note(FaultKind.POOL_EXHAUST, intrlv, "pool-fallback",
-                        f"irregular slot served from the {g}B pool")
-            self._note_event("alloc", vaddr, g, "irregular")
-            return vaddr
-        vaddr = self.machine.malloc(intrlv)
-        self.load.remove(bank)  # select_batch charged this bank
-        self.stats.fallbacks += 1
-        if st is not None:
-            st.note(FaultKind.POOL_EXHAUST, intrlv, "heap-fallback",
-                    "irregular allocation degraded to the baseline heap")
-        self._note_event("alloc", vaddr, intrlv, "irregular")
-        return vaddr
+        refs = self._banks_of(np.asarray(list(aff_addrs), dtype=np.int64))
+        return int(self._place(size, np.array([refs.size]), refs,
+                               "malloc_irregular", scalar=True)[0])
 
     def malloc_irregular_batch(self, size: int, aff_addrs: np.ndarray,
                                alloc_ids: np.ndarray, n: int) -> np.ndarray:
@@ -439,7 +368,10 @@ class AffinityAllocator:
 
         Semantically identical to ``n`` back-to-back calls (the policy
         sees each allocation's affinity and the evolving load), but
-        vectorized so building a 300k-node Linked CSR stays fast.
+        vectorized so building a 300k-node Linked CSR stays fast, with
+        two exceptions: the batch consumes no ALLOC_FAIL ordinal, and a
+        slot degraded to the baseline heap returns its load charge only
+        after the whole batch is selected.
 
         Args:
             size: allocation size (same for the whole batch).
@@ -451,35 +383,52 @@ class AffinityAllocator:
 
         Returns the ``n`` virtual addresses in allocation order.
         """
-        if size <= 0 or n <= 0:
-            raise AllocationSizeError("size and n must be positive")
-        intrlv = self.pools.round_to_valid_interleave(size)
-        if intrlv is None:
-            raise OversizeError(f"irregular allocation of {size}B exceeds "
-                                "the largest interleaving")
-        aff_addrs = np.asarray(aff_addrs, dtype=np.int64)
-        alloc_ids = np.asarray(alloc_ids, dtype=np.int64)
-        if aff_addrs.size:
-            banks = self.machine.banks_of(aff_addrs)
-        else:
-            banks = np.empty(0, dtype=np.int64)
-        offsets, banks = _affinity_groups(alloc_ids, banks, n)
-        chosen = self.policy.select_batch(np.diff(offsets), banks,
-                                          self._hop_rows(), self.load,
-                                          mask=self._fault_mask())
-        try:
-            vaddrs = self._slot_pool(intrlv).alloc_many_on_banks(chosen)
-        except PoolExhaustedError:
-            vaddrs = self._slots_degraded(intrlv, chosen)
-        else:
-            self.machine.llc.register_by_banks(chosen, float(intrlv))
-        self.stats.irregular_allocs += n
-        if self.events is not None:
-            for va in vaddrs.tolist():
-                self._note_event("alloc", va, intrlv, "irregular")
-        self._trace_alloc("malloc_irregular_batch", n=int(n),
-                          bytes=int(intrlv))
-        return vaddrs
+        if n <= 0:
+            raise AllocationSizeError("n must be positive")
+        banks = self._banks_of(np.asarray(aff_addrs, dtype=np.int64))
+        offsets, banks = _affinity_groups(
+            np.asarray(alloc_ids, dtype=np.int64), banks, n)
+        return self._place(size, np.diff(offsets), banks,
+                           "malloc_irregular_batch")
+
+    def malloc_irregular_chained(self, size: int, prev_ids: np.ndarray,
+                                 head_addrs: Optional[np.ndarray] = None) -> np.ndarray:
+        """Batched irregular allocation where each object's affinity is a
+        *previously allocated object of the same batch* (linked-list
+        appends, tree inserts: ``malloc_aff(sizeof(Node), 1, &prev)``).
+
+        Args:
+            size: allocation size (uniform).
+            prev_ids: for allocation ``i``, the batch index of its affinity
+                predecessor (< i), or -1 for a chain head.
+            head_addrs: optional per-allocation affinity address used when
+                ``prev_ids[i] == -1`` (e.g. a hash-bucket head); entries
+                for non-heads are ignored; pass -1 for "no affinity".
+
+        Returns the virtual addresses in allocation order.
+        """
+        prev_ids = np.asarray(prev_ids, dtype=np.int64)
+        n = prev_ids.size
+        if n == 0:
+            return np.empty(0, dtype=np.int64)
+        if np.any(prev_ids >= np.arange(n)):
+            raise ValueError("prev_ids must reference earlier allocations")
+        # One-ref groups: -(p + 1) for predecessor p, the head's bank
+        # for a head with an affinity address; other heads have none.
+        refs = -(prev_ids + 1)
+        sizes = (prev_ids >= 0).astype(np.int64)
+        if head_addrs is not None:
+            head_addrs = np.asarray(head_addrs, dtype=np.int64)
+            valid = (prev_ids == -1) & (head_addrs >= 0)
+            refs[valid] = self._banks_of(head_addrs[valid])
+            sizes[valid] = 1
+        return self._place(size, sizes, refs[sizes == 1],
+                           "malloc_irregular_chained")
+
+    def _banks_of(self, vaddrs: np.ndarray) -> np.ndarray:
+        if vaddrs.size:
+            return self.machine.banks_of(vaddrs)
+        return np.empty(0, dtype=np.int64)
 
     def _fault_mask(self) -> Optional[np.ndarray]:
         st = self.machine.faults
@@ -491,10 +440,71 @@ class AffinityAllocator:
         return np.ascontiguousarray(self.mesh.hops_table().T,
                                     dtype=np.float64)
 
-    def _slots_degraded(self, intrlv: int, chosen: np.ndarray) -> np.ndarray:
-        """Batch pool exhausted: serve each slot from the chosen bank in
-        the exact pool, then every larger pool, then the baseline heap
-        (mirrors :meth:`_irregular_degraded`, one object at a time)."""
+    def _place(self, size: int, sizes: np.ndarray, refs: np.ndarray,
+               event: str, scalar: bool = False) -> np.ndarray:
+        """The one placement step behind every irregular entry point.
+
+        Allocation ``i`` has the affinity group ``sizes[i]`` of ``refs``
+        (banks, or ``-(p + 1)`` for this batch's allocation ``p``; the
+        form :meth:`BankSelectPolicy.select_batch` takes).  The step
+        checks the input, picks one bank per allocation (Eq. 4), pops one
+        slot per allocation from those banks' free lists in the size's
+        interleave pool, degrades what an exhausted pool cannot serve,
+        then counts, records and traces.  Only the scalar call consumes
+        an ALLOC_FAIL ordinal (DESIGN §8).
+
+        Returns the virtual addresses in allocation order.
+        """
+        if size <= 0:
+            raise AllocationSizeError("size must be positive")
+        if int(sizes.max()) > self.MAX_AFF_ADDRS:
+            raise AffinityCountError(
+                f"at most {self.MAX_AFF_ADDRS} affinity addresses; "
+                "sample a subset (paper §5.1)")
+        intrlv = self.pools.round_to_valid_interleave(size)
+        if intrlv is None:
+            raise OversizeError(
+                f"irregular allocation of {size}B exceeds the largest "
+                f"interleaving ({self.pools.interleaves[-1]}B); "
+                "use an affine allocation instead")
+        st = self.machine.faults
+        if scalar and st is not None:
+            ordinal = st.take_alloc_fault()
+            if ordinal is not None:
+                vaddr = self.machine.malloc(intrlv)
+                self.stats.fallbacks += 1
+                self.stats.injected_alloc_faults += 1
+                st.note(FaultKind.ALLOC_FAIL, ordinal, "alloc-degraded",
+                        "irregular allocation degraded to the baseline "
+                        "heap")
+                self._note_event("alloc", vaddr, intrlv, "irregular")
+                return np.array([vaddr], dtype=np.int64)
+        chosen = self.policy.select_batch(sizes, refs, self._hop_rows(),
+                                          self.load, mask=self._fault_mask())
+        try:
+            vaddrs = self._slot_pool(intrlv).alloc_many_on_banks(chosen)
+        except PoolExhaustedError:
+            vaddrs, on_heap = self._slots_degraded(intrlv, chosen)
+        else:
+            self.machine.llc.register_by_banks(chosen, float(intrlv))
+            on_heap = 0
+        self.stats.irregular_allocs += chosen.size - on_heap
+        if self.events is not None:
+            for va in vaddrs.tolist():
+                self._note_event("alloc", va, intrlv, "irregular")
+        if scalar:
+            self._trace_alloc(event, bytes=int(intrlv), bank=int(chosen[0]))
+        else:
+            self._trace_alloc(event, n=int(chosen.size), bytes=int(intrlv))
+        return vaddrs
+
+    def _slots_degraded(self, intrlv: int,
+                        chosen: np.ndarray) -> Tuple[np.ndarray, int]:
+        """The exact pool is exhausted: irregular objects fit in any slot
+        >= their size, so serve each slot from its chosen bank in the
+        exact pool, then every larger pool (wasting slack, never breaking
+        Eq. 1), then the baseline heap, which returns the bank's load
+        charge.  Returns the vaddrs and how many went to the heap."""
         st = self.machine.faults
         pools_to_try = [g for g in self.pools.interleaves if g >= intrlv]
         out = np.empty(chosen.size, dtype=np.int64)
@@ -528,60 +538,7 @@ class AffinityAllocator:
                 st.note(FaultKind.POOL_EXHAUST, intrlv, "heap-fallback",
                         f"{heap_fb} irregular slot(s) degraded to the "
                         f"baseline heap")
-        return out
-
-    def malloc_irregular_chained(self, size: int, prev_ids: np.ndarray,
-                                 head_addrs: Optional[np.ndarray] = None) -> np.ndarray:
-        """Batched irregular allocation where each object's affinity is a
-        *previously allocated object of the same batch* (linked-list
-        appends, tree inserts: ``malloc_aff(sizeof(Node), 1, &prev)``).
-
-        Args:
-            size: allocation size (uniform).
-            prev_ids: for allocation ``i``, the batch index of its affinity
-                predecessor (< i), or -1 for a chain head.
-            head_addrs: optional per-allocation affinity address used when
-                ``prev_ids[i] == -1`` (e.g. a hash-bucket head); entries
-                for non-heads are ignored; pass -1 for "no affinity".
-
-        Returns the virtual addresses in allocation order.
-        """
-        prev_ids = np.asarray(prev_ids, dtype=np.int64)
-        n = prev_ids.size
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
-        if np.any(prev_ids >= np.arange(n)):
-            raise ValueError("prev_ids must reference earlier allocations")
-        intrlv = self.pools.round_to_valid_interleave(size)
-        if intrlv is None:
-            raise OversizeError(f"irregular allocation of {size}B exceeds "
-                                "the largest interleaving")
-        # One-ref groups: -(p + 1) for predecessor p, the head's bank
-        # for a head with an affinity address; other heads have none.
-        refs = -(prev_ids + 1)
-        sizes = (prev_ids >= 0).astype(np.int64)
-        if head_addrs is not None:
-            head_addrs = np.asarray(head_addrs, dtype=np.int64)
-            valid = (prev_ids == -1) & (head_addrs >= 0)
-            if valid.any():
-                refs[valid] = self.machine.banks_of(head_addrs[valid])
-                sizes[valid] = 1
-        chosen = self.policy.select_batch(sizes, refs[sizes == 1],
-                                          self._hop_rows(), self.load,
-                                          mask=self._fault_mask())
-        try:
-            vaddrs = self._slot_pool(intrlv).alloc_many_on_banks(chosen)
-        except PoolExhaustedError:
-            vaddrs = self._slots_degraded(intrlv, chosen)
-        else:
-            self.machine.llc.register_by_banks(chosen, float(intrlv))
-        self.stats.irregular_allocs += n
-        if self.events is not None:
-            for va in vaddrs.tolist():
-                self._note_event("alloc", va, intrlv, "irregular")
-        self._trace_alloc("malloc_irregular_chained", n=int(n),
-                          bytes=int(intrlv))
-        return vaddrs
+        return out, heap_fb
 
     # ------------------------------------------------------------------
     # Unified malloc_aff / free_aff (paper signatures)

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.analysis.diagnostics import (AffinityCountError,
+                                        AllocationSizeError, OversizeError)
 from repro.core.api import AffineArray, ArrayHandle
 from repro.core.policy import (HybridPolicy, LinearPolicy, MinHopPolicy,
                                RandomPolicy)
@@ -18,6 +21,30 @@ def machine():
 @pytest.fixture
 def alloc(machine):
     return AffinityAllocator(machine)
+
+
+def _one_object(entry):
+    """Entry point ``entry`` ("scalar", "batch" or "chained") as a call
+    ``(alloc, size, refs)`` that allocates one object of ``size`` bytes
+    near ``refs`` (the chained form takes one ref at most: its head
+    address)."""
+    def scalar(alloc, size, refs):
+        return alloc.malloc_irregular(size, refs)
+
+    def batch(alloc, size, refs):
+        return alloc.malloc_irregular_batch(
+            size, np.asarray(refs, dtype=np.int64),
+            np.zeros(len(refs), dtype=np.int64), 1)
+
+    def chained(alloc, size, refs):
+        assert len(refs) <= 1
+        return alloc.malloc_irregular_chained(
+            size, np.array([-1]), head_addrs=np.array(list(refs) or [-1]))
+
+    return {"scalar": scalar, "batch": batch, "chained": chained}[entry]
+
+
+ENTRY_POINTS = ["scalar", "batch", "chained"]
 
 
 class TestAffinePath:
@@ -93,14 +120,27 @@ class TestIrregularPath:
         pool = machine.pools.pool_containing(va)
         assert pool.intrlv == 128
 
-    def test_oversized_rejected(self, alloc):
-        with pytest.raises(ValueError):
-            alloc.malloc_irregular(8192)
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_oversized_rejected(self, alloc, entry):
+        with pytest.raises(OversizeError):
+            _one_object(entry)(alloc, 8192, [])
 
-    def test_too_many_affinity_addresses(self, alloc):
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("size", [0, -64])
+    def test_non_positive_size_rejected(self, alloc, entry, size):
+        with pytest.raises(AllocationSizeError):
+            _one_object(entry)(alloc, size, [])
+        assert alloc.load.total == 0.0
+
+    # A chained object has one ref at most, so only these two can
+    # exceed the cap.
+    @pytest.mark.parametrize("entry", ["scalar", "batch"])
+    def test_too_many_affinity_addresses(self, alloc, entry):
         a = alloc.malloc_irregular(64)
-        with pytest.raises(ValueError):
-            alloc.malloc_irregular(64, [a] * 33)
+        with pytest.raises(AffinityCountError):
+            _one_object(entry)(alloc, 64, [a] * 33)
+        _one_object(entry)(alloc, 64, [a] * 32)
+        assert alloc.stats.irregular_allocs == 2
 
     def test_free_infers_from_pool(self, alloc, machine):
         """Paper §5.1: no metadata for irregular objects — free infers the
@@ -125,22 +165,6 @@ class TestIrregularPath:
 
 
 class TestBatchedPaths:
-    def test_batch_matches_sequential_hybrid(self, machine):
-        """malloc_irregular_batch must behave like back-to-back singles."""
-        seq_m = Machine()
-        seq = AffinityAllocator(seq_m, HybridPolicy(5.0))
-        anchor_seq = seq.malloc_irregular(64)
-        singles = [seq.malloc_irregular(64, [anchor_seq]) for _ in range(20)]
-
-        bat = AffinityAllocator(machine, HybridPolicy(5.0))
-        anchor_bat = bat.malloc_irregular(64)
-        aff = np.full(20, anchor_bat, dtype=np.int64)
-        ids = np.arange(20)
-        batch = bat.malloc_irregular_batch(64, aff, ids, 20)
-        seq_banks = [seq_m.bank_of(v) for v in singles]
-        bat_banks = [machine.bank_of(int(v)) for v in batch]
-        assert seq_banks == bat_banks
-
     def test_batch_without_affinity(self, alloc, machine):
         vs = alloc.malloc_irregular_batch(64, np.empty(0, dtype=np.int64),
                                           np.empty(0, dtype=np.int64), 50)
@@ -170,6 +194,112 @@ class TestBatchedPaths:
     def test_chained_rejects_forward_refs(self, alloc):
         with pytest.raises(ValueError):
             alloc.malloc_irregular_chained(64, np.array([1, -1]))
+
+
+class TestBatchMatchesSequential:
+    """The batch and chained entry points place every object on the same
+    bank and in the same pool class as back-to-back ``malloc_irregular``
+    calls, and leave the same load, footprint and ``AllocStats``, also
+    when capped pools degrade slots to larger ones.  Vaddrs may differ
+    (the pools expand at different times); the largest pool stays
+    uncapped, because a heap fallback returns its load charge only after
+    the whole batch is selected."""
+
+    POLICIES = [lambda: HybridPolicy(5.0), MinHopPolicy, LinearPolicy]
+
+    @classmethod
+    def _setup(cls, caps, policy):
+        m = Machine()
+        alloc = AffinityAllocator(m, cls.POLICIES[policy]())
+        anchors = alloc.malloc_affine(AffineArray(8, 512, partition=True))
+        for g, cap in zip(m.pools.interleaves, caps):
+            m.pools.pool(g).max_expansions = cap
+        return m, alloc, anchors.addr_of(np.arange(0, 512, 7))
+
+    @staticmethod
+    def _placement(m, vaddrs):
+        return [(m.bank_of(int(va)), m.pools.pool_containing(int(va)).intrlv)
+                for va in vaddrs]
+
+    def _assert_same(self, seq, bat, seq_vas, bat_vas):
+        (m1, a1), (m2, a2) = seq, bat
+        assert self._placement(m1, seq_vas) == self._placement(m2, bat_vas)
+        assert np.array_equal(a1.load.loads, a2.load.loads)
+        assert np.array_equal(m1.llc.footprint_bytes, m2.llc.footprint_bytes)
+        assert a1.stats == a2.stats
+
+    # Caps for every pool but the largest: none, none-left, or one
+    # expansion (64 slots per bank).
+    caps = st.lists(st.sampled_from([None, 0, 1]), min_size=6, max_size=6
+                    ).map(lambda c: c + [None])
+    prop = settings(max_examples=40, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+    @prop
+    @given(caps=caps, policy=st.integers(0, 2),
+           size=st.sampled_from([8, 64, 100, 512]),
+           groups=st.lists(st.lists(st.integers(0, 73), max_size=32),
+                           min_size=1, max_size=90))
+    def test_batch(self, caps, policy, size, groups):
+        m1, a1, anchors = self._setup(caps, policy)
+        seq_vas = [a1.malloc_irregular(size, anchors[g].tolist())
+                   for g in groups]
+        m2, a2, anchors = self._setup(caps, policy)
+        flat = np.concatenate([anchors[g] for g in groups]).astype(np.int64)
+        ids = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+        bat_vas = a2.malloc_irregular_batch(size, flat, ids, len(groups))
+        self._assert_same((m1, a1), (m2, a2), seq_vas, bat_vas)
+
+    @prop
+    @given(caps=caps, policy=st.integers(0, 2),
+           size=st.sampled_from([8, 64, 100, 512]),
+           links=st.lists(st.tuples(st.integers(-1, 200),
+                                    st.integers(-1, 73)),
+                          min_size=1, max_size=90))
+    def test_chained(self, caps, policy, size, links):
+        # (p, h): predecessor p mod i, or a head (p == -1 or i == 0)
+        # near anchor h (no affinity for h == -1).
+        prev = np.array([p % i if p >= 0 and i else -1
+                         for i, (p, _) in enumerate(links)])
+        m1, a1, anchors = self._setup(caps, policy)
+        heads = np.array([anchors[h] if h >= 0 else -1 for _, h in links])
+        seq_vas = []
+        for i, p in enumerate(prev.tolist()):
+            refs = ([seq_vas[p]] if p >= 0
+                    else [int(heads[i])] if heads[i] >= 0 else [])
+            seq_vas.append(a1.malloc_irregular(size, refs))
+        m2, a2, anchors = self._setup(caps, policy)
+        bat_vas = a2.malloc_irregular_chained(size, prev, head_addrs=heads)
+        self._assert_same((m1, a1), (m2, a2), seq_vas, bat_vas)
+
+
+class TestCountingRule:
+    """Every allocation counts once: in ``irregular_allocs`` when a slot
+    pool holds it, in ``fallbacks`` when the baseline heap does; the load
+    holds exactly the pool-placed objects."""
+
+    N = 500  # more than the 7 pools' 64 slots per bank after one expansion
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_every_pool_capped(self, machine, entry):
+        for g in machine.pools.interleaves:
+            machine.pools.pool(g).max_expansions = 1
+        alloc = AffinityAllocator(machine, MinHopPolicy())
+        anchor = alloc.malloc_irregular(64)
+        n = self.N
+        if entry == "scalar":
+            for _ in range(n):
+                alloc.malloc_irregular(64, [anchor])
+        elif entry == "batch":
+            alloc.malloc_irregular_batch(64, np.full(n, anchor),
+                                         np.arange(n), n)
+        else:
+            alloc.malloc_irregular_chained(
+                64, np.arange(n) - 1, head_addrs=np.full(n, anchor))
+        stats = alloc.stats
+        assert stats.degraded_allocs > 0 and stats.fallbacks > 0  # ladder ran
+        assert stats.irregular_allocs + stats.fallbacks == n + 1
+        assert alloc.load.total == stats.irregular_allocs
 
 
 class TestSelectionCount:
@@ -266,6 +396,7 @@ class TestFaultDegradation:
         h = alloc.malloc_affine(AffineArray(4, 4096))
         assert h.layout.code == "pool-degraded"
         assert alloc.stats.fallbacks == 1
+        assert alloc.stats.affine_allocs == 0  # counted once, on the heap
         # the degraded array is still a fully usable handle
         assert h.all_banks().size > 0
 
