@@ -590,8 +590,7 @@ def validate_contention(tenants: Sequence[Tenant],
         measured_eject = np.zeros(nb, dtype=np.float64)
         for phase in result.phases:
             measured_access += phase.bank_line_accesses
-            pair = phase.pair_flits[MessageClass.DATA].reshape(nb, nb)
-            measured_eject += pair.sum(axis=0)
+            measured_eject += phase.arrivals[MessageClass.DATA]
         access_tvd = _tvd(predicted, measured_access)
         # A fully bank-local workload moves zero DATA flits — there are
         # no traffic shares to compare, which is success, not divergence.

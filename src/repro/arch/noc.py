@@ -23,14 +23,15 @@ Message classes follow the paper's figure legends:
 from __future__ import annotations
 
 import enum
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
 from repro.arch.mesh import Mesh
 from repro.config import NocConfig
 
-__all__ = ["MessageClass", "TrafficAccountant", "pair_channel_loads"]
+__all__ = ["MessageClass", "SealedTraffic", "TrafficAccountant",
+           "pair_channel_loads"]
 
 
 class MessageClass(enum.Enum):
@@ -78,6 +79,23 @@ def pair_channel_loads(mesh: Mesh, pair_flits: np.ndarray) -> np.ndarray:
     return loads
 
 
+class SealedTraffic(NamedTuple):
+    """One phase's traffic, reduced from its per-class pair deltas to
+    O(links + tiles) values:
+
+    * ``channel_loads`` — :func:`pair_channel_loads` of the class deltas
+      summed in :class:`MessageClass` order;
+    * ``flits`` — total flits per class;
+    * ``flit_hops`` — flits x hops per class;
+    * ``arrivals`` — flits per destination tile per class.
+    """
+
+    channel_loads: np.ndarray
+    flits: Dict[MessageClass, float]
+    flit_hops: Dict[MessageClass, float]
+    arrivals: Dict[MessageClass, np.ndarray]
+
+
 class TrafficAccountant:
     """Accumulates message batches into per-(pair, class) flit counts."""
 
@@ -89,6 +107,11 @@ class TrafficAccountant:
             cls: np.zeros(npairs, dtype=np.float64) for cls in MessageClass
         }
         self._messages: Dict[MessageClass, float] = {cls: 0.0 for cls in MessageClass}
+        # Pair counts at the last phase seal; the open phase's traffic
+        # is the difference (see :meth:`seal`).
+        self._mark: Dict[MessageClass, np.ndarray] = {
+            cls: np.zeros(npairs, dtype=np.float64) for cls in MessageClass
+        }
         # Hop distance for every (src, dst) pair as float64: the mesh's
         # hop table, flattened, taken once per topology epoch.
         self._pair_hops: Optional[np.ndarray] = None
@@ -181,6 +204,37 @@ class TrafficAccountant:
         return sum(self._messages.values())
 
     # ------------------------------------------------------------------
+    # Phases
+    # ------------------------------------------------------------------
+    def has_open_traffic(self) -> bool:
+        """True if flits were recorded since the last :meth:`seal`."""
+        return any(not np.array_equal(self._pair_flits[cls], self._mark[cls])
+                   for cls in MessageClass)
+
+    def seal(self) -> SealedTraffic:
+        """Close the open phase: reduce the per-class pair deltas since
+        the last seal to a :class:`SealedTraffic`, then move the mark.
+
+        Channel loads and hop counts use the topology as it is now, so
+        a phase is timed on the routes its traffic ran on, even if a
+        link fails later in the run.
+        """
+        n = self.mesh.num_tiles
+        hops = self._hops_per_pair()
+        deltas = {cls: self._pair_flits[cls] - self._mark[cls]
+                  for cls in MessageClass}
+        sealed = SealedTraffic(
+            channel_loads=pair_channel_loads(self.mesh, sum(deltas.values())),
+            flits={cls: float(d.sum()) for cls, d in deltas.items()},
+            flit_hops={cls: float(np.dot(d, hops)) for cls, d in deltas.items()},
+            arrivals={cls: d.reshape(n, n).sum(axis=0)
+                      for cls, d in deltas.items()},
+        )
+        for cls in MessageClass:
+            self._mark[cls][:] = self._pair_flits[cls]
+        return sealed
+
+    # ------------------------------------------------------------------
     def _channel_loads(self) -> np.ndarray:
         """Per-channel loads, recomputed at most once per dirty epoch.
 
@@ -237,7 +291,8 @@ class TrafficAccountant:
                    / (self._usable_link_count() * cycles))
 
     def reset(self) -> None:
-        """Zero every counter and invalidate the channel-load cache.
+        """Zero every counter and the phase mark, and invalidate the
+        channel-load cache.
 
         Epoch-based consumers (the relayout telemetry aggregator) reset
         between epochs; the dirty flag guarantees the next metric query
@@ -246,6 +301,7 @@ class TrafficAccountant:
         """
         for cls in MessageClass:
             self._pair_flits[cls][:] = 0.0
+            self._mark[cls][:] = 0.0
             self._messages[cls] = 0.0
         self._dirty = True
 

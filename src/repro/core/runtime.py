@@ -302,15 +302,21 @@ class AffinityAllocator:
         frame_pool = self._slot_pool(page)
         frames: List[int] = []
         pages_per_chunk = chunk // page
-        for j in range(nchunks):
-            bank = (layout.start_bank + j) % self.machine.num_banks
-            for k in range(pages_per_chunk):
-                frame_va = frame_pool.alloc_on_bank(bank)
-                frame_pa = self.machine.space.translate_one(frame_va)
-                self.machine.paged_map(vaddr + (j * pages_per_chunk + k) * page,
-                                       frame_pa)
-                self.machine.llc.register_range(frame_pa, page)
-                frames.append(frame_va)
+        try:
+            for j in range(nchunks):
+                bank = (layout.start_bank + j) % self.machine.num_banks
+                for k in range(pages_per_chunk):
+                    frame_va = frame_pool.alloc_on_bank(bank)
+                    frame_pa = self.machine.space.translate_one(frame_va)
+                    self.machine.paged_map(
+                        vaddr + (j * pages_per_chunk + k) * page, frame_pa)
+                    self.machine.llc.register_range(frame_pa, page)
+                    frames.append(frame_va)
+        except PoolExhaustedError:
+            # The 4 KiB pool ran dry part way: hand back what was taken
+            # before the caller's degrade ladder places the array anew.
+            self._release_frames(frames)
+            raise
         handle = ArrayHandle(self.machine, vaddr, spec.elem_size,
                              spec.num_elem, stride=layout.stride,
                              name=name, layout=layout)
@@ -629,13 +635,17 @@ class AffinityAllocator:
             paddr = self.machine.space.translate_one(handle.vaddr)
             self.machine.llc.unregister_range(paddr, handle.size_bytes)
         elif layout.kind is LayoutKind.PAGED:
-            page = self.machine.config.page_size
-            frame_pool = self._slot_pool(page)
-            for frame_va in rec.frames:
-                frame_pa = self.machine.space.translate_one(frame_va)
-                self.machine.llc.unregister_range(frame_pa, page)
-                frame_pool.free_slot(frame_va)
+            self._release_frames(rec.frames)
         # FALLBACK: bump heap, nothing to reclaim.
+
+    def _release_frames(self, frames: Sequence[int]) -> None:
+        """Return 4 KiB-pool frames and drop their LLC footprint."""
+        page = self.machine.config.page_size
+        frame_pool = self._slot_pool(page)
+        for frame_va in frames:
+            frame_pa = self.machine.space.translate_one(frame_va)
+            self.machine.llc.unregister_range(frame_pa, page)
+            frame_pool.free_slot(frame_va)
 
     def realloc_aff(self, vaddr: int, aff_addrs: Sequence[int] = ()) -> int:
         """Re-place an irregular object whose affinity changed (paper §8,

@@ -242,13 +242,9 @@ def fig14_atomic_timeline(policies: Sequence[str] = ("Rnd", "Min-Hop",
             if cyc <= 0:
                 continue
             # mean request distance this phase (control messages)
-            w = config.noc.width
-            n = config.noc.num_tiles
-            pidx = np.arange(n * n)
-            src, dst = pidx // n, pidx % n
-            hops = np.abs(src % w - dst % w) + np.abs(src // w - dst // w)
-            ctl = phase.pair_flits[MessageClass.CONTROL]
-            mean_hops = float(np.dot(ctl, hops) / ctl.sum()) if ctl.sum() else 0.0
+            ctl = phase.flits[MessageClass.CONTROL]
+            mean_hops = (phase.flit_hops[MessageClass.CONTROL] / ctl
+                         if ctl else 0.0)
             occ = phase.bank_atomics * (lat + mean_hops * hop_lat) / cyc
             res.data.append([
                 pol, t / total, float(occ.min()),

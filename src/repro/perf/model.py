@@ -22,20 +22,13 @@ from typing import TYPE_CHECKING, Dict, List, Tuple
 import numpy as np
 
 from repro.arch.energy import EnergyBreakdown
-from repro.arch.mesh import Mesh
-from repro.arch.noc import MessageClass, pair_channel_loads
+from repro.arch.noc import MessageClass
 from repro.perf.stats import PhaseStats, RunRecorder
 
 if TYPE_CHECKING:
     from repro.machine import Machine
 
-__all__ = ["PerfModel", "RunResult", "pair_link_loads"]
-
-
-def pair_link_loads(mesh: Mesh, pair_flits: np.ndarray) -> np.ndarray:
-    """Per-channel loads (links + inject/eject ports); see
-    :func:`repro.arch.noc.pair_channel_loads`."""
-    return pair_channel_loads(mesh, pair_flits)
+__all__ = ["PerfModel", "RunResult"]
 
 
 @dataclass
@@ -83,8 +76,7 @@ class PerfModel:
                      + phase.bank_remote_reqs * p.remote_req_cycles
                      + phase.bank_near_ops / p.bank_ops_per_cycle)
         t_bank = float(bank_busy.max()) if bank_busy.size else 0.0
-        total_pair = sum(phase.pair_flits.values())
-        t_link = float(pair_link_loads(self.machine.mesh, total_pair).max())
+        t_link = float(phase.channel_loads.max())
         t_serial = float(phase.core_serial_cycles.max()) if phase.core_serial_cycles.size else 0.0
         return {"core": t_core, "bank": t_bank,
                 "link": t_link, "serial": t_serial}

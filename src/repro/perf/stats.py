@@ -9,6 +9,8 @@ A :class:`RunRecorder` accumulates, for one workload run:
 * *phases* — labeled checkpoints (e.g. one BFS iteration) that snapshot
   counter deltas, so the perf model can time each phase at its own
   bottleneck and the harness can plot timelines (paper Figs 14/18).
+  A phase's traffic is sealed into channel loads and per-class totals
+  (:class:`~repro.arch.noc.SealedTraffic`), not a tiles x tiles matrix.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ __all__ = ["PhaseStats", "RunRecorder"]
 
 @dataclass
 class PhaseStats:
-    """Counter deltas for one phase of a run."""
+    """Counter deltas for one phase of a run; the last four fields are
+    the phase's :class:`~repro.arch.noc.SealedTraffic`."""
 
     label: str
     bank_line_accesses: np.ndarray
@@ -37,11 +40,14 @@ class PhaseStats:
     bank_near_ops: np.ndarray
     core_ops: np.ndarray
     core_serial_cycles: np.ndarray
-    pair_flits: Dict[MessageClass, np.ndarray]
     private_line_accesses: float
+    channel_loads: np.ndarray
+    flits: Dict[MessageClass, float]
+    flit_hops: Dict[MessageClass, float]
+    arrivals: Dict[MessageClass, np.ndarray]
 
     def total_flits(self) -> float:
-        return float(sum(v.sum() for v in self.pair_flits.values()))
+        return float(sum(self.flits.values()))
 
 
 class RunRecorder:
@@ -129,8 +135,6 @@ class RunRecorder:
             "bank_near_ops": self.bank_near_ops.copy(),
             "core_ops": self.core_ops.copy(),
             "core_serial_cycles": self.core_serial_cycles.copy(),
-            "pair_flits": {cls: self.traffic._pair_flits[cls].copy()
-                           for cls in MessageClass},
             "private": self.private_line_accesses,
         }
 
@@ -152,9 +156,8 @@ class RunRecorder:
             bank_near_ops=now["bank_near_ops"] - prev["bank_near_ops"],
             core_ops=now["core_ops"] - prev["core_ops"],
             core_serial_cycles=now["core_serial_cycles"] - prev["core_serial_cycles"],
-            pair_flits={cls: now["pair_flits"][cls] - prev["pair_flits"][cls]
-                        for cls in MessageClass},
             private_line_accesses=now["private"] - prev["private"],
+            **self.traffic.seal()._asdict(),
         )
         self.phases.append(phase)
         self._mark = now
@@ -173,8 +176,7 @@ class RunRecorder:
                     "bank_near_ops", "core_ops", "core_serial_cycles"):
             if not np.array_equal(now[key], prev[key]):
                 return True
-        return any(not np.array_equal(now["pair_flits"][c], prev["pair_flits"][c])
-                   for c in MessageClass)
+        return self.traffic.has_open_traffic()
 
     def close(self) -> None:
         """Wrap any trailing events into a final phase."""

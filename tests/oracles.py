@@ -39,6 +39,8 @@ __all__ = [
     "first_unique_reference",
     "first_unique_counts_reference",
     "affine_kernel_reference",
+    "phase_resources_reference",
+    "install_dense_phases",
     "install",
 ]
 
@@ -410,6 +412,75 @@ def affine_kernel_reference(self, cores, ins, out=None,
 
 
 # ----------------------------------------------------------------------
+# Phase timing on dense pair deltas
+# ----------------------------------------------------------------------
+def phase_resources_reference(model, phase, pair_flits) -> dict:
+    """Original :meth:`repro.perf.model.PerfModel._phase_resources`,
+    from the days a phase record held its dense per-class pair deltas:
+    the link term expands their sum on the model's mesh as it stands
+    when the run is evaluated."""
+    from repro.arch.noc import pair_channel_loads
+
+    p = model.perf
+    t_core = float(phase.core_ops.max()) / p.core_ops_per_cycle if phase.core_ops.size else 0.0
+    bank_busy = (phase.bank_line_accesses * p.bank_access_cycles
+                 + phase.bank_atomics * p.atomic_access_cycles
+                 + phase.bank_remote_reqs * p.remote_req_cycles
+                 + phase.bank_near_ops / p.bank_ops_per_cycle)
+    t_bank = float(bank_busy.max()) if bank_busy.size else 0.0
+    total_pair = sum(pair_flits.values())
+    t_link = float(pair_channel_loads(model.machine.mesh, total_pair).max())
+    t_serial = float(phase.core_serial_cycles.max()) if phase.core_serial_cycles.size else 0.0
+    return {"core": t_core, "bank": t_bank,
+            "link": t_link, "serial": t_serial}
+
+
+def install_dense_phases(monkeypatch) -> None:
+    """Rebuild every phase's dense per-class pair deltas from snapshots
+    of the accountant's cumulative pair counts, taken after each
+    ``end_phase``, and time them as the model once did.
+
+    Each :class:`~repro.perf.model.RunResult` then carries
+    ``dense_phase_resources`` and ``dense_phase_cycles``, the
+    reference counterparts of ``phase_resources`` and ``phase_cycles``.
+    """
+    from repro.arch.noc import MessageClass
+    from repro.perf.model import PerfModel
+    from repro.perf.stats import RunRecorder
+
+    end_phase = RunRecorder.end_phase
+    evaluate = PerfModel.evaluate
+
+    def end_phase_and_snapshot(self, label):
+        phase = end_phase(self, label)
+        cumulative = self.__dict__.setdefault("dense_cumulative", [])
+        cumulative.append({cls: self.traffic._pair_flits[cls].copy()
+                           for cls in MessageClass})
+        return phase
+
+    def evaluate_and_retime(self, recorder, **kwargs):
+        result = evaluate(self, recorder, **kwargs)
+        cumulative = recorder.__dict__.get("dense_cumulative", [])
+        assert len(cumulative) == len(recorder.phases)
+        npairs = recorder.traffic._pair_flits[MessageClass.DATA].size
+        prev = {cls: np.zeros(npairs, dtype=np.float64)
+                for cls in MessageClass}
+        resources = []
+        for phase, now in zip(recorder.phases, cumulative):
+            dense = {cls: now[cls] - prev[cls] for cls in MessageClass}
+            resources.append((phase.label,
+                              phase_resources_reference(self, phase, dense)))
+            prev = now
+        result.dense_phase_resources = resources
+        result.dense_phase_cycles = [(lbl, max(res.values()))
+                                     for lbl, res in resources]
+        return result
+
+    monkeypatch.setattr(RunRecorder, "end_phase", end_phase_and_snapshot)
+    monkeypatch.setattr(PerfModel, "evaluate", evaluate_and_retime)
+
+
+# ----------------------------------------------------------------------
 # Installing every oracle at once
 # ----------------------------------------------------------------------
 def install(monkeypatch) -> None:
@@ -424,7 +495,6 @@ def install(monkeypatch) -> None:
     from repro.arch import noc as noc_mod
     from repro.core import policy as policy_mod
     from repro.nsc import executor as executor_mod
-    from repro.perf import model as model_mod
     from repro.vm import layout as layout_mod
     from repro import machine as machine_mod
 
@@ -496,7 +566,6 @@ def install(monkeypatch) -> None:
 
     patch = monkeypatch.setattr
     patch(noc_mod, "pair_channel_loads", pair_channel_loads_reference)
-    patch(model_mod, "pair_channel_loads", pair_channel_loads_reference)
     patch(noc_mod.TrafficAccountant, "_channel_loads", _uncached_channel_loads)
     patch(noc_mod.TrafficAccountant, "_hops_per_pair", _per_instance_hops)
     patch(mesh_mod.Mesh, "link_loads", mesh_link_loads_reference)

@@ -99,7 +99,7 @@ class TestGithub:
 
 
 class TestCliExitCodes:
-    def test_self_clean_tree_is_zero(self, capsys):
+    def test_self_clean_tree_is_zero(self, capsys, memoized_selfcheck):
         assert cli(["--self"]) == 0
         assert "no findings" in capsys.readouterr().out
 
@@ -109,7 +109,7 @@ class TestCliExitCodes:
     def test_self_fixtures_expect_findings(self, capsys):
         assert cli(["--self", str(SELFCHECK), "--expect-findings"]) == 0
 
-    def test_self_expect_findings_fails_when_clean(self, capsys):
+    def test_self_expect_findings_fails_when_clean(self, capsys, memoized_selfcheck):
         assert cli(["--self", "--expect-findings"]) == 1
 
     def test_self_and_plans_is_usage_error(self, capsys):

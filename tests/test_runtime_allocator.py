@@ -400,6 +400,20 @@ class TestFaultDegradation:
         # the degraded array is still a fully usable handle
         assert h.all_banks().size > 0
 
+    def test_paged_array_returns_its_frames_when_the_pool_runs_dry(
+            self, machine, alloc):
+        """A partitioned 32 MiB array needs more 4 KiB frames than one
+        expansion holds: the frames taken before the pool ran dry go
+        back, footprint and all, before the array is degraded."""
+        machine.pools.pool(4096).max_expansions = 1
+        h = alloc.malloc_affine(AffineArray(4, 8 << 20, partition=True))
+        assert h.layout.code == "pool-degraded"
+        assert machine.llc.footprint_bytes.sum() == 33_554_432
+        assert alloc._slot_pool(4096).live == 0
+        alloc.free_aff(h)
+        assert machine.llc.footprint_bytes.sum() == 0
+        assert alloc._slot_pool(4096).live == 0
+
     def test_irregular_degrades_to_larger_pool_same_bank(self, machine,
                                                          alloc):
         machine.pools.pool(64).max_expansions = 0

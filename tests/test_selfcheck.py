@@ -252,8 +252,8 @@ class TestFixtures:
 
 
 class TestGoldenShippedTree:
-    def test_shipped_code_has_zero_findings(self):
-        report = selfcheck_paths([SHIPPED])
+    def test_shipped_code_has_zero_findings(self, shipped_selfcheck):
+        report = shipped_selfcheck
         assert len(report) == 0, report.render()
 
     def test_shipped_code_carries_no_test_oracles(self):
