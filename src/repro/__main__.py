@@ -46,9 +46,6 @@ from repro.harness.cliutil import (EXIT_USAGE, add_scale_argument,
 from repro.nsc.engine import EngineMode
 from repro.workloads import WORKLOADS, run_workload
 
-#: Backwards-compatible alias — the registry now lives in the runner.
-EXPERIMENTS = runner.EXPERIMENTS
-
 #: Subcommands with their own parser, as ``"module:function"`` entry
 #: points; ``list``, ``run``, ``all`` and experiment ids ride the default
 #: parser below.

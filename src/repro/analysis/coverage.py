@@ -41,8 +41,8 @@ LOCAL_FRACTION_THRESHOLD = 0.5
 #: ``linspace`` points, which can alias against a layout's bank period,
 #: so the estimate is not exact: the same sampling in INT005 reads
 #: hotspot's access TVD as 0.069 where every element gives 0.
-#: ROADMAP.md's "exact layout prediction" item replaces it with a
-#: closed-form Eq. 1 bank histogram.
+#: ROADMAP.md item 7 replaces it with a closed-form Eq. 1 bank
+#: histogram over one joint period.
 MAX_SAMPLES = 4096
 
 

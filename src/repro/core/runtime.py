@@ -315,7 +315,7 @@ class AffinityAllocator:
         except PoolExhaustedError:
             # The 4 KiB pool ran dry part way: hand back what was taken
             # before the caller's degrade ladder places the array anew.
-            self._release_frames(frames)
+            self._release_paged(vaddr, frames)
             raise
         handle = ArrayHandle(self.machine, vaddr, spec.elem_size,
                              spec.num_elem, stride=layout.stride,
@@ -635,11 +635,14 @@ class AffinityAllocator:
             paddr = self.machine.space.translate_one(handle.vaddr)
             self.machine.llc.unregister_range(paddr, handle.size_bytes)
         elif layout.kind is LayoutKind.PAGED:
-            self._release_frames(rec.frames)
+            self._release_paged(handle.vaddr, rec.frames)
         # FALLBACK: bump heap, nothing to reclaim.
 
-    def _release_frames(self, frames: Sequence[int]) -> None:
-        """Return 4 KiB-pool frames and drop their LLC footprint."""
+    def _release_paged(self, vaddr: int, frames: Sequence[int]) -> None:
+        """Unmap a paged array's pages from ``vaddr`` on (page ``i`` is
+        backed by ``frames[i]``), return the frames to the 4 KiB pool and
+        drop their LLC footprint."""
+        self.machine.paged_unmap(vaddr, len(frames))
         page = self.machine.config.page_size
         frame_pool = self._slot_pool(page)
         for frame_va in frames:

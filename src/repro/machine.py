@@ -196,6 +196,13 @@ class Machine:
             raise ValueError("paged_map needs a page-aligned vaddr")
         self.paged.map_page((vaddr - VirtualLayout.PAGED_VBASE) // page, frame_paddr)
 
+    def paged_unmap(self, vaddr: int, npages: int) -> None:
+        """Unmap ``npages`` pages from the page-aligned ``vaddr`` on; the
+        virtual reservation itself stays (the segment is a bump)."""
+        page = self.config.page_size
+        self.paged.unmap_pages((vaddr - VirtualLayout.PAGED_VBASE) // page,
+                               npages)
+
     # ------------------------------------------------------------------
     # Address queries
     # ------------------------------------------------------------------

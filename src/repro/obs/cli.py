@@ -68,7 +68,7 @@ def _trace_task(target: str, mode_name: str, scale: float, seed: int,
             "label": label,
             "events": st.resolved_events(),
             "runs": list(st.runs),
-            "registry": st.registry.as_dict(),
+            "metrics": st.metrics,
             "channel_loads": list(st.channel_loads),
             "channel_labels": channel_labels(st.machine.mesh),
             "bank_busy": list(st.bank_busy),
@@ -107,7 +107,7 @@ def run_trace(targets: Sequence[str], mode: str = "AFF_ALLOC",
             st["pid"] = pid
             runs.append({"pid": pid, "label": st["label"],
                          "events": st["events"]})
-            metrics[f"{pid:03d}/{st['label']}"] = dict(st["registry"])
+            metrics[f"{pid:03d}/{st['label']}"] = st["metrics"]
             states.append(st)
             pid += 1
     trace = chrome_trace(runs, other_data={

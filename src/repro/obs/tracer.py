@@ -26,9 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, ContextManager, Dict, List, Optional, Tuple
 
-from repro.obs.metrics import (MetricsRegistry, publish_alloc_stats,
-                               publish_fault_state, publish_relayout_state,
-                               publish_run)
+from repro.obs.metrics import alloc_metrics, run_metrics
+from repro.perf.model import bank_busy
 from repro.serial import Serial, checked, non_negative
 from repro.session import Session, scoped
 
@@ -81,9 +80,10 @@ class TraceState:
         self.phase_meta: List[Dict[str, Any]] = []
         #: Run summaries captured at ``PerfModel.evaluate`` time.
         self.runs: List[Dict[str, Any]] = []
-        #: Registry mirroring the legacy counters; rebuilt at each
-        #: ``on_run_end`` so publication is idempotent.
-        self.registry = MetricsRegistry()
+        #: Flat ``{key: value}`` metrics of the last run
+        #: (:func:`~repro.obs.metrics.run_metrics`); rebuilt at each
+        #: ``on_run_end``, its ``alloc_*`` keys updated by ``on_alloc_stats``.
+        self.metrics: Dict[str, float] = {}
         self._alloc_stats: Optional[Any] = None
         #: Channel-load / bank-heat snapshots for ``repro trace --top``.
         self.channel_loads: List[float] = []
@@ -129,34 +129,18 @@ class TraceState:
                 (str(lbl), {k: float(v) for k, v in res.items()})
                 for lbl, res in result.phase_resources],
         })
-        self.registry = MetricsRegistry()
-        publish_run(self.registry, result, recorder)
-        faults = getattr(self.machine, "faults", None)
-        if faults is not None:
-            publish_fault_state(self.registry, faults)
-        relayout = getattr(self.machine, "relayout", None)
-        if relayout is not None:
-            publish_relayout_state(self.registry, relayout)
-        if self._alloc_stats is not None:
-            publish_alloc_stats(self.registry, self._alloc_stats)
-        if self.dropped:
-            self.registry.counter(
-                "trace_dropped_events",
-                "instants past TraceConfig.max_events").set_total(
-                float(self.dropped))
+        self.metrics = run_metrics(result, recorder, self.machine,
+                                   self._alloc_stats, self.dropped)
         # --top snapshots: full channel loads + per-bank busy cycles.
         self.channel_loads = [float(x) for x in recorder.traffic.link_loads()]
-        perf = self.machine.config.perf
-        busy = (recorder.bank_line_accesses * perf.bank_access_cycles
-                + recorder.bank_atomics * perf.atomic_access_cycles
-                + recorder.bank_remote_reqs * perf.remote_req_cycles
-                + recorder.bank_near_ops / perf.bank_ops_per_cycle)
-        self.bank_busy = [float(x) for x in busy]
+        self.bank_busy = [float(x) for x in
+                          bank_busy(recorder, self.machine.config.perf)]
 
     def on_alloc_stats(self, stats: Any) -> None:
         """Called by :meth:`RunContext.finish` after evaluate."""
         self._alloc_stats = stats
-        publish_alloc_stats(self.registry, stats)
+        self.metrics = dict(sorted(
+            {**self.metrics, **alloc_metrics(stats)}.items()))
 
     # ------------------------------------------------------------------
     # Virtual-time resolution

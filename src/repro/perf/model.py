@@ -17,7 +17,7 @@ messages go, which this model captures exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -28,7 +28,16 @@ from repro.perf.stats import PhaseStats, RunRecorder
 if TYPE_CHECKING:
     from repro.machine import Machine
 
-__all__ = ["PerfModel", "RunResult"]
+__all__ = ["PerfModel", "RunResult", "bank_busy"]
+
+
+def bank_busy(stats: Any, perf: Any) -> np.ndarray:
+    """Per-bank L3 service cycles: line accesses, atomics, remote
+    requests and near-data ops, from a phase or a whole run's recorder."""
+    return (stats.bank_line_accesses * perf.bank_access_cycles
+            + stats.bank_atomics * perf.atomic_access_cycles
+            + stats.bank_remote_reqs * perf.remote_req_cycles
+            + stats.bank_near_ops / perf.bank_ops_per_cycle)
 
 
 @dataclass
@@ -71,11 +80,8 @@ class PerfModel:
         """
         p = self.perf
         t_core = float(phase.core_ops.max()) / p.core_ops_per_cycle if phase.core_ops.size else 0.0
-        bank_busy = (phase.bank_line_accesses * p.bank_access_cycles
-                     + phase.bank_atomics * p.atomic_access_cycles
-                     + phase.bank_remote_reqs * p.remote_req_cycles
-                     + phase.bank_near_ops / p.bank_ops_per_cycle)
-        t_bank = float(bank_busy.max()) if bank_busy.size else 0.0
+        busy = bank_busy(phase, p)
+        t_bank = float(busy.max()) if busy.size else 0.0
         t_link = float(phase.channel_loads.max())
         t_serial = float(phase.core_serial_cycles.max()) if phase.core_serial_cycles.size else 0.0
         return {"core": t_core, "bank": t_bank,

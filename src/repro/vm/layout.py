@@ -82,6 +82,12 @@ class PagedRegion:
         self._grow_to(vpage_index + 1)
         self._frames[vpage_index] = frame_paddr
 
+    def unmap_pages(self, first: int, count: int) -> None:
+        """Mark ``count`` pages from index ``first`` unmapped.  Edits the
+        frame table in place, so the compiled resolver's table stays
+        valid."""
+        self._frames[first:first + count] = -1
+
     def translate(self, vaddrs: np.ndarray) -> np.ndarray:
         offs = vaddrs - self.vrange.start
         if self._page_shift is not None:

@@ -85,8 +85,8 @@ class RunContext:
         tracer = self.machine.tracer
         if tracer is not None and self.allocator is not None:
             # The allocator is only reachable from the context, not the
-            # machine, so its stats publish here (after evaluate mirrored
-            # the recorder-side counters into the registry).
+            # machine, so its stats join the run's metrics here (the
+            # rest were built at evaluate's on_run_end).
             tracer.on_alloc_stats(self.allocator.stats)
         return result
 

@@ -156,8 +156,7 @@ class TestResolution:
         (state,) = session.states
         assert len(state.events) == 2
         assert state.dropped > 0
-        assert state.registry.value("trace_dropped_events") == \
-            float(state.dropped)
+        assert state.metrics["trace_dropped_events"] == float(state.dropped)
 
     def test_config_digest_is_stable_and_distinct(self):
         a, b = TraceConfig(), TraceConfig(max_events=7)

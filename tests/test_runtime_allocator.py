@@ -400,19 +400,44 @@ class TestFaultDegradation:
         # the degraded array is still a fully usable handle
         assert h.all_banks().size > 0
 
+    @staticmethod
+    def _assert_unmapped(machine, vaddr, nbytes):
+        page = machine.config.page_size
+        for va in range(vaddr, vaddr + nbytes, page):
+            with pytest.raises(RuntimeError, match="unmapped page"):
+                machine.translate(np.array([va], dtype=np.int64))
+
     def test_paged_array_returns_its_frames_when_the_pool_runs_dry(
             self, machine, alloc):
         """A partitioned 32 MiB array needs more 4 KiB frames than one
         expansion holds: the frames taken before the pool ran dry go
-        back, footprint and all, before the array is degraded."""
+        back, footprint and page mappings and all, before the array is
+        degraded."""
+        from repro.vm.layout import VirtualLayout
         machine.pools.pool(4096).max_expansions = 1
         h = alloc.malloc_affine(AffineArray(4, 8 << 20, partition=True))
         assert h.layout.code == "pool-degraded"
         assert machine.llc.footprint_bytes.sum() == 33_554_432
         assert alloc._slot_pool(4096).live == 0
+        # The rolled-back paged array was the segment's first reservation.
+        self._assert_unmapped(machine, VirtualLayout.PAGED_VBASE, 4 * (8 << 20))
         alloc.free_aff(h)
         assert machine.llc.footprint_bytes.sum() == 0
         assert alloc._slot_pool(4096).live == 0
+
+    def test_freed_paged_array_unmaps_its_pages(self, machine, alloc):
+        from repro.core.affine import LayoutKind
+        h = alloc.malloc_affine(AffineArray(4, 1 << 18, partition=True))
+        assert h.layout.kind is LayoutKind.PAGED
+        table = machine.space.resolver_table()
+        machine.translate(np.array([h.vaddr], dtype=np.int64))  # mapped
+        alloc.free_aff(h)
+        assert machine.llc.footprint_bytes.sum() == 0
+        assert alloc._slot_pool(4096).live == 0
+        self._assert_unmapped(machine, h.vaddr, h.size_bytes)
+        assert machine.space.resolver_table() == table  # edited in place
+        with pytest.raises(RuntimeError, match="unmapped page"):
+            machine.resolve(np.array([h.vaddr], dtype=np.int64))
 
     def test_irregular_degrades_to_larger_pool_same_bank(self, machine,
                                                          alloc):
